@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .walker import WalkEnsemble
+from .walker import WalkEnsemble, sorted_unique
 
 __all__ = ["CoocGraph", "build_from_traces", "build_from_posts", "merge"]
 
@@ -123,7 +123,7 @@ class CoocGraph:
                 wts.append(int(w))
         # isolated vocabulary members are not recoverable from an edge list;
         # the node set is the set of edge endpoints
-        node_ids = np.unique(np.asarray(src + dst, dtype=np.int64))
+        node_ids = sorted_unique(np.asarray(src + dst, dtype=np.int64))
         g = cls(node_ids=node_ids,
                 src=np.asarray(src, dtype=np.int64),
                 dst=np.asarray(dst, dtype=np.int64),
@@ -157,7 +157,7 @@ def _count_pairs(group_ids: np.ndarray, members: np.ndarray,
     _, counts = np.unique(group_ids, return_counts=True)
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
     key_chunks: list[np.ndarray] = []
-    for m in np.unique(counts):
+    for m in sorted_unique(counts):
         m = int(m)
         if m < 2:
             continue
@@ -183,7 +183,7 @@ def build_from_traces(traces: WalkEnsemble | Iterable[Sequence[int]],
     if not isinstance(traces, WalkEnsemble):
         traces = _ensemble_from_sequences(traces, node_count)
     walk_ids, nodes = traces.walk_node_pairs(count_origin=count_origin)
-    vocabulary = np.unique(nodes)
+    vocabulary = sorted_unique(nodes)
     src, dst, weights = _count_pairs(walk_ids, nodes, traces.node_count)
     g = CoocGraph(node_ids=vocabulary, src=src, dst=dst, weights=weights)
     g.validate()

@@ -48,6 +48,10 @@ __all__ = [
 # budget of sampled pairs is used instead.
 EXACT_SIMILARITY_LIMIT = 2000
 
+# Clustering computes common-neighbor counts in row blocks of at most this
+# many two-paths (entries of A^2 worked), which bounds its extra memory.
+CLUSTERING_BLOCK_PATHS = 1 << 20
+
 
 # ---------------------------------------------------------------------------
 # Result containers
@@ -190,23 +194,37 @@ def knn_of_k(g: CoocGraph, weighted: bool = False) -> BinnedSeries:
     return _class_means(k.astype(np.int64), per_node, keep)
 
 
-def clustering_of_k(g: CoocGraph, weighted: bool = False) -> BinnedSeries:
-    """Mean (weighted) clustering coefficient per degree class, k >= 2 only."""
+def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
+    """Mean plain and weighted clustering coefficient per degree class, k >= 2 only.
+
+    Both numerators need only t_ij, the number of common neighbors of each
+    linked pair: sum_j t_ij for C(k) and sum_j w_ij t_ij for C^w(k).  One
+    pass computes t_ij in row blocks of at most ``CLUSTERING_BLOCK_PATHS``
+    two-paths (a single row above the budget forms its own block), so the
+    extra memory never grows with A^2.  Both sums are exact integers.
+    """
     k = g.degrees().astype(np.float64)
     W = _weight_matrix(g)
     A = W.copy()
     A.data[:] = 1.0
-    A2 = A @ A  # A2[i,j] = number of common neighbors of i and j
-    if weighted:
-        closed = np.asarray(W.multiply(A2).sum(axis=1)).ravel()
-        denom = g.strengths().astype(np.float64) * (k - 1)
-    else:
-        closed = np.asarray(A.multiply(A2).sum(axis=1)).ravel()
-        denom = k * (k - 1)
+    paths = np.cumsum(A @ k)  # two-paths starting in rows 0..i
+    plain = np.zeros(k.size)
+    weighted = np.zeros(k.size)
+    lo = 0
+    while lo < k.size:
+        done = paths[lo - 1] if lo else 0.0
+        hi = max(lo + 1, int(np.searchsorted(paths, done + CLUSTERING_BLOCK_PATHS,
+                                             side="right")))
+        T = (A[lo:hi] @ A).multiply(A[lo:hi])  # T[i,j] = t_ij on edges
+        plain[lo:hi] = np.asarray(T.sum(axis=1)).ravel()
+        weighted[lo:hi] = np.asarray(W[lo:hi].multiply(T).sum(axis=1)).ravel()
+        lo = hi
     keep = k >= 2
-    per_node = np.zeros(k.size)
-    per_node[keep] = closed[keep] / denom[keep]
-    return _class_means(k.astype(np.int64), per_node, keep)
+    kk = k[keep]
+    plain[keep] /= kk * (kk - 1)
+    weighted[keep] /= g.strengths()[keep] * (kk - 1)
+    k = k.astype(np.int64)
+    return _class_means(k, plain, keep), _class_means(k, weighted, keep)
 
 
 def weight_vs_kikj(g: CoocGraph,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cooc, ingest, observables, theory, walker
-from .errors import ConfigError, FitError, ParameterError
+from .errors import ConfigError, ContractError, FitError, ParameterError
 from .formats import read_csv, sha256_of, write_csv, write_json
 from .rng import derive_seed
 from .substrate import (ErdosRenyi, GraphSpec, RegularTree, SubstrateGraph,
@@ -394,8 +394,7 @@ def _write_graph_observables(g: cooc.CoocGraph, out: Path, flags: ObservableFlag
         write_csv(obs_dir / "knn_of_k.csv", ["k", "knn", "knn_w", "n"],
                   zip(plain.x, plain.y, weighted.y, plain.n))
     if flags.clustering:
-        plain = observables.clustering_of_k(g, weighted=False)
-        weighted = observables.clustering_of_k(g, weighted=True)
+        plain, weighted = observables.clustering_of_k(g)
         write_csv(obs_dir / "clustering_of_k.csv", ["k", "c", "c_w", "n"],
                   zip(plain.x, plain.y, weighted.y, plain.n))
     if flags.weight_vs_product:
@@ -642,19 +641,41 @@ def _compare_csv(left: Path, right: Path, name: str, out: Path,
         return
     lh, lrows = read_csv(lp)
     rh, rrows = read_csv(rp)
-    if len(lh) < 2 or len(rh) < 2:
-        warnings.append(f"{name} has no data columns")
+    shared = [c for c in lh[1:] if c in rh[1:]]
+    if not shared:
+        warnings.append(f"{name} has no shared data columns")
         return
-    rmap = {row[0]: row[1] for row in rrows}
-    joined = [(row[0], row[1], rmap[row[0]]) for row in lrows if row[0] in rmap]
+    for side, own, other in (("right", lh, rh), ("left", rh, lh)):
+        missing = [c for c in own[1:] if c not in other[1:]]
+        if missing:
+            warnings.append(f"{name}: column(s) {', '.join(missing)} missing on {side}")
+    pairs = [(lh.index(c), rh.index(c)) for c in shared]
+    rmap = {row[0]: row for row in rrows}
+    joined = [[row[0]] + [v for i, j in pairs for v in (row[i], rmap[row[0]][j])]
+              for row in lrows if row[0] in rmap]
     dest = out / name
     dest.parent.mkdir(parents=True, exist_ok=True)
     with open(dest, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{lh[0]},left_{lh[1]},right_{rh[1]}\n")
-        for x, lv, rv in joined:
-            fh.write(f"{x},{lv},{rv}\n")
+        fh.write(",".join([lh[0]] + [f"{side}_{c}" for c in shared
+                                     for side in ("left", "right")]) + "\n")
+        for cells in joined:
+            fh.write(",".join(cells) + "\n")
     if not joined:
         warnings.append(f"{name}: no common x values")
+
+
+def _read_fits(directory: Path) -> dict:
+    """Fitted exponents of an artifact directory; empty when it has none."""
+    path = directory / "fits.json"
+    if not path.exists():
+        return {}
+    try:
+        fits = json.loads(path.read_text(encoding="ascii"))
+    except ValueError as exc:
+        raise ContractError(f"{path}: {exc}") from None
+    if not isinstance(fits, dict):
+        raise ContractError(f"{path}: expected a JSON object")
+    return fits
 
 
 def compare(left_dir, right_dir, out_dir) -> Path:
@@ -672,10 +693,7 @@ def compare(left_dir, right_dir, out_dir) -> Path:
         _compare_csv(left, right, f"observables/{name}", out, warnings)
 
     summary: dict = {"left": str(left), "right": str(right), "fits": {}}
-    lfits = json.loads((left / "fits.json").read_text()) \
-        if (left / "fits.json").exists() else {}
-    rfits = json.loads((right / "fits.json").read_text()) \
-        if (right / "fits.json").exists() else {}
+    lfits, rfits = _read_fits(left), _read_fits(right)
     for key in sorted(set(lfits) | set(rfits)):
         lv, rv = lfits.get(key), rfits.get(key)
         if isinstance(lv, dict):

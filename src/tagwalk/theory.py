@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EvaluationError, ParameterError
 from .rng import derive_seed
 from .substrate import RingProfile, SubstrateGraph
-from .walker import LengthDist, length_pmf, simulate_walks
+from .walker import LengthDist, length_pmf, simulate_walks, sorted_unique
 
 __all__ = [
     "VisitProbabilities",
@@ -259,7 +259,7 @@ def simulate_mean_distinct(graph: SubstrateGraph, origin: int, lengths: LengthDi
     ens = simulate_walks(graph, origin, n_rw * reps, lengths,
                          derive_seed(seed, 0x726570), threads=threads)
     wid, nodes = ens.walk_node_pairs(count_origin=count_origin)
-    rep_node = np.unique((wid // n_rw) * graph.node_count + nodes)
+    rep_node = sorted_unique((wid // n_rw) * graph.node_count + nodes)
     counts = np.bincount(rep_node // graph.node_count, minlength=reps)
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0

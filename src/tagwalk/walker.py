@@ -126,6 +126,19 @@ def length_pmf(dist: LengthDist) -> tuple[np.ndarray, np.ndarray]:
 # Ensembles
 # ---------------------------------------------------------------------------
 
+def sorted_unique(x) -> np.ndarray:
+    """Same result as ``np.unique(x)``, by sorting plus a neighbor mask.
+
+    A bare ``np.unique`` takes numpy's hash-table path (numpy >= 2.3), which
+    is many times slower than a sort on large integer arrays.
+    """
+    x = np.sort(x, axis=None)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 @dataclass(frozen=True)
 class WalkEnsemble:
     """Concatenated traces of an ordered collection of walks.
@@ -157,14 +170,14 @@ class WalkEnsemble:
         if not count_origin:
             keep = nodes != self.origin
             walk_ids, nodes = walk_ids[keep], nodes[keep]
-        keys = np.unique(walk_ids * self.node_count + nodes)
+        keys = sorted_unique(walk_ids * self.node_count + nodes)
         return keys // self.node_count, keys % self.node_count
 
     def distinct_count(self, count_origin: bool = True) -> int:
         nodes = self.nodes
         if not count_origin:
             nodes = nodes[nodes != self.origin]
-        return int(np.unique(nodes).size)
+        return int(sorted_unique(nodes).size)
 
     # -- trace file: one walk per line, node ids space-separated --
 
@@ -176,21 +189,39 @@ class WalkEnsemble:
 
     @classmethod
     def read_traces(cls, path, node_count: int | None = None) -> "WalkEnsemble":
+        """Load a trace file; node ids must lie in ``[0, node_count)``.
+
+        Without ``node_count`` it becomes one more than the largest id.
+        Malformed or out-of-range ids raise ``ContractError`` at ``path:line``.
+        """
         traces: list[list[int]] = []
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
+        line_numbers: list[int] = []
+        # non-ASCII bytes decode to lone surrogates, which int() rejects
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line:
-                    traces.append([int(tok) for tok in line.split()])
+                    try:
+                        traces.append([int(tok) for tok in line.split()])
+                    except ValueError as exc:
+                        raise ContractError(f"{path}:{number}: {exc}") from None
+                    line_numbers.append(number)
         if not traces:
             raise ContractError(f"{path}: no walks found")
         origin = traces[0][0]
         lengths = np.asarray([len(t) for t in traces], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        flat = np.asarray([v for t in traces for v in t], dtype=np.int32)
+        flat = np.asarray([v for t in traces for v in t], dtype=np.int64)
+        limit = np.iinfo(np.int32).max if node_count is None else node_count
+        bad = np.flatnonzero((flat < 0) | (flat >= limit))
+        if bad.size:
+            walk = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+            raise ContractError(f"{path}:{line_numbers[walk]}: node id {int(flat[bad[0]])} "
+                                f"outside [0, {limit})")
         if node_count is None:
             node_count = int(flat.max()) + 1
-        return cls(origin=origin, node_count=node_count, offsets=offsets, nodes=flat)
+        return cls(origin=origin, node_count=node_count, offsets=offsets,
+                   nodes=flat.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +367,7 @@ def heaps_checkpoints(n_walks: int) -> np.ndarray:
         num = max(2, int(np.ceil(span * 50)) + 1)
         parts.append(np.round(np.logspace(3.0, np.log10(n_walks), num=num)).astype(np.int64))
         parts.append(np.asarray([n_walks], dtype=np.int64))
-    pts = np.unique(np.concatenate(parts))
+    pts = sorted_unique(np.concatenate(parts))
     return pts[pts <= n_walks]
 
 

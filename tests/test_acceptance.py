@@ -263,10 +263,10 @@ def test_10_observables_match_naive_references(capsys):
         # degree-class means (floats, 1e-9)
         degree_of = {v: naive_degree(adj, v) for v in ids}
         checks = [(s_of_k(cg), {v: float(naive_strength(adj, v)) for v in ids})]
-        for weighted in (False, True):
+        for weighted, clustering in zip((False, True), clustering_of_k(cg)):
             checks.append((knn_of_k(cg, weighted=weighted),
                            {v: naive_knn(adj, v, weighted=weighted) for v in ids}))
-            checks.append((clustering_of_k(cg, weighted=weighted),
+            checks.append((clustering,
                            {v: naive_clustering(adj, v, weighted=weighted)
                             for v in ids}))
         for series, per_node in checks:

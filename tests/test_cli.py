@@ -157,6 +157,28 @@ def test_missing_prerequisites_exit_2(tmp_path, capsys):
     assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("token, message", [
+    ("60", "node id 60 outside [0, 60)"),
+    ("-1", "node id -1 outside [0, 60)"),
+    ("7x", "invalid literal for int() with base 10: '7x'"),
+    ("\udcc3\udca9", r"invalid literal for int() with base 10: '\udcc3\udca9'"),
+], ids=["id_past_node_count", "negative_id", "non_integer", "non_ascii"])
+def test_cooc_rejects_bad_trace_token(tmp_path, capsys, token, message):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    for stage in ("generate", "walk"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    traces = out / "traces.txt"
+    lines = traces.read_text().splitlines()
+    lines.insert(1, "")                   # blank lines still count
+    lines[3] += f" {token}"
+    traces.write_bytes(("\n".join(lines) + "\n").encode("ascii", "surrogateescape"))
+    capsys.readouterr()
+    assert main(["cooc", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: {traces}:4: {message}\n"
+    assert not (out / "cooc.edges").exists()
+
+
 def test_missing_ingest_input_exits_2(tmp_path):
     ing = tmp_path / "ing.json"
     ing.write_text(json.dumps({"seed": 1, "ingest": {
@@ -353,3 +375,44 @@ def test_compare_reports_missing_side(tmp_path):
     assert any("missing on right" in w for w in summary["warnings"])
     assert any("unavailable on right" in w for w in summary["warnings"])
     assert summary["fits"] == {}
+
+
+def test_compare_joins_every_column(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = compare(out, out, tmp_path / "rep")
+    header, rows = read_csv(rep / "observables" / "clustering_of_k.csv")
+    assert header == ["k", "left_c", "right_c", "left_c_w", "right_c_w",
+                      "left_n", "right_n"]
+    _, own = read_csv(out / "observables" / "clustering_of_k.csv")
+    assert rows == [[r[0]] + [v for v in r[1:] for _ in "lr"] for r in own]
+
+
+def test_compare_warns_on_one_sided_column(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    other = tmp_path / "other"
+    (other / "observables").mkdir(parents=True)
+    header, rows = read_csv(out / "observables" / "clustering_of_k.csv")
+    (other / "observables" / "clustering_of_k.csv").write_text(
+        "".join(",".join(r[:2] + r[3:]) + "\n" for r in [header] + rows))
+    rep = compare(out, other, tmp_path / "rep")
+    joined, _ = read_csv(rep / "observables" / "clustering_of_k.csv")
+    assert joined == ["k", "left_c", "right_c", "left_n", "right_n"]
+    summary = json.loads((rep / "summary.json").read_text())
+    assert ("observables/clustering_of_k.csv: column(s) c_w missing on right"
+            in summary["warnings"])
+
+
+def test_compare_corrupt_fits_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    (out / "fits.json").write_text('{"heaps": ')
+    capsys.readouterr()
+    assert main(["compare", str(out), str(out), "--out",
+                 str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tagwalk: error: {out / 'fits.json'}: ")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import tagwalk.observables as obs
 from naive_reference import (adjacency_dict, naive_class_means,
                              naive_clustering, naive_cooc_weights,
                              naive_cosine, naive_knn)
-from tagwalk.cooc import build_from_traces
+from tagwalk.cooc import CoocGraph, build_from_traces
 from tagwalk.errors import FitError, ParameterError
 from tagwalk.observables import (cosine_similarity_distribution,
                                  clustering_of_k,
@@ -76,11 +78,10 @@ def test_knn_hand_values(hand_graph):
 
 
 def test_clustering_hand_values(hand_graph):
-    plain = clustering_of_k(hand_graph, weighted=False)
+    plain, weighted = clustering_of_k(hand_graph)
     assert plain.x.tolist() == [2, 3]           # k=1 nodes are skipped
     assert plain.y == pytest.approx([1.0, 1.0 / 3.0])
     assert plain.n.tolist() == [2, 1]
-    weighted = clustering_of_k(hand_graph, weighted=True)
     assert weighted.y == pytest.approx([1.0, 3.0 / 8.0])
 
 
@@ -100,9 +101,8 @@ def test_uniform_weights_reduce_to_unweighted(seed):
             unique_traces.append(t)
     g = build_from_traces(unique_traces)
     assert np.all(g.weights == 1)
-    for weighted_fn in (knn_of_k, clustering_of_k):
-        a = weighted_fn(g, weighted=False)
-        b = weighted_fn(g, weighted=True)
+    for a, b in ((knn_of_k(g, weighted=False), knn_of_k(g, weighted=True)),
+                 clustering_of_k(g)):
         assert np.array_equal(a.x, b.x)
         assert a.y == pytest.approx(b.y.tolist(), abs=1e-12)
 
@@ -114,20 +114,91 @@ def test_class_observables_match_naive(seed):
     adj = adjacency_dict({(int(i), int(j)): int(w)
                           for i, j, w in zip(g.src, g.dst, g.weights)})
     ids = g.node_ids.tolist()
-    for weighted in (False, True):
+    for weighted, got_c in zip((False, True), clustering_of_k(g)):
         got = knn_of_k(g, weighted=weighted)
         want = naive_class_means(
             {v: naive_knn(adj, v, weighted=weighted) for v in ids},
             key_of=lambda v: len(adj.get(v, {})))
         assert {float(x): pytest.approx(y, abs=1e-9)
                 for x, y in zip(got.x, got.y)} == want
-        got_c = clustering_of_k(g, weighted=weighted)
         want_c = naive_class_means(
             {v: naive_clustering(adj, v, weighted=weighted) for v in ids},
             key_of=lambda v: len(adj.get(v, {})))
         assert {float(x): pytest.approx(y, abs=1e-9)
                 for x, y in zip(got_c.x, got_c.y)} == want_c
     assert traces is None
+
+
+def random_cliques(seed, n_nodes=40, n_posts=120):
+    """Graph from random 2-5 node cliques: many triangles, uneven weights."""
+    rng = np.random.default_rng(seed)
+    return build_from_traces([rng.choice(n_nodes, size=int(rng.integers(2, 6)),
+                                         replace=False).tolist()
+                              for _ in range(n_posts)])
+
+
+def hub_ring(n):
+    """Hub 0 linked to every node of the ring 1..n-1, uneven weights.
+
+    Every row of A^2 has about n entries, so full A@A holds at least n^2.
+    """
+    ring = np.arange(1, n, dtype=np.int64)
+    src = np.concatenate([np.zeros(n - 1, dtype=np.int64), ring[:-1], [1]])
+    dst = np.concatenate([ring, ring[1:], [n - 1]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    g = CoocGraph(node_ids=np.arange(n, dtype=np.int64), src=src, dst=dst,
+                  weights=src % 3 + dst % 5 + 1)
+    g.validate()
+    return g
+
+
+@pytest.mark.parametrize("graph", [random_cooc(7), random_cooc(8),
+                                   random_cliques(1), random_cliques(2)])
+def test_clustering_matches_networkx(graph):
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(graph.node_ids.tolist())
+    G.add_edges_from(zip(graph.src.tolist(), graph.dst.tolist()))
+    per_node = nx.clustering(G)
+    want = naive_class_means(
+        {v: per_node[v] if G.degree(v) >= 2 else None for v in G},
+        key_of=G.degree)
+    plain, _ = clustering_of_k(graph)
+    assert {float(x): pytest.approx(y, abs=1e-12)
+            for x, y in zip(plain.x, plain.y)} == want
+
+
+@pytest.mark.parametrize("graph", [hub_ring(300), random_cliques(3)],
+                         ids=["hub_ring", "cliques"])
+def test_clustering_blocks_are_bit_identical(graph, monkeypatch):
+    whole = clustering_of_k(graph)  # one block: budget far above sum k^2
+    assert int((graph.degrees() ** 2).sum()) <= obs.CLUSTERING_BLOCK_PATHS
+    # the hub row alone has 3 * 299 = 897 two-paths, a ring row 305
+    for budget in (700, 1):
+        monkeypatch.setattr(obs, "CLUSTERING_BLOCK_PATHS", budget)
+        for got, want in zip(clustering_of_k(graph), whole):
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y, want.y)
+            assert np.array_equal(got.n, want.n)
+
+
+def test_clustering_memory_stays_below_full_product(monkeypatch):
+    n = 3000
+    g = hub_ring(n)
+    a2_bytes = 12 * n * n  # n^2 entries of 8-byte value plus 4-byte index
+
+    def peak():
+        tracemalloc.start()
+        try:
+            clustering_of_k(g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < a2_bytes / 3
+    monkeypatch.setattr(obs, "CLUSTERING_BLOCK_PATHS", 1 << 16)
+    assert peak() < a2_bytes / 30
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .walker import WalkEnsemble, sorted_unique
+from .formats import declared_nodes, read_int_table
+from .substrate import sorted_unique
+from .walker import WalkEnsemble
 
 __all__ = ["CoocGraph", "build_from_traces", "build_from_posts", "merge"]
 
@@ -104,31 +106,17 @@ class CoocGraph:
 
     @classmethod
     def read_edge_list(cls, path) -> "CoocGraph":
-        header_nodes = None
-        src: list[int] = []
-        dst: list[int] = []
-        wts: list[int] = []
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "nodes=" in line:
-                        header_nodes = int(line.split("nodes=")[1].split()[0])
-                    continue
-                a, b, w = line.split("\t")
-                src.append(int(a))
-                dst.append(int(b))
-                wts.append(int(w))
+        headers, table = read_int_table(path, 3)
+        src, dst, weights = table.T.copy()
         # isolated vocabulary members are not recoverable from an edge list;
         # the node set is the set of edge endpoints
-        node_ids = sorted_unique(np.asarray(src + dst, dtype=np.int64))
-        g = cls(node_ids=node_ids,
-                src=np.asarray(src, dtype=np.int64),
-                dst=np.asarray(dst, dtype=np.int64),
-                weights=np.asarray(wts, dtype=np.int64))
-        g.validate()
+        node_ids = sorted_unique(np.concatenate([src, dst]))
+        g = cls(node_ids=node_ids, src=src, dst=dst, weights=weights)
+        try:
+            g.validate()
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from None
+        header_nodes = declared_nodes(path, headers)
         if header_nodes is not None and node_ids.size > header_nodes:
             raise ContractError(f"{path}: more endpoints than declared nodes")
         return g

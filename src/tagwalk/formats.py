@@ -8,14 +8,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ContractError, ParameterError
 
-__all__ = ["format_cell", "write_csv", "read_csv", "sha256_of", "write_json"]
+__all__ = ["format_cell", "write_csv", "read_csv", "sha256_of", "write_json",
+           "read_int_rows", "read_int_table", "declared_nodes"]
+
+# What a data line of an integer table may hold, and the magnitude bound
+# that keeps every accepted field clear of int64 overflow.
+_DATA_BYTES = b"0123456789+- \t\r\n"
+_INT_LIMIT = 10 ** 18
+_FIELD = re.compile(r"[^ \t\r]+")
+_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def format_cell(value) -> str:
@@ -65,3 +74,88 @@ def sha256_of(path) -> str:
 def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                           encoding="ascii")
+
+
+# ---------------------------------------------------------------------------
+# Integer tables: substrate.edges, cooc.edges, traces.txt
+# ---------------------------------------------------------------------------
+
+def read_int_rows(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Read a text file of integer rows in one vectorised pass.
+
+    The file is ASCII.  A line whose first byte is ``#`` is a header and a
+    line of blanks is skipped.  Every other line is a data row of fields
+    ``[+-]?[0-9]+`` below 10**18 in magnitude, separated by runs of spaces
+    or tabs (a CRLF line end is accepted).  Returns the header lines, every
+    field in file order (int64), and the field count and 1-based line
+    number of each data row; blank and header lines count as lines.  A
+    bad line raises ``ContractError`` at ``path:line``.
+    """
+    data = Path(path).read_bytes()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    heads = np.flatnonzero(raw == ord("#"))
+    heads = heads[(heads == 0) | (raw[heads - 1] == ord("\n"))].tolist()
+    blanked = bytearray(data)
+    headers = []
+    for head in heads:
+        end = data.find(b"\n", head) % (len(data) + 1)   # -1 (no newline) -> len
+        headers.append(data[head:end].decode("ascii", "surrogateescape").rstrip("\r"))
+        blanked[head:end] = b" " * (end - head)
+    text = bytes(blanked)
+    if not data.isascii() or text.translate(None, _DATA_BYTES):
+        raise _first_bad_line(path, data)
+    buf = np.frombuffer(text, dtype=np.uint8)
+    field = buf > ord(" ")          # in this alphabet: digits and signs
+    start = field.copy()
+    start[1:] &= ~field[:-1]
+    if b"+" in text or b"-" in text:
+        # a sign must open its field and be followed by a digit
+        sign = (buf == ord("+")) | (buf == ord("-"))
+        if np.any(sign & ~(start & np.append(buf[1:] >= ord("0"), False))):
+            raise _first_bad_line(path, data)
+    events = np.flatnonzero(start | (buf == ord("\n")))
+    ends = np.flatnonzero(buf[events] == ord("\n"))
+    per_line = np.diff(ends, prepend=-1, append=events.size) - 1
+    rows = np.flatnonzero(per_line)
+    values = np.fromstring(text, dtype=np.int64, sep=" ") if rows.size \
+        else np.empty(0, dtype=np.int64)
+    if np.any((values >= _INT_LIMIT) | (values <= -_INT_LIMIT)):
+        raise _first_bad_line(path, data)
+    return headers, values, per_line[rows], rows + 1
+
+
+def _first_bad_line(path, data: bytes) -> ContractError:
+    """The error for the first line of ``data`` that :func:`read_int_rows` rejects."""
+    for number, line in enumerate(data.split(b"\n"), start=1):
+        if line.startswith(b"#"):
+            if not line.isascii():
+                return ContractError(f"{path}:{number}: non-ASCII byte in header")
+            continue
+        # non-ASCII bytes decode to lone surrogates, which no field matches
+        for field in _FIELD.findall(line.decode("ascii", "surrogateescape")):
+            if not _INT.fullmatch(field):
+                return ContractError(f"{path}:{number}: invalid literal for int() "
+                                     f"with base 10: {field!r}")
+            if abs(int(field)) >= _INT_LIMIT:
+                return ContractError(f"{path}:{number}: integer {field} out of range")
+    return ContractError(f"{path}: malformed integer table")
+
+
+def read_int_table(path, columns: int) -> tuple[list[str], np.ndarray]:
+    """Header lines and ``(rows, columns)`` int64 table of a :func:`read_int_rows` file."""
+    headers, values, counts, lines = read_int_rows(path)
+    bad = np.flatnonzero(counts != columns)
+    if bad.size:
+        raise ContractError(f"{path}:{lines[bad[0]]}: expected {columns} fields, "
+                            f"got {counts[bad[0]]}")
+    return headers, values.reshape(-1, columns)
+
+
+def declared_nodes(path, headers: list[str]) -> int | None:
+    """The ``<n>`` (below 2**31) of the last ``nodes=<n>`` header field; None without one."""
+    found = [m[1] for m in (re.search(r"nodes=(\S*)", h) for h in headers) if m]
+    if not found:
+        return None
+    if not re.fullmatch(r"[0-9]{1,10}", found[-1]) or int(found[-1]) >= 2 ** 31:
+        raise ContractError(f"{path}: bad node count {found[-1]!r} in header")
+    return int(found[-1])

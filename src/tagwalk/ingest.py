@@ -16,7 +16,7 @@ included by default; the two vocabularies therefore differ by exactly one).
 from __future__ import annotations
 
 import json
-import time
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -61,13 +61,13 @@ class Post:
 
 @dataclass(frozen=True)
 class ValidityWindow:
-    """Inclusive timestamp bounds; ``ts_max=None`` means the parse time."""
+    """Inclusive timestamp bounds; ``ts_max=None`` means no upper bound (not "now")."""
 
     ts_min: int = DEFAULT_TS_MIN
     ts_max: int | None = None
 
-    def resolve(self) -> tuple[int, int]:
-        hi = int(time.time()) if self.ts_max is None else self.ts_max
+    def resolve(self) -> tuple[int, float]:
+        hi = math.inf if self.ts_max is None else self.ts_max
         if hi < self.ts_min:
             raise ParameterError("validity window is empty")
         return self.ts_min, hi
@@ -115,7 +115,7 @@ class Corpus:
                 fh.write("\n")
 
 
-def _clean_line(line: str, lo: int, hi: int) -> Post | str:
+def _clean_line(line: str, lo: int, hi: float) -> Post | str:
     """Parse one input line; returns a Post or a rejection reason."""
     try:
         obj = json.loads(line)
@@ -177,7 +177,7 @@ def parse_posts(source, window: ValidityWindow | None = None,
     ordered = tuple(sorted(kept, key=lambda p: p.ts))
     provenance = {"source": name,
                   "lines": report.total_lines,
-                  "ts_min": lo, "ts_max": hi}
+                  "ts_min": window.ts_min, "ts_max": window.ts_max}
     return Corpus(posts=ordered, provenance=provenance), report
 
 

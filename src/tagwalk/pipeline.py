@@ -550,7 +550,7 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
         if not traces_path.exists():
             raise FileNotFoundError(f"{traces_path} not found; run the walk stage first")
         graph = _load_or_build_graph(cfg, out)
-        ens = WalkEnsemble.read_traces(traces_path, node_count=graph.node_count)
+        ens = WalkEnsemble.read_traces(traces_path, graph, cfg.walk.origin)
         g = cooc.build_from_traces(ens, count_origin=cfg.walk.count_origin)
         g.write_edge_list(out / "cooc.edges")
     elif stage == "stats":
@@ -574,7 +574,7 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
         traces_path = out / "traces.txt"
         if cfg.observables.frequency_rank and traces_path.exists():
             graph = _load_or_build_graph(cfg, out)
-            ens = WalkEnsemble.read_traces(traces_path, node_count=graph.node_count)
+            ens = WalkEnsemble.read_traces(traces_path, graph, cfg.walk.origin)
             freqs = walker.node_frequencies(ens, count_origin=cfg.walk.count_origin)
             _write_frequency_rank(freqs, out, cfg.fits, fits)
         _combine_zipf_heaps(fits)

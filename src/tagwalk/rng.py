@@ -75,17 +75,3 @@ def derive_seed(master_seed: int, salt: int) -> int:
     """Derive an independent sub-seed for auxiliary randomness (e.g. pair sampling)."""
     return mix64(mix64(master_seed ^ salt) + GAMMA)
 
-
-class WalkStream:
-    """Scalar view of one walk's stream: sequential uniform draws."""
-
-    __slots__ = ("seed", "counter")
-
-    def __init__(self, seed: int, counter: int = 0):
-        self.seed = seed & MASK64
-        self.counter = counter
-
-    def next_uniform(self) -> float:
-        u = stream_uniform(self.seed, self.counter)
-        self.counter += 1
-        return u

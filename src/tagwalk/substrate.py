@@ -15,6 +15,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractError, ParameterError
+from .formats import declared_nodes, read_int_table
 
 __all__ = [
     "SubstrateGraph",
@@ -28,7 +29,21 @@ __all__ = [
     "generate_erdos_renyi",
     "build_graph",
     "bfs_rings",
+    "sorted_unique",
 ]
+
+
+def sorted_unique(x) -> np.ndarray:
+    """Same result as ``np.unique(x)``, by sorting plus a neighbor mask.
+
+    A bare ``np.unique`` takes numpy's hash-table path (numpy >= 2.3), which
+    is many times slower than a sort on large integer arrays.
+    """
+    x = np.sort(x, axis=None)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 @dataclass(frozen=True)
@@ -98,40 +113,33 @@ class SubstrateGraph:
 
     @classmethod
     def read_edge_list(cls, path) -> "SubstrateGraph":
-        n = None
-        src: list[int] = []
-        dst: list[int] = []
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "nodes=" in line:
-                        n = int(line.split("nodes=")[1].split()[0])
-                    continue
-                a, b = line.split("\t")
-                src.append(int(a))
-                dst.append(int(b))
+        headers, edges = read_int_table(path, 2)
+        n = declared_nodes(path, headers)
         if n is None:
             raise ContractError(f"{path}: missing '# nodes=' header")
-        return from_edge_pairs(n, np.asarray(src, dtype=np.int64),
-                               np.asarray(dst, dtype=np.int64))
+        try:
+            return from_edge_pairs(n, edges[:, 0], edges[:, 1])
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from None
+
+    def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each ``(a[i], b[i])`` is an edge; int64 ids in ``[0, node_count)``."""
+        n = self.node_count
+        keys = np.repeat(np.arange(n, dtype=np.int64), self.degrees()) * n + self.indices
+        keys = np.append(keys, n * n)           # sentinel above every query
+        query = a * n + b
+        return keys[np.searchsorted(keys, query)] == query
 
 
 def from_edge_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> SubstrateGraph:
-    """Build a validated graph from undirected edge pairs (any orientation)."""
-    both_src = np.concatenate([src, dst])
-    both_dst = np.concatenate([dst, src])
-    order = np.lexsort((both_dst, both_src))
-    both_src = both_src[order]
-    both_dst = both_dst[order]
-    if both_src.size and (n == 0 or both_src.min() < 0
-                          or max(both_src.max(), both_dst.max()) >= n):
+    """Build a validated graph from undirected int64 edge pairs (any orientation)."""
+    if src.size and (n == 0 or min(src.min(), dst.min()) < 0
+                     or max(src.max(), dst.max()) >= n):
         raise ContractError("edge endpoint out of range")
-    counts = np.bincount(both_src, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    g = SubstrateGraph(n, indptr, both_dst.astype(np.int32))
+    # both orientations as row-major keys, each below n**2 after the range check
+    keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    g = SubstrateGraph(n, indptr.astype(np.int64), (keys % n).astype(np.int32))
     g.validate()
     return g
 
@@ -250,28 +258,12 @@ def generate_regular_tree(z: int, depth: int, seed: int = 0) -> SubstrateGraph:
         raise ParameterError("z must be >= 1")
     if depth < 0:
         raise ParameterError("depth must be >= 0")
-    level_sizes = [1]
-    for l in range(1, depth + 1):
-        level_sizes.append((z + 1) * z ** (l - 1))
-    total = sum(level_sizes)
-    src = np.empty(total - 1, dtype=np.int64)
-    dst = np.empty(total - 1, dtype=np.int64)
-    edge = 0
-    parent_start = 0
-    child_start = 1
-    for l in range(1, depth + 1):
-        n_parents = level_sizes[l - 1]
-        per_parent = z + 1 if l == 1 else z
-        for p in range(n_parents):
-            parent = parent_start + p
-            for c in range(per_parent):
-                child = child_start + p * per_parent + c
-                src[edge] = parent
-                dst[edge] = child
-                edge += 1
-        parent_start = child_start
-        child_start += level_sizes[l]
-    return from_edge_pairs(total, src, dst)
+    total = 1 + sum((z + 1) * z ** (l - 1) for l in range(1, depth + 1))
+    # nodes are numbered level by level: the root's children are 1..z+1 and
+    # node v >= 1 has children z+2+(v-1)*z .. z+1+v*z
+    child = np.arange(1, total, dtype=np.int64)
+    parent = np.where(child <= z + 1, 0, (child - z - 2) // z + 1)
+    return from_edge_pairs(total, parent, child)
 
 
 def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> SubstrateGraph:
@@ -347,7 +339,7 @@ def bfs_rings(graph: SubstrateGraph, origin: int) -> RingProfile:
     sizes = [1]
     while frontier.size:
         nbrs = _gather_neighbors(graph, frontier).astype(np.int64)
-        nbrs = np.unique(nbrs[~seen[nbrs]])
+        nbrs = sorted_unique(nbrs[~seen[nbrs]])
         if nbrs.size == 0:
             break
         seen[nbrs] = True

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import EvaluationError, ParameterError
 from .rng import derive_seed
-from .substrate import RingProfile, SubstrateGraph
-from .walker import LengthDist, length_pmf, simulate_walks, sorted_unique
+from .substrate import RingProfile, SubstrateGraph, sorted_unique
+from .walker import LengthDist, length_pmf, simulate_walks
 
 __all__ = [
     "VisitProbabilities",

@@ -6,7 +6,8 @@ Each walk consumes an independent counter-based random stream keyed by
 ``(master_seed, walk_index)``: counter 0 feeds the length draw and counter
 ``t`` feeds step ``t``.  Because no state is shared between walks, the
 ensemble is reproducible node-for-node regardless of batching or thread
-count, and a one-walk scalar reference can replay any walk exactly.
+count, and a one-walk scalar loop can replay any walk exactly (the test
+suite's ``naive_reference.run_walk`` does).
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .rng import stream_uniform, stream_uniforms, walk_seed, walk_seeds
-from .substrate import SubstrateGraph
+from .formats import read_int_rows
+from .rng import stream_uniforms, walk_seeds
+from .substrate import SubstrateGraph, sorted_unique
 
 __all__ = [
     "FixedLength",
@@ -31,14 +33,11 @@ __all__ = [
     "length_pmf",
     "WalkConfig",
     "WalkEnsemble",
-    "run_walk",
     "simulate_walks",
     "run_ensemble",
     "heaps_checkpoints",
     "heaps_curve",
     "node_frequencies",
-    "trace_lengths_histogram",
-    "visit_probabilities",
 ]
 
 log = logging.getLogger(__name__)
@@ -126,19 +125,6 @@ def length_pmf(dist: LengthDist) -> tuple[np.ndarray, np.ndarray]:
 # Ensembles
 # ---------------------------------------------------------------------------
 
-def sorted_unique(x) -> np.ndarray:
-    """Same result as ``np.unique(x)``, by sorting plus a neighbor mask.
-
-    A bare ``np.unique`` takes numpy's hash-table path (numpy >= 2.3), which
-    is many times slower than a sort on large integer arrays.
-    """
-    x = np.sort(x, axis=None)
-    keep = np.empty(x.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
-
-
 @dataclass(frozen=True)
 class WalkEnsemble:
     """Concatenated traces of an ordered collection of walks.
@@ -188,78 +174,47 @@ class WalkEnsemble:
                 fh.write("\n")
 
     @classmethod
-    def read_traces(cls, path, node_count: int | None = None) -> "WalkEnsemble":
-        """Load a trace file; node ids must lie in ``[0, node_count)``.
+    def read_traces(cls, path, graph: SubstrateGraph | None = None,
+                    origin: int | None = None) -> "WalkEnsemble":
+        """Load a trace file whose walks all start at ``origin`` (default: the first node).
 
-        Without ``node_count`` it becomes one more than the largest id.
-        Malformed or out-of-range ids raise ``ContractError`` at ``path:line``.
+        With a ``graph``, ids must lie in ``[0, graph.node_count)`` and each
+        step must follow an edge; without one, ``node_count`` is one more
+        than the largest id.  Violations raise ``ContractError`` at ``path:line``.
         """
-        traces: list[list[int]] = []
-        line_numbers: list[int] = []
-        # non-ASCII bytes decode to lone surrogates, which int() rejects
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            for number, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    try:
-                        traces.append([int(tok) for tok in line.split()])
-                    except ValueError as exc:
-                        raise ContractError(f"{path}:{number}: {exc}") from None
-                    line_numbers.append(number)
-        if not traces:
+        _, nodes, lengths, lines = read_int_rows(path)
+        if lengths.size == 0:
             raise ContractError(f"{path}: no walks found")
-        origin = traces[0][0]
-        lengths = np.asarray([len(t) for t in traces], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        flat = np.asarray([v for t in traces for v in t], dtype=np.int64)
-        limit = np.iinfo(np.int32).max if node_count is None else node_count
-        bad = np.flatnonzero((flat < 0) | (flat >= limit))
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+
+        def fail(pos: int, message: str) -> ContractError:
+            walk = np.searchsorted(offsets, pos, side="right") - 1
+            return ContractError(f"{path}:{lines[walk]}: {message}")
+
+        limit = np.iinfo(np.int32).max if graph is None else graph.node_count
+        bad = np.flatnonzero((nodes < 0) | (nodes >= limit))
         if bad.size:
-            walk = int(np.searchsorted(offsets, bad[0], side="right")) - 1
-            raise ContractError(f"{path}:{line_numbers[walk]}: node id {int(flat[bad[0]])} "
-                                f"outside [0, {limit})")
-        if node_count is None:
-            node_count = int(flat.max()) + 1
-        return cls(origin=origin, node_count=node_count, offsets=offsets,
-                   nodes=flat.astype(np.int32))
+            raise fail(bad[0], f"node id {nodes[bad[0]]} outside [0, {limit})")
+        origin = nodes[0] if origin is None else origin
+        bad = offsets[:-1][nodes[offsets[:-1]] != origin]
+        if bad.size:
+            raise fail(bad[0], f"walk starts at node {nodes[bad[0]]}, not at the origin {origin}")
+        if graph is not None:
+            steps = np.ones(nodes.size - 1, dtype=bool)
+            steps[offsets[1:-1] - 1] = False       # no step from one walk into the next
+            steps = np.flatnonzero(steps)
+            bad = steps[~graph.has_edges(nodes[steps], nodes[steps + 1])]
+            if bad.size:
+                raise fail(bad[0], f"step {nodes[bad[0]]} -> {nodes[bad[0] + 1]} "
+                                   "is not a substrate edge")
+        node_count = int(nodes.max()) + 1 if graph is None else graph.node_count
+        return cls(origin=int(origin), node_count=node_count, offsets=offsets,
+                   nodes=nodes.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
-
-def run_walk(graph: SubstrateGraph, origin: int, master_seed: int, walk_index: int,
-             lengths: LengthDist, non_backtracking: bool = False) -> np.ndarray:
-    """Replay a single walk step by step.
-
-    Produces exactly the trace that :func:`simulate_walks` assigns to
-    ``walk_index`` under the same master seed.
-    """
-    seed = walk_seed(master_seed, walk_index)
-    length = int(sample_lengths(lengths, stream_uniform(seed, 0)))
-    if graph.degree(origin) == 0:
-        if length > 0:
-            log.warning("origin %d is isolated; walk truncated to [origin]", origin)
-        return np.asarray([origin], dtype=np.int32)
-    trace = [origin]
-    prev = -1
-    cur = origin
-    for t in range(length):
-        u = stream_uniform(seed, t + 1)
-        nbrs = graph.neighbors(cur)
-        deg = nbrs.size
-        if non_backtracking and t > 0:
-            k = max(min(int(u * (deg - 1)), deg - 2), 0)
-            nxt = int(nbrs[k])
-            if nxt == prev:
-                nxt = int(nbrs[deg - 1])
-        else:
-            nxt = int(nbrs[min(int(u * deg), deg - 1)])
-        trace.append(nxt)
-        prev = cur
-        cur = nxt
-    return np.asarray(trace, dtype=np.int32)
-
 
 def _walk_block(graph: SubstrateGraph, origin: int, seeds: np.ndarray,
                 lengths: np.ndarray, non_backtracking: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -401,15 +356,6 @@ def node_frequencies(ensemble: WalkEnsemble, count_origin: bool = True) -> np.nd
     return np.bincount(nodes, minlength=ensemble.node_count).astype(np.int64)
 
 
-def trace_lengths_histogram(ensemble: WalkEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of walk step-lengths: (lengths, counts), lengths ascending."""
-    lengths = ensemble.lengths()
-    if lengths.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    v, c = np.unique(lengths, return_counts=True)
-    return v.astype(np.int64), c.astype(np.int64)
-
-
 def run_ensemble(graph: SubstrateGraph, config: WalkConfig, threads: int = 1
                  ) -> tuple[WalkEnsemble, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Simulate a configured ensemble and summarize it.
@@ -427,12 +373,3 @@ def run_ensemble(graph: SubstrateGraph, config: WalkConfig, threads: int = 1
         curve = heaps_curve(ens, count_origin=config.count_origin)
         freqs = node_frequencies(ens, count_origin=config.count_origin)
     return ens, curve, freqs
-
-
-def visit_probabilities(graph: SubstrateGraph, origin: int, lengths: LengthDist,
-                        n_walks: int, seed: int, threads: int = 1) -> np.ndarray:
-    """Monte Carlo estimate of the chance a single walk visits each node."""
-    if n_walks < 1:
-        raise ParameterError("n_walks must be >= 1")
-    ens = simulate_walks(graph, origin, n_walks, lengths, seed, threads=threads)
-    return node_frequencies(ens) / float(n_walks)

@@ -13,6 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
+from tagwalk.rng import stream_uniform, walk_seed
+from tagwalk.walker import sample_lengths
+
 
 # ---------------------------------------------------------------------------
 # Co-occurrence counting
@@ -138,3 +141,37 @@ def exhaustive_visit_probs(graph, origin, length):
 
     recurse(origin, length, {origin}, Fraction(1))
     return np.asarray([float(p) for p in probs])
+
+
+# ---------------------------------------------------------------------------
+# Scalar walk replay
+# ---------------------------------------------------------------------------
+
+def run_walk(graph, origin, master_seed, walk_index, lengths, non_backtracking=False):
+    """Replay a single walk step by step.
+
+    Produces exactly the trace that ``simulate_walks`` assigns to
+    ``walk_index`` under the same master seed.
+    """
+    seed = walk_seed(master_seed, walk_index)
+    length = int(sample_lengths(lengths, stream_uniform(seed, 0)))
+    if graph.degree(origin) == 0:
+        return np.asarray([origin], dtype=np.int32)
+    trace = [origin]
+    prev = -1
+    cur = origin
+    for t in range(length):
+        u = stream_uniform(seed, t + 1)
+        nbrs = graph.neighbors(cur)
+        deg = nbrs.size
+        if non_backtracking and t > 0:
+            k = max(min(int(u * (deg - 1)), deg - 2), 0)
+            nxt = int(nbrs[k])
+            if nxt == prev:
+                nxt = int(nbrs[deg - 1])
+        else:
+            nxt = int(nbrs[min(int(u * deg), deg - 1)])
+        trace.append(nxt)
+        prev = cur
+        cur = nxt
+    return np.asarray(trace, dtype=np.int32)

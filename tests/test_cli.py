@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tagwalk.errors import ConfigError
 from tagwalk.formats import read_csv, sha256_of
 from tagwalk.pipeline import (ExperimentConfig, IngestConfig, compare,
                               load_config)
+from tagwalk.substrate import SubstrateGraph
 from tagwalk.walker import PowerLawLength
 
 BASE = {
@@ -179,6 +181,55 @@ def test_cooc_rejects_bad_trace_token(tmp_path, capsys, token, message):
     assert not (out / "cooc.edges").exists()
 
 
+@pytest.mark.parametrize("name, bad, message", [
+    ("substrate.edges", b"foo", "invalid literal for int() with base 10: 'foo'"),
+    ("substrate.edges", b"0\t1\t2", "expected 2 fields, got 3"),
+    ("substrate.edges", b"0\t1#x", "invalid literal for int() with base 10: '1#x'"),
+    ("substrate.edges", b"0\t\xc3\xa9",
+     r"invalid literal for int() with base 10: '\udcc3\udca9'"),
+    ("cooc.edges", b"0\t1", "expected 3 fields, got 2"),
+], ids=["foo", "three_columns", "inline_hash", "non_ascii", "cooc_two_columns"])
+def test_malformed_edge_list_line_exits_2(tmp_path, capsys, name, bad, message):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    for stage in ("generate", "walk", "cooc"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / name
+    lines = path.read_bytes().split(b"\n")
+    lines.insert(1, b"")                  # blank lines still count
+    lines[3] = bad
+    path.write_bytes(b"\n".join(lines))
+    stage = "cooc" if name == "substrate.edges" else "stats"
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: {path}:4: {message}\n"
+
+
+@pytest.mark.parametrize("defect", ["wrong_first_node", "step_off_edge"])
+def test_cooc_rejects_traces_off_the_substrate(tmp_path, capsys, defect):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    for stage in ("generate", "walk"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    graph = SubstrateGraph.read_edge_list(out / "substrate.edges")
+    traces = out / "traces.txt"
+    lines = traces.read_text().splitlines()
+    walk = [int(v) for v in lines[2].split()]
+    if defect == "wrong_first_node":
+        walk[0] = int(graph.neighbors(0)[0])
+        message = f"walk starts at node {walk[0]}, not at the origin 0"
+    else:
+        off = next(v for v in range(graph.node_count)
+                   if v != walk[-1] and v not in graph.neighbors(walk[-1]))
+        message = f"step {walk[-1]} -> {off} is not a substrate edge"
+        walk.append(off)
+    lines[2] = " ".join(map(str, walk))
+    traces.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["cooc", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: {traces}:3: {message}\n"
+
+
 def test_missing_ingest_input_exits_2(tmp_path):
     ing = tmp_path / "ing.json"
     ing.write_text(json.dumps({"seed": 1, "ingest": {
@@ -330,6 +381,21 @@ def test_ingest_strict_aborts(tmp_path):
     out = tmp_path / "out"
     assert main(["ingest", "--config", str(cfg), "--out", str(out),
                  "--strict"]) == 2
+
+
+def test_ingest_open_window_ignores_the_clock(tmp_path, monkeypatch):
+    log, _, n_posts = make_log(tmp_path)
+    cfg = tmp_path / "open.json"
+    cfg.write_text(json.dumps({"seed": 4, "ingest": {
+        "input": str(log), "focus_tag": "walks", "ts_max": None}}))
+    runs = []
+    for now in (1_000_000_020, 2_000_000_000):   # inside, then after the posts
+        monkeypatch.setattr(time, "time", lambda t=now: t)
+        runs.append(tmp_path / f"out{now}")
+        assert main(["ingest", "--config", str(cfg), "--out", str(runs[-1])]) == 0
+    assert tree_hash(runs[0]) == tree_hash(runs[1])
+    prov = json.loads((runs[0] / "manifest.json").read_text())["provenance"]
+    assert prov["ts_max"] is None and prov["accepted"] == n_posts
 
 
 def test_ingest_rerun_is_byte_identical(tmp_path):

@@ -206,3 +206,22 @@ def test_read_edge_list_rejects_bad_header(tmp_path):
     path.write_text("# nodes=1 edges=1 total_weight=1\n0\t1\t1\n")
     with pytest.raises(ContractError):
         CoocGraph.read_edge_list(path)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b'foo', "invalid literal for int() with base 10: 'foo'"),
+    (b'0\t1', 'expected 3 fields, got 2'),
+    (b'0\t1\t1#x', "invalid literal for int() with base 10: '1#x'"),
+    (b'0\t1\t\xc3\xa9', "invalid literal for int() with base 10: '\\udcc3\\udca9'"),
+    (b'0\t1\t99999999999999999999', 'integer 99999999999999999999 out of range'),
+], ids=['foo', 'two_columns', 'inline_hash', 'non_ascii', 'overflow'])
+def test_read_edge_list_names_bad_line(tmp_path, bad, message):
+    path = tmp_path / "g.edges"
+    build_from_traces([[0, 1, 2], [1, 2, 7]]).write_edge_list(path)
+    lines = path.read_bytes().split(b"\n")
+    lines.insert(1, b"")                  # blank lines still count
+    lines[2] = bad
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ContractError) as err:
+        CoocGraph.read_edge_list(path)
+    assert str(err.value) == f"{path}:3: {message}"

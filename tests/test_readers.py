@@ -1,0 +1,198 @@
+"""Property tests for the three text readers: substrate.edges, traces.txt, cooc.edges.
+
+Round trips check that whatever the writers produce reads back equal.
+Hostile input (arbitrary bytes, truncated and mutated files) must end in
+``ContractError`` or a successful read, never another exception or a warning.
+"""
+
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import graph_from_pairs
+from tagwalk.cooc import CoocGraph, build_from_traces
+from tagwalk.errors import ContractError
+from tagwalk.formats import read_int_rows
+from tagwalk.substrate import SubstrateGraph, generate_watts_strogatz
+from tagwalk.walker import PowerLawLength, WalkEnsemble, simulate_walks
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 20))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph_from_pairs(n, chosen)
+
+
+walk_lists = st.integers(0, 30).flatmap(lambda origin: st.lists(
+    st.lists(st.integers(0, 40), max_size=8).map(lambda t: [origin] + t),
+    min_size=1, max_size=12))
+
+
+def ensemble_of(walks) -> WalkEnsemble:
+    flat = np.asarray([v for w in walks for v in w], dtype=np.int32)
+    offsets = np.concatenate([[0], np.cumsum([len(w) for w in walks])]).astype(np.int64)
+    return WalkEnsemble(origin=walks[0][0], node_count=int(flat.max()) + 1,
+                        offsets=offsets, nodes=flat)
+
+
+# ---------------------------------------------------------------------------
+# Round trips
+# ---------------------------------------------------------------------------
+
+@given(graphs())
+@FUZZ
+def test_substrate_round_trip(workdir, g):
+    path = workdir / "substrate.edges"
+    g.write_edge_list(path)
+    back = SubstrateGraph.read_edge_list(path)
+    assert back.node_count == g.node_count
+    assert np.array_equal(back.indptr, g.indptr)
+    assert np.array_equal(back.indices, g.indices)
+
+
+@given(walk_lists)
+@FUZZ
+def test_traces_round_trip(workdir, walks):
+    ens = ensemble_of(walks)
+    path = workdir / "traces.txt"
+    ens.write_traces(path)
+    back = WalkEnsemble.read_traces(path)
+    assert (back.origin, back.node_count) == (ens.origin, ens.node_count)
+    assert np.array_equal(back.offsets, ens.offsets)
+    assert np.array_equal(back.nodes, ens.nodes)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 39))
+@settings(max_examples=30, deadline=None)
+def test_simulated_traces_pass_the_substrate_checks(workdir, seed, origin):
+    g = generate_watts_strogatz(40, 4, 0.3, seed=seed % 1000)
+    ens = simulate_walks(g, origin, 30, PowerLawLength(2.0, 1, 15), seed=seed)
+    path = workdir / "walked.txt"
+    ens.write_traces(path)
+    back = WalkEnsemble.read_traces(path, g, origin)
+    assert np.array_equal(back.offsets, ens.offsets)
+    assert np.array_equal(back.nodes, ens.nodes)
+
+
+@given(walk_lists)
+@FUZZ
+def test_cooc_round_trip(workdir, walks):
+    g = build_from_traces(walks)
+    path = workdir / "cooc.edges"
+    g.write_edge_list(path)
+    back = CoocGraph.read_edge_list(path)
+    endpoints = np.unique(np.concatenate([g.src, g.dst]))
+    assert np.array_equal(back.node_ids, endpoints)
+    for name in ("src", "dst", "weights"):
+        assert np.array_equal(getattr(back, name), getattr(g, name))
+
+
+# ---------------------------------------------------------------------------
+# Hostile input
+# ---------------------------------------------------------------------------
+
+READERS = {
+    "substrate": SubstrateGraph.read_edge_list,
+    "traces": WalkEnsemble.read_traces,
+    "cooc": CoocGraph.read_edge_list,
+}
+
+
+def read_or_contract_error(reader, path):
+    """Run ``reader``; any outcome other than success or ContractError fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            reader(path)
+        except ContractError:
+            pass
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@given(data=st.binary(max_size=200))
+@FUZZ
+def test_arbitrary_bytes(workdir, kind, data):
+    path = workdir / f"garbage.{kind}"
+    path.write_bytes(data)
+    read_or_contract_error(READERS[kind], path)
+
+
+def valid_bytes(kind, walks, workdir) -> bytes:
+    path = workdir / f"valid.{kind}"
+    if kind == "substrate":
+        generate_watts_strogatz(12, 4, 0.2, seed=len(walks)).write_edge_list(path)
+    elif kind == "traces":
+        ensemble_of(walks).write_traces(path)
+    else:
+        build_from_traces(walks).write_edge_list(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@given(walks=walk_lists, data=st.data())
+@FUZZ
+def test_truncated_and_mutated_files(workdir, kind, walks, data):
+    good = valid_bytes(kind, walks, workdir)
+    cut = data.draw(st.integers(0, len(good)))
+    spot = data.draw(st.integers(0, cut))
+    extra = data.draw(st.sampled_from([b"", b"x", b"\xe9", b"#", b"-", b"\t", b" ",
+                                       b"\n", b"\r\n", b"99999999999999999999"]))
+    path = workdir / f"mutated.{kind}"
+    path.write_bytes(good[:spot] + extra + good[spot:cut])
+    read_or_contract_error(READERS[kind], path)
+
+
+# ---------------------------------------------------------------------------
+# The vectorised row reader against a line-by-line statement of its format
+# ---------------------------------------------------------------------------
+
+def reference_rows(data: bytes):
+    """``(headers, rows)`` of an integer-row file, or the number of its first bad line."""
+    headers, rows = [], []
+    for number, line in enumerate(data.split(b"\n"), start=1):
+        if line.startswith(b"#"):
+            if not line.isascii():
+                return number
+            headers.append(line.decode("ascii").rstrip("\r"))
+            continue
+        fields = [f for f in re.split(rb"[ \t\r]", line) if f]
+        if not all(re.fullmatch(rb"[+-]?[0-9]+", f) and abs(int(f)) < 10 ** 18
+                   for f in fields):
+            return number
+        if fields:
+            rows.append((number, [int(f) for f in fields]))
+    return headers, rows
+
+
+pieces = st.sampled_from([b"0", b"7", b"12", b"-3", b"+", b"-", b" ", b"\t", b"\r",
+                          b"\n", b"\n", b"#", b"x", b"\xe9", b"99999999999999999999"])
+
+
+@given(st.lists(pieces, max_size=40).map(b"".join))
+@settings(max_examples=400, deadline=None)
+def test_row_reader_matches_line_by_line_reference(workdir, data):
+    path = workdir / "rows.txt"
+    path.write_bytes(data)
+    expected = reference_rows(data)
+    if isinstance(expected, int):
+        with pytest.raises(ContractError, match=rf"^{re.escape(str(path))}:{expected}: "):
+            read_int_rows(path)
+        return
+    headers, values, counts, lines = read_int_rows(path)
+    assert headers == expected[0]
+    assert lines.tolist() == [number for number, _ in expected[1]]
+    assert counts.tolist() == [len(row) for _, row in expected[1]]
+    assert values.tolist() == [v for _, row in expected[1] for v in row]

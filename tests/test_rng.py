@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagwalk.rng import (GAMMA, MASK64, WalkStream, derive_seed, mix64,
+from tagwalk.rng import (GAMMA, MASK64, derive_seed, mix64,
                          mix64_array, stream_uniform, stream_uniforms,
                          walk_seed, walk_seeds)
 
@@ -91,12 +91,6 @@ def test_derive_seed_departs_from_walk_seeds():
     walks = {walk_seed(master, i) for i in range(64)}
     assert len(derived) == 64
     assert not derived & walks
-
-
-def test_walk_stream_wraps_counters():
-    ws = WalkStream(walk_seed(3, 2))
-    direct = [stream_uniform(walk_seed(3, 2), t) for t in range(5)]
-    assert [ws.next_uniform() for _ in range(5)] == direct
 
 
 def test_master_seed_wraps_mod_2_64():

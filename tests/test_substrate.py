@@ -231,3 +231,22 @@ def test_bfs_rings_disconnected():
 def test_bfs_rings_bad_origin(triangle):
     with pytest.raises(ParameterError):
         bfs_rings(triangle, 7)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b'foo', "invalid literal for int() with base 10: 'foo'"),
+    (b'0\t1\t2', 'expected 2 fields, got 3'),
+    (b'0\t1#x', "invalid literal for int() with base 10: '1#x'"),
+    (b'0\t\xc3\xa9', "invalid literal for int() with base 10: '\\udcc3\\udca9'"),
+    (b'0\t99999999999999999999', 'integer 99999999999999999999 out of range'),
+], ids=['foo', 'three_columns', 'inline_hash', 'non_ascii', 'overflow'])
+def test_read_edge_list_names_bad_line(tmp_path, triangle, bad, message):
+    path = tmp_path / "g.edges"
+    triangle.write_edge_list(path)
+    lines = path.read_bytes().split(b"\n")
+    lines.insert(1, b"")                  # blank lines still count
+    lines[2] = bad
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ContractError) as err:
+        SubstrateGraph.read_edge_list(path)
+    assert str(err.value) == f"{path}:3: {message}"

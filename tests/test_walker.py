@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
-from naive_reference import naive_vocabulary
+from naive_reference import naive_vocabulary, run_walk
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.observables import fit_power_law
 from tagwalk.rng import stream_uniforms, walk_seeds
 from tagwalk.substrate import generate_regular_tree, generate_watts_strogatz
+from tagwalk.theory import estimate_visit_probs
 from tagwalk.walker import (BLOCK_SIZE, FixedLength, PowerLawLength,
                             WalkConfig, WalkEnsemble, heaps_checkpoints,
                             heaps_curve, length_pmf, node_frequencies,
-                            run_ensemble, run_walk, sample_lengths,
-                            simulate_walks, trace_lengths_histogram,
-                            visit_probabilities)
+                            run_ensemble, sample_lengths, simulate_walks)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +167,6 @@ def test_walk_count_and_lengths():
     ens = simulate_walks(g, 0, 40, FixedLength(5), seed=1)
     assert ens.walk_count == 40
     assert np.all(ens.lengths() == 5)
-    v, c = trace_lengths_histogram(ens)
-    assert v.tolist() == [5] and c.tolist() == [40]
 
 
 def test_empty_ensemble():
@@ -177,8 +174,7 @@ def test_empty_ensemble():
     ens = simulate_walks(g, 0, 0, FixedLength(5), seed=1)
     assert ens.walk_count == 0
     assert ens.distinct_count() == 0
-    v, c = trace_lengths_histogram(ens)
-    assert v.size == 0 and c.size == 0
+    assert ens.lengths().size == 0
 
 
 def test_parameter_errors(triangle):
@@ -252,7 +248,7 @@ def test_node_frequencies_and_visit_probabilities(triangle):
     freqs = node_frequencies(ens)
     assert freqs[0] == 500                      # origin in every walk
     assert freqs.sum() == ens.walk_node_pairs()[0].size
-    p = visit_probabilities(triangle, 0, FixedLength(2), 500, seed=2)
+    p = estimate_visit_probs(triangle, 0, FixedLength(2), 500, seed=2).p
     assert p[0] == 1.0
     assert np.array_equal(p * 500, freqs.astype(float))
 
@@ -277,7 +273,7 @@ def test_trace_round_trip(tmp_path):
     ens = simulate_walks(g, 0, 25, PowerLawLength(2.0, 1, 12), seed=44)
     path = tmp_path / "traces.txt"
     ens.write_traces(path)
-    back = WalkEnsemble.read_traces(path, node_count=g.node_count)
+    back = WalkEnsemble.read_traces(path, g)
     assert back.origin == ens.origin
     assert back.node_count == g.node_count
     assert np.array_equal(back.offsets, ens.offsets)

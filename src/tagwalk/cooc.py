@@ -71,6 +71,8 @@ class CoocGraph:
     def validate(self) -> None:
         if self.node_ids.size and np.any(np.diff(self.node_ids) <= 0):
             raise ContractError("node_ids must be sorted and unique")
+        if self.node_ids.size and self.node_ids[0] < 0:
+            raise ContractError(f"negative node id {self.node_ids[0]}")
         if not (self.src.size == self.dst.size == self.weights.size):
             raise ContractError("edge arrays disagree in length")
         if self.src.size == 0:

@@ -234,17 +234,7 @@ def weight_vs_kikj(g: CoocGraph,
     eu, ev = g.compact_edges()
     products = (k[eu] * k[ev]).astype(np.float64)
     weights = g.weights.astype(np.float64)
-    if products.size == 0:
-        empty = BinnedSeries(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
-        return products, weights, empty
-    edges = _log_edges(products.min(), products.max(), bin_ratio)
-    which = np.clip(np.searchsorted(edges, products, side="right") - 1, 0, edges.size - 2)
-    n = np.bincount(which, minlength=edges.size - 1)
-    sums = np.bincount(which, weights=weights, minlength=edges.size - 1)
-    keep = n > 0
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    binned = BinnedSeries(centers[keep], sums[keep] / n[keep], n[keep].astype(np.int64))
-    return products, weights, binned
+    return products, weights, log_bin(products, weights, bin_ratio)
 
 
 def _normalized_rows(g: CoocGraph) -> tuple[np.ndarray, csr_matrix | None]:

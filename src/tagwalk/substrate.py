@@ -144,21 +144,6 @@ def from_edge_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> SubstrateGraph:
     return g
 
 
-def _graph_from_sets(adj: list[set[int]]) -> SubstrateGraph:
-    n = len(adj)
-    degrees = np.fromiter((len(s) for s in adj), dtype=np.int64, count=n)
-    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    pos = 0
-    for s in adj:
-        nbrs = sorted(s)
-        indices[pos:pos + len(nbrs)] = nbrs
-        pos += len(nbrs)
-    g = SubstrateGraph(n, indptr, indices)
-    g.validate()
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Generator specs
 # ---------------------------------------------------------------------------
@@ -213,6 +198,10 @@ def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> Subst
     every lattice edge's far endpoint is then rewired with probability
     ``p_rewire`` to a uniformly chosen node, avoiding self-loops and
     duplicate edges.  Rewiring preserves the edge count ``n*k/2`` exactly.
+
+    Determinism contract: the same ``(n, k, p_rewire, seed)`` gives the same
+    graph byte for byte.  Rewire targets are drawn in batches that match
+    numpy's scalar draws one for one; the test suite pins graphs by hash.
     """
     if k % 2 != 0:
         raise ParameterError("k must be even")
@@ -221,28 +210,45 @@ def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> Subst
     if not (0.0 <= p_rewire <= 1.0):
         raise ParameterError("p_rewire must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    adj: list[set[int]] = [set() for _ in range(n)]
     half = k // 2
+    # only changes are tracked: lattice edge (i, i+j) lives in slot (j-1)*n + i
+    removed = bytearray(half * n)   # 1 once the slot's edge is rewired away
+    added: set[int] = set()         # rewired-in edges as keys i*n + m, both ways
+    degree = [k] * n
+
+    def linked(i: int, m: int) -> bool:
+        d = (m - i) % n             # the lattice joins exactly the ring gaps <= half
+        return ((d <= half and not removed[(d - 1) * n + i])
+                or (n - d <= half and not removed[(n - d - 1) * n + m])
+                or i * n + m in added)
+
     for j in range(1, half + 1):
-        for i in range(n):
-            v = (i + j) % n
-            adj[i].add(v)
-            adj[v].add(i)
-    for j in range(1, half + 1):
-        coins = rng.random(n) < p_rewire
-        for i in np.nonzero(coins)[0]:
-            i = int(i)
-            if len(adj[i]) >= n - 1:
+        coins = np.flatnonzero(rng.random(n) < p_rewire).tolist()
+        before = rng.bit_generator.state
+        draws = rng.integers(n, size=len(coins)).tolist()
+        used = 0
+        for i in coins:
+            if degree[i] >= n - 1:
                 continue  # nothing left to rewire to
-            v = (i + j) % n
-            m = int(rng.integers(n))
-            while m == i or m in adj[i]:
-                m = int(rng.integers(n))
-            adj[i].remove(v)
-            adj[v].remove(i)
-            adj[i].add(m)
-            adj[m].add(i)
-    return _graph_from_sets(adj)
+            while True:
+                m = draws[used] if used < len(draws) else int(rng.integers(n))
+                used += 1
+                if m != i and not linked(i, m):
+                    break
+            removed[(j - 1) * n + i] = 1
+            added.update((i * n + m, m * n + i))
+            degree[(i + j) % n] -= 1
+            degree[m] += 1
+        if used < len(draws):  # rewind to where scalar draws would have left it
+            rng.bit_generator.state = before
+            rng.integers(n, size=used)
+    src = np.tile(np.arange(n, dtype=np.int64), half)
+    dst = (src + np.repeat(np.arange(1, half + 1, dtype=np.int64), n)) % n
+    keep = ~np.frombuffer(removed, dtype=bool)
+    rewired = np.fromiter(added, dtype=np.int64, count=len(added))
+    rewired = rewired[rewired // n < rewired % n]
+    return from_edge_pairs(n, np.concatenate([src[keep], rewired // n]),
+                           np.concatenate([dst[keep], rewired % n]))
 
 
 def generate_regular_tree(z: int, depth: int, seed: int = 0) -> SubstrateGraph:

@@ -13,7 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
+from tagwalk.errors import ParameterError
 from tagwalk.rng import stream_uniform, walk_seed
+from tagwalk.substrate import SubstrateGraph
 from tagwalk.walker import sample_lengths
 
 
@@ -175,3 +177,59 @@ def run_walk(graph, origin, master_seed, walk_index, lengths, non_backtracking=F
         prev = cur
         cur = nxt
     return np.asarray(trace, dtype=np.int32)
+
+
+# ---------------------------------------------------------------------------
+# Set-based Watts-Strogatz generator
+# ---------------------------------------------------------------------------
+
+def _graph_from_sets(adj: list[set[int]]) -> SubstrateGraph:
+    n = len(adj)
+    degrees = np.fromiter((len(s) for s in adj), dtype=np.int64, count=n)
+    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    pos = 0
+    for s in adj:
+        nbrs = sorted(s)
+        indices[pos:pos + len(nbrs)] = nbrs
+        pos += len(nbrs)
+    g = SubstrateGraph(n, indptr, indices)
+    g.validate()
+    return g
+
+
+def naive_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> SubstrateGraph:
+    """Rewire a ring lattice held as one adjacency set per node.
+
+    One scalar ``rng.integers(n)`` per target tried; ``generate_watts_strogatz``
+    must give the same graph byte for byte.
+    """
+    if k % 2 != 0:
+        raise ParameterError("k must be even")
+    if not (2 <= k < n):
+        raise ParameterError("need 2 <= k < n")
+    if not (0.0 <= p_rewire <= 1.0):
+        raise ParameterError("p_rewire must be in [0, 1]")
+    rng = np.random.default_rng(seed)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    half = k // 2
+    for j in range(1, half + 1):
+        for i in range(n):
+            v = (i + j) % n
+            adj[i].add(v)
+            adj[v].add(i)
+    for j in range(1, half + 1):
+        coins = rng.random(n) < p_rewire
+        for i in np.nonzero(coins)[0]:
+            i = int(i)
+            if len(adj[i]) >= n - 1:
+                continue  # nothing left to rewire to
+            v = (i + j) % n
+            m = int(rng.integers(n))
+            while m == i or m in adj[i]:
+                m = int(rng.integers(n))
+            adj[i].remove(v)
+            adj[v].remove(i)
+            adj[i].add(m)
+            adj[m].add(i)
+    return _graph_from_sets(adj)

@@ -205,6 +205,18 @@ def test_malformed_edge_list_line_exits_2(tmp_path, capsys, name, bad, message):
     assert capsys.readouterr().err == f"tagwalk: error: {path}:4: {message}\n"
 
 
+def test_negative_cooc_node_id_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    for stage in ("generate", "walk", "cooc"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "cooc.edges"
+    path.write_text("# nodes=3 edges=2 total_weight=2\n-5\t3\t1\n-5\t7\t1\n")
+    capsys.readouterr()
+    assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: {path}: negative node id -5\n"
+
+
 @pytest.mark.parametrize("defect", ["wrong_first_node", "step_off_edge"])
 def test_cooc_rejects_traces_off_the_substrate(tmp_path, capsys, defect):
     cfg = write_config(tmp_path)

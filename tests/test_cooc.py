@@ -208,6 +208,14 @@ def test_read_edge_list_rejects_bad_header(tmp_path):
         CoocGraph.read_edge_list(path)
 
 
+def test_read_edge_list_rejects_negative_node_id(tmp_path):
+    path = tmp_path / "neg.edges"
+    path.write_text("# nodes=3 edges=2 total_weight=2\n-5\t3\t1\n-5\t7\t1\n")
+    with pytest.raises(ContractError) as err:
+        CoocGraph.read_edge_list(path)
+    assert str(err.value) == f"{path}: negative node id -5"
+
+
 @pytest.mark.parametrize("bad, message", [
     (b'foo', "invalid literal for int() with base 10: 'foo'"),
     (b'0\t1', 'expected 3 fields, got 2'),

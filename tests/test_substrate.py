@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
+from naive_reference import naive_watts_strogatz
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.substrate import (ErdosRenyi, GraphSpec, RegularTree,
                                SubstrateGraph, WattsStrogatz, bfs_rings,
@@ -50,6 +53,42 @@ def test_ws_seed_determinism():
     c = generate_watts_strogatz(300, 8, 0.1, seed=12)
     assert np.array_equal(a.indices, b.indices)
     assert not np.array_equal(a.indices, c.indices)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 17, 50, 301, 5000])
+def test_ws_matches_set_based_oracle(n):
+    # n = k+1 and n = k+2 saturate nodes, so the skip of a node linked to
+    # every other one and the rewind of unused draws both run; the rewind
+    # changes a later round's coins only rarely (n=9, k=6, p=0.5, seed 5 and
+    # n=10, k=8, p=0.5, seed 2), hence the many seeds on small rings
+    seeds = range(40) if n <= 17 else (0, 1, 7)
+    for k in [k for k in (2, 4, 6, 8, 10, 16) if k < n]:
+        for p in (0.0, 0.05, 0.5, 0.9, 1.0):
+            for seed in seeds:
+                fast = generate_watts_strogatz(n, k, p, seed)
+                slow = naive_watts_strogatz(n, k, p, seed)
+                assert fast.indptr.dtype == slow.indptr.dtype, (n, k, p, seed)
+                assert fast.indices.dtype == slow.indices.dtype, (n, k, p, seed)
+                assert fast.indptr.tobytes() == slow.indptr.tobytes(), (n, k, p, seed)
+                assert fast.indices.tobytes() == slow.indices.tobytes(), (n, k, p, seed)
+
+
+@pytest.mark.parametrize("n", [3, 1000, 2**31 + 11, 2**40])
+def test_numpy_batch_draws_equal_scalar_draws(n):
+    batch, scalar = np.random.default_rng(9), np.random.default_rng(9)
+    assert batch.integers(n, size=25).tolist() == [int(scalar.integers(n)) for _ in range(25)]
+    assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "9db3232dda69f26993f111ff4574928c5f662b86fbe1e13e48d4040104f6a11e"),
+    (2024, "38d15ce4661427a6ef15279d3b45c3f04821c80db7f1549ba98ac89f59d7b530"),
+])
+def test_ws_graph_pinned_by_hash(seed, digest):
+    # recorded from the set-based generator; a numpy release that changes
+    # the draws, or a batch that stops matching scalar draws, fails here
+    g = generate_watts_strogatz(20000, 8, 0.1, seed)
+    assert hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes()).hexdigest() == digest
 
 
 def test_ws_parameter_errors():

@@ -16,11 +16,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .formats import declared_nodes, read_int_table
+from .formats import declared_nodes, read_int_table, write_int_rows
 from .substrate import sorted_unique
 from .walker import WalkEnsemble
 
-__all__ = ["CoocGraph", "build_from_traces", "build_from_posts", "merge"]
+__all__ = ["CoocGraph", "build_from_traces", "build_from_posts"]
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,11 @@ class CoocGraph:
     # -- file format: "# nodes=<n> edges=<m> total_weight=<W>", then "i<TAB>j<TAB>w" --
 
     def write_edge_list(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+        with open(path, "wb") as fh:
             fh.write(f"# nodes={self.node_count} edges={self.edge_count} "
-                     f"total_weight={self.total_weight}\n")
-            for i, j, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist()):
-                fh.write(f"{i}\t{j}\t{w}\n")
+                     f"total_weight={self.total_weight}\n".encode("ascii"))
+            write_int_rows(fh, np.stack([self.src, self.dst, self.weights], axis=1),
+                           b"\t\t\n")
 
     def write_labels(self, path) -> None:
         """Companion id-to-label table for graphs built from tag posts."""
@@ -222,25 +222,5 @@ def build_from_posts(posts: Iterable[Sequence[str]], focus_tag: str) -> CoocGrap
     src, dst, weights = _count_pairs(group_ids, members, max(len(labels), 1))
     g = CoocGraph(node_ids=np.arange(len(labels), dtype=np.int64),
                   src=src, dst=dst, weights=weights, labels=labels)
-    g.validate()
-    return g
-
-
-def merge(g1: CoocGraph, g2: CoocGraph) -> CoocGraph:
-    """Union of node sets with edge weights added."""
-    if (g1.labels is None) != (g2.labels is None):
-        raise ParameterError("cannot merge labeled with unlabeled graph")
-    labels = g1.labels
-    if labels is not None:
-        if g2.labels != labels:
-            raise ParameterError("merge requires identical label vocabularies")
-    node_ids = np.union1d(g1.node_ids, g2.node_ids)
-    scale = int(node_ids[-1]) + 1 if node_ids.size else 1
-    keys = np.concatenate([g1.src * scale + g1.dst, g2.src * scale + g2.dst])
-    uniq, inv = np.unique(keys, return_inverse=True)
-    weights = np.zeros(uniq.size, dtype=np.int64)
-    np.add.at(weights, inv, np.concatenate([g1.weights, g2.weights]))
-    g = CoocGraph(node_ids=node_ids, src=uniq // scale, dst=uniq % scale,
-                  weights=weights, labels=labels)
     g.validate()
     return g

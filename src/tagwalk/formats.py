@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, ParameterError
 
 __all__ = ["format_cell", "write_csv", "read_csv", "sha256_of", "write_json",
-           "read_int_rows", "read_int_table", "declared_nodes"]
+           "read_int_rows", "read_int_table", "declared_nodes", "write_int_rows"]
 
 # What a data line of an integer table may hold, and the magnitude bound
 # that keeps every accepted field clear of int64 overflow.
@@ -25,6 +25,16 @@ _DATA_BYTES = b"0123456789+- \t\r\n"
 _INT_LIMIT = 10 ** 18
 _FIELD = re.compile(r"[^ \t\r]+")
 _INT = re.compile(r"[+-]?[0-9]+")
+
+# write_int_rows renders this many fields at a time, which bounds its
+# scratch memory whatever the size of the file.
+WRITE_BLOCK_FIELDS = 1 << 17
+# Row g is the zero-padded 4-digit ASCII form of g, viewed as one uint32;
+# digit k (from the left) steps through 0-9 in runs of 10**(3-k) rows.
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGIT_GROUPS = np.stack([np.tile(np.repeat(_DIGITS, 10 ** (3 - k)), 10 ** k)
+                          for k in range(4)], axis=1).view(np.uint32).ravel()
+_POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)
 
 
 def format_cell(value) -> str:
@@ -149,6 +159,42 @@ def read_int_table(path, columns: int) -> tuple[list[str], np.ndarray]:
         raise ContractError(f"{path}:{lines[bad[0]]}: expected {columns} fields, "
                             f"got {counts[bad[0]]}")
     return headers, values.reshape(-1, columns)
+
+
+def write_int_rows(fh, values: np.ndarray, seps) -> None:
+    """Write every value in decimal, each followed by its separator byte.
+
+    The counterpart of :func:`read_int_rows`.  ``values`` is an integer
+    array with every element in ``[0, 10**18)``, written in C order; a
+    value outside raises ``ParameterError`` before anything is written.
+    ``seps`` holds the separator bytes (bytes or a uint8 array) and is
+    broadcast against ``values``, so ``b"\\t\\n"`` ends every row of a
+    two-column table.  ``fh`` is a binary file.  The bytes equal those of
+    ``str(value) + chr(sep)`` per value; they are rendered with numpy in
+    blocks of ``WRITE_BLOCK_FIELDS`` values.
+    """
+    values = np.asarray(values)
+    seps = np.broadcast_to(np.frombuffer(seps, dtype=np.uint8), values.shape).reshape(-1)
+    values = values.reshape(-1)
+    if values.size and (values.min() < 0 or values.max() >= _INT_LIMIT):
+        raise ParameterError(f"integers to write must lie in [0, 10**18), "
+                             f"got {values.min()}..{values.max()}")
+    for lo in range(0, values.size, WRITE_BLOCK_FIELDS):
+        rest = values[lo:lo + WRITE_BLOCK_FIELDS].astype(np.int64)
+        top = int(rest.max())
+        digits = np.ones(rest.size, dtype=np.intp)
+        for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= top].tolist():
+            digits += rest >= power
+        groups = np.empty((rest.size, (len(str(top)) + 3) // 4), dtype=np.int64)
+        for col in range(groups.shape[1] - 1, -1, -1):
+            rest, groups[:, col] = np.divmod(rest, 10000)
+        width = 4 * groups.shape[1]
+        text = np.empty((rest.size, width + 1), dtype=np.uint8)
+        text[:, :width] = _DIGIT_GROUPS[groups].view(np.uint8)
+        text[:, width] = seps[lo:lo + WRITE_BLOCK_FIELDS]
+        # row d of this table keeps the last d digits and the separator
+        keep = np.arange(width + 1) >= width - np.arange(width + 1)[:, None]
+        fh.write(text[keep.take(digits, axis=0)])
 
 
 def declared_nodes(path, headers: list[str]) -> int | None:

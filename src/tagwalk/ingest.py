@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ContractError, IngestError, ParameterError
 from .cooc import CoocGraph, build_from_posts
-from .walker import WalkEnsemble
 
 __all__ = [
     "DEFAULT_TS_MIN",
@@ -37,11 +36,16 @@ __all__ = [
     "vocabulary_growth",
     "empirical_cooc",
     "tag_post_counts",
-    "posts_from_traces",
 ]
 
 # 2001-01-01 00:00:00 UTC, before which no public tagging system operated
 DEFAULT_TS_MIN = 978307200
+
+# Corpus.write_jsonl joins this many posts per write.
+WRITE_BLOCK_POSTS = 4096
+
+# The string escaper of json.dumps with ensure_ascii=True, quotes included.
+_quote = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,10 @@ class Post:
     tags: frozenset[str]
 
     def to_json(self) -> str:
-        return json.dumps({"user": self.user, "resource": self.resource,
-                           "ts": self.ts, "tags": sorted(self.tags)},
-                          sort_keys=True)
+        """The bytes of ``json.dumps`` with sorted keys: ASCII, ``", "`` and ``": "``."""
+        tags = ", ".join(map(_quote, sorted(self.tags)))
+        return (f'{{"resource": {_quote(self.resource)}, "tags": [{tags}], '
+                f'"ts": {self.ts}, "user": {_quote(self.user)}}}')
 
 
 @dataclass(frozen=True)
@@ -110,9 +115,9 @@ class Corpus:
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for post in self.posts:
-                fh.write(post.to_json())
-                fh.write("\n")
+            for lo in range(0, len(self.posts), WRITE_BLOCK_POSTS):
+                block = self.posts[lo:lo + WRITE_BLOCK_POSTS]
+                fh.write("".join(f"{post.to_json()}\n" for post in block))
 
 
 def _clean_line(line: str, lo: int, hi: float) -> Post | str:
@@ -220,23 +225,3 @@ def tag_post_counts(stream: Sequence[Post], focus_tag: str) -> dict[str, int]:
                 counts[tag] = counts.get(tag, 0) + 1
     return counts
 
-
-def posts_from_traces(ensemble: WalkEnsemble, user: str = "walker",
-                      resource_prefix: str = "walk") -> tuple[list[Post], str]:
-    """Serialize walk traces as posts, one per walk, in walk order.
-
-    Node ids become zero-padded tags so lexicographic and numeric order
-    agree; the origin's tag doubles as the focus tag.  Returns the posts
-    and that focus tag.
-    """
-    width = len(str(max(ensemble.node_count - 1, 1)))
-
-    def label(node: int) -> str:
-        return f"n{node:0{width}d}"
-
-    posts = []
-    for w in range(ensemble.walk_count):
-        tags = frozenset(label(int(v)) for v in ensemble.trace(w))
-        posts.append(Post(user=user, resource=f"{resource_prefix}-{w}",
-                          ts=DEFAULT_TS_MIN + w, tags=tags))
-    return posts, label(ensemble.origin)

@@ -47,6 +47,10 @@ __all__ = [
 # All-pairs cosine similarity is quadratic; above this node count a fixed
 # budget of sampled pairs is used instead.
 EXACT_SIMILARITY_LIMIT = 2000
+# Sampled pairs are drawn 65,536 at a time (the draws fix the sample) and
+# their row products formed this many at a time, which bounds the copies
+# of R[i] and R[j]; of 2,048 to 65,536, this size also ran fastest.
+SIMILARITY_BLOCK_PAIRS = 4096
 
 # Clustering computes common-neighbor counts in row blocks of at most this
 # many two-paths (entries of A^2 worked), which bounds its extra memory.
@@ -68,22 +72,6 @@ class Distribution:
     def sample_size(self) -> int:
         return int(self.counts.sum())
 
-    def log_binned(self, bin_ratio: float = 2.0) -> "BinnedSeries":
-        """Probability density per geometric bin (counts / width / total)."""
-        total = self.sample_size
-        if total == 0:
-            return BinnedSeries(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
-        x = self.values.astype(np.float64)
-        edges = _log_edges(x.min(), x.max(), bin_ratio)
-        which = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
-        mass = np.bincount(which, weights=self.counts.astype(np.float64),
-                           minlength=edges.size - 1)
-        widths = np.diff(edges)
-        keep = mass > 0
-        centers = np.sqrt(edges[:-1] * edges[1:])
-        return BinnedSeries(centers[keep], mass[keep] / widths[keep] / total,
-                           mass[keep].astype(np.int64))
-
 
 @dataclass(frozen=True)
 class BinnedSeries:
@@ -92,10 +80,6 @@ class BinnedSeries:
     x: np.ndarray
     y: np.ndarray
     n: np.ndarray  # int64 sample count per class; classes with 0 samples omitted
-
-    def low_sample(self, threshold: int = 3) -> np.ndarray:
-        """Mask of classes backed by fewer than ``threshold`` samples."""
-        return self.n < threshold
 
 
 @dataclass(frozen=True)
@@ -293,7 +277,9 @@ def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
             j = rng.integers(m, size=i.size)
             ok = i != j
             i, j = i[ok][:take], j[ok][:take]
-            chunks.append(np.asarray(R[i].multiply(R[j]).sum(axis=1)).ravel())
+            for lo in range(0, i.size, SIMILARITY_BLOCK_PAIRS):
+                a, b = i[lo:lo + SIMILARITY_BLOCK_PAIRS], j[lo:lo + SIMILARITY_BLOCK_PAIRS]
+                chunks.append(np.asarray(R[a].multiply(R[b]).sum(axis=1)).ravel())
             remaining -= i.size
         sims = np.concatenate(chunks)
         sampled = True

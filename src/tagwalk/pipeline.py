@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -461,6 +462,27 @@ def _load_or_build_graph(cfg: ExperimentConfig, out: Path) -> SubstrateGraph:
     return build_graph(cfg.graph)
 
 
+def _read_heaps(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n_rw`` and ``n_distinct`` columns of a ``heaps.csv``.
+
+    As in :func:`read_csv`, blank and ``#`` lines are skipped and the first
+    other line is the header.  Every later line must hold two counts below
+    10**18, else ``ContractError`` at ``path:line``.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        lines = [(number, line.strip()) for number, line in enumerate(fh, start=1)]
+    lines = [(number, line) for number, line in lines if line and not line.startswith("#")]
+    if not lines:
+        raise ContractError(f"{path}: empty CSV")
+    for number, line in lines[1:]:
+        if not re.fullmatch(r"[0-9]{1,18},[0-9]{1,18}", line):
+            raise ContractError(f"{path}:{number}: expected two counts "
+                                f"'n_rw,n_distinct', got {line!r}")
+    table = np.asarray([line.split(",") for _, line in lines[1:]], dtype=np.int64)
+    table = table.reshape(-1, 2)
+    return table[:, 0], table[:, 1]
+
+
 def _theory_stage(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph) -> None:
     if not cfg.theory.ring_prediction:
         return
@@ -476,9 +498,7 @@ def _theory_stage(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph) -> No
                                np.log10(float(grid_cfg["max"])),
                                int(grid_cfg["points"]))
     elif heaps_path.exists():
-        _, rows = read_csv(heaps_path)
-        n_values = np.asarray([int(r[0]) for r in rows], dtype=np.int64)
-        simulated = np.asarray([int(r[1]) for r in rows], dtype=np.int64)
+        n_values, simulated = _read_heaps(heaps_path)
     else:
         n_values = np.empty(0, dtype=np.int64)
     predicted = theory.n_distinct_random_length(spec, n_values.astype(np.float64)) \
@@ -561,9 +581,7 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
         fits: dict = {}
         heaps_path = out / "heaps.csv"
         if heaps_path.exists():
-            _, rows = read_csv(heaps_path)
-            heaps_n = np.asarray([int(r[0]) for r in rows])
-            heaps_d = np.asarray([int(r[1]) for r in rows])
+            heaps_n, heaps_d = _read_heaps(heaps_path)
             fits["heaps"] = _fit_or_none(
                 heaps_n, heaps_d,
                 (cfg.fits.heaps_min, max(cfg.walk.n_rw, 1)))

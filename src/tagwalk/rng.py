@@ -47,21 +47,10 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def walk_seed(master_seed: int, walk_index: int) -> int:
-    """Stream seed for one walk: element ``walk_index`` of the master sequence."""
-    return mix64(master_seed + (walk_index + 1) * GAMMA)
-
-
 def walk_seeds(master_seed: int, start: int, count: int) -> np.ndarray:
     """Stream seeds for walks ``start .. start+count-1`` as a uint64 array."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     return mix64_array(np.uint64(master_seed & MASK64) + idx * _U_GAMMA)
-
-
-def stream_uniform(seed: int, counter: int) -> float:
-    """Draw ``counter`` of the stream as a float in [0, 1)."""
-    bits = mix64(seed + (counter + 1) * GAMMA)
-    return (bits >> 11) * _TO_UNIT
 
 
 def stream_uniforms(seeds: np.ndarray, counter: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .formats import declared_nodes, read_int_table
+from .formats import declared_nodes, read_int_table, write_int_rows
 
 __all__ = [
     "SubstrateGraph",
@@ -105,11 +105,9 @@ class SubstrateGraph:
     # -- file format: "# nodes=<n>" header, then "i<TAB>j" per edge, i < j --
 
     def write_edge_list(self, path) -> None:
-        rows, cols = self.edge_arrays()
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"# nodes={self.node_count}\n")
-            for i, j in zip(rows.tolist(), cols.tolist()):
-                fh.write(f"{i}\t{j}\n")
+        with open(path, "wb") as fh:
+            fh.write(f"# nodes={self.node_count}\n".encode("ascii"))
+            write_int_rows(fh, np.stack(self.edge_arrays(), axis=1), b"\t\n")
 
     @classmethod
     def read_edge_list(cls, path) -> "SubstrateGraph":

@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .formats import read_int_rows
+from .formats import read_int_rows, write_int_rows
 from .rng import stream_uniforms, walk_seeds
 from .substrate import SubstrateGraph, sorted_unique
 
@@ -159,19 +159,13 @@ class WalkEnsemble:
         keys = sorted_unique(walk_ids * self.node_count + nodes)
         return keys // self.node_count, keys % self.node_count
 
-    def distinct_count(self, count_origin: bool = True) -> int:
-        nodes = self.nodes
-        if not count_origin:
-            nodes = nodes[nodes != self.origin]
-        return int(sorted_unique(nodes).size)
-
     # -- trace file: one walk per line, node ids space-separated --
 
     def write_traces(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for w in range(self.walk_count):
-                fh.write(" ".join(map(str, self.trace(w).tolist())))
-                fh.write("\n")
+        seps = np.full(self.nodes.size, ord(" "), dtype=np.uint8)
+        seps[self.offsets[1:] - 1] = ord("\n")
+        with open(path, "wb") as fh:
+            write_int_rows(fh, self.nodes, seps)
 
     @classmethod
     def read_traces(cls, path, graph: SubstrateGraph | None = None,

@@ -8,15 +8,19 @@ builders and the sparse-matrix observables.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ParameterError
-from tagwalk.rng import stream_uniform, walk_seed
+from tagwalk.ingest import DEFAULT_TS_MIN, Post
+from tagwalk.observables import BinnedSeries, Distribution, _log_edges
+from tagwalk.rng import _TO_UNIT, GAMMA, mix64
 from tagwalk.substrate import SubstrateGraph
-from tagwalk.walker import sample_lengths
+from tagwalk.walker import WalkEnsemble, sample_lengths
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +237,138 @@ def naive_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> Substrat
             adj[i].add(m)
             adj[m].add(i)
     return _graph_from_sets(adj)
+
+
+# ---------------------------------------------------------------------------
+# Scalar walk streams
+# ---------------------------------------------------------------------------
+
+def walk_seed(master_seed: int, walk_index: int) -> int:
+    """Stream seed for one walk: element ``walk_index`` of the master sequence."""
+    return mix64(master_seed + (walk_index + 1) * GAMMA)
+
+
+def stream_uniform(seed: int, counter: int) -> float:
+    """Draw ``counter`` of the stream as a float in [0, 1)."""
+    bits = mix64(seed + (counter + 1) * GAMMA)
+    return (bits >> 11) * _TO_UNIT
+
+
+# ---------------------------------------------------------------------------
+# Per-line text writers
+# ---------------------------------------------------------------------------
+
+def naive_write_substrate(graph, path) -> None:
+    """``SubstrateGraph.write_edge_list`` as one f-string per edge."""
+    rows, cols = graph.edge_arrays()
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"# nodes={graph.node_count}\n")
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            fh.write(f"{i}\t{j}\n")
+
+
+def naive_write_cooc(g, path) -> None:
+    """``CoocGraph.write_edge_list`` as one f-string per edge."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"# nodes={g.node_count} edges={g.edge_count} "
+                 f"total_weight={g.total_weight}\n")
+        for i, j, w in zip(g.src.tolist(), g.dst.tolist(), g.weights.tolist()):
+            fh.write(f"{i}\t{j}\t{w}\n")
+
+
+def naive_write_traces(ens, path) -> None:
+    """``WalkEnsemble.write_traces`` as one join per walk."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for w in range(ens.walk_count):
+            fh.write(" ".join(map(str, ens.trace(w).tolist())))
+            fh.write("\n")
+
+
+def naive_post_json(post) -> str:
+    """``Post.to_json`` through ``json.dumps``."""
+    return json.dumps({"user": post.user, "resource": post.resource,
+                       "ts": post.ts, "tags": sorted(post.tags)},
+                      sort_keys=True)
+
+
+def naive_write_jsonl(corpus, path) -> None:
+    """``Corpus.write_jsonl`` as one ``json.dumps`` per post."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for post in corpus.posts:
+            fh.write(naive_post_json(post))
+            fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# Helpers only the tests use
+# ---------------------------------------------------------------------------
+
+def merge(g1: CoocGraph, g2: CoocGraph) -> CoocGraph:
+    """Union of node sets with edge weights added."""
+    if (g1.labels is None) != (g2.labels is None):
+        raise ParameterError("cannot merge labeled with unlabeled graph")
+    labels = g1.labels
+    if labels is not None:
+        if g2.labels != labels:
+            raise ParameterError("merge requires identical label vocabularies")
+    node_ids = np.union1d(g1.node_ids, g2.node_ids)
+    scale = int(node_ids[-1]) + 1 if node_ids.size else 1
+    keys = np.concatenate([g1.src * scale + g1.dst, g2.src * scale + g2.dst])
+    uniq, inv = np.unique(keys, return_inverse=True)
+    weights = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(weights, inv, np.concatenate([g1.weights, g2.weights]))
+    g = CoocGraph(node_ids=node_ids, src=uniq // scale, dst=uniq % scale,
+                  weights=weights, labels=labels)
+    g.validate()
+    return g
+
+
+def low_sample(series: BinnedSeries, threshold: int = 3) -> np.ndarray:
+    """Mask of classes backed by fewer than ``threshold`` samples."""
+    return series.n < threshold
+
+
+def log_binned(dist: Distribution, bin_ratio: float = 2.0) -> BinnedSeries:
+    """Probability density per geometric bin (counts / width / total)."""
+    total = dist.sample_size
+    if total == 0:
+        return BinnedSeries(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+    x = dist.values.astype(np.float64)
+    edges = _log_edges(x.min(), x.max(), bin_ratio)
+    which = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
+    mass = np.bincount(which, weights=dist.counts.astype(np.float64),
+                       minlength=edges.size - 1)
+    widths = np.diff(edges)
+    keep = mass > 0
+    centers = np.sqrt(edges[:-1] * edges[1:])
+    return BinnedSeries(centers[keep], mass[keep] / widths[keep] / total,
+                        mass[keep].astype(np.int64))
+
+
+def distinct_count(ens: WalkEnsemble, count_origin: bool = True) -> int:
+    """Number of distinct nodes the ensemble visited."""
+    nodes = ens.nodes
+    if not count_origin:
+        nodes = nodes[nodes != ens.origin]
+    return int(np.unique(nodes).size)
+
+
+def posts_from_traces(ensemble: WalkEnsemble, user: str = "walker",
+                      resource_prefix: str = "walk") -> tuple[list[Post], str]:
+    """Serialize walk traces as posts, one per walk, in walk order.
+
+    Node ids become zero-padded tags so lexicographic and numeric order
+    agree; the origin's tag doubles as the focus tag.  Returns the posts
+    and that focus tag.
+    """
+    width = len(str(max(ensemble.node_count - 1, 1)))
+
+    def label(node: int) -> str:
+        return f"n{node:0{width}d}"
+
+    posts = []
+    for w in range(ensemble.walk_count):
+        tags = frozenset(label(int(v)) for v in ensemble.trace(w))
+        posts.append(Post(user=user, resource=f"{resource_prefix}-{w}",
+                          ts=DEFAULT_TS_MIN + w, tags=tags))
+    return posts, label(ensemble.origin)

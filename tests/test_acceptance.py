@@ -16,10 +16,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from naive_reference import (adjacency_dict, naive_class_means,
-                             naive_clustering, naive_cooc_weights,
-                             naive_cosine, naive_degree, naive_knn,
-                             naive_strength, naive_vocabulary)
+from naive_reference import (adjacency_dict, distinct_count,
+                             naive_class_means, naive_clustering,
+                             naive_cooc_weights, naive_cosine, naive_degree,
+                             naive_knn, naive_strength, naive_vocabulary)
 from tagwalk.cli import main
 from tagwalk.cooc import CoocGraph, build_from_traces
 from tagwalk.formats import read_csv
@@ -158,7 +158,7 @@ def test_05_exact_prediction_matches_simulation(capsys):
 def test_06_tree_coverage_saturates_exactly(capsys):
     g = generate_regular_tree(2, 6)
     ens = simulate_walks(g, 0, 10**5, FixedLength(3), seed=5)
-    distinct = ens.distinct_count()
+    distinct = distinct_count(ens)
     ok = distinct == 22
     report(capsys, 6, "three-step tree coverage saturation", ok,
            f"distinct={distinct}, shells 0..3 hold exactly 22 nodes")

@@ -217,6 +217,37 @@ def test_negative_cooc_node_id_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"tagwalk: error: {path}: negative node id -5\n"
 
 
+@pytest.mark.parametrize("stage", ["stats", "theory"])
+@pytest.mark.parametrize("bad", ["12,abc", "12", "12,5,1", "-1,5", "1\udcc3,5"],
+                         ids=["non_integer", "short_row", "long_row", "negative",
+                              "non_ascii"])
+def test_bad_heaps_row_exits_2(tmp_path, capsys, stage, bad):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    for step in ("generate", "walk", "cooc"):
+        assert main([step, "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "heaps.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines.insert(1, b"")                  # blank lines still count
+    lines[3] = bad.encode("ascii", "surrogateescape")
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"tagwalk: error: {path}:4: expected two counts 'n_rw,n_distinct', "
+        f"got {bad!r}\n")
+
+
+def test_empty_heaps_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    (out / "heaps.csv").write_text("# nothing\n\n")
+    capsys.readouterr()
+    assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: {out / 'heaps.csv'}: empty CSV\n"
+
+
 @pytest.mark.parametrize("defect", ["wrong_first_node", "step_off_edge"])
 def test_cooc_rejects_traces_off_the_substrate(tmp_path, capsys, defect):
     cfg = write_config(tmp_path)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naive_reference import adjacency_dict, naive_cooc_weights
-from tagwalk.cooc import (CoocGraph, build_from_posts, build_from_traces,
-                          merge)
+from naive_reference import adjacency_dict, merge, naive_cooc_weights
+from tagwalk.cooc import CoocGraph, build_from_posts, build_from_traces
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.substrate import generate_watts_strogatz
 from tagwalk.walker import PowerLawLength, simulate_walks

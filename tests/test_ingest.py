@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from naive_reference import posts_from_traces
 from tagwalk.cooc import build_from_traces
 from tagwalk.errors import ContractError, IngestError, ParameterError
 from tagwalk.ingest import (DEFAULT_TS_MIN, Post, ValidityWindow,
                             empirical_cooc, filter_by_tag, parse_posts,
-                            posts_from_traces, tag_post_counts,
-                            vocabulary_growth)
+                            tag_post_counts, vocabulary_growth)
 from tagwalk.substrate import generate_watts_strogatz
 from tagwalk.walker import PowerLawLength, heaps_curve, simulate_walks
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagwalk.observables as obs
-from naive_reference import (adjacency_dict, naive_class_means,
-                             naive_clustering, naive_cooc_weights,
-                             naive_cosine, naive_knn)
+from naive_reference import (adjacency_dict, log_binned, low_sample,
+                             naive_class_means, naive_clustering,
+                             naive_cooc_weights, naive_cosine, naive_knn)
 from tagwalk.cooc import CoocGraph, build_from_traces
 from tagwalk.errors import FitError, ParameterError
 from tagwalk.observables import (cosine_similarity_distribution,
@@ -51,7 +51,7 @@ def test_distributions_hand_values(hand_graph):
 
 def test_log_binned_density_normalizes(hand_graph):
     pk, _, _ = degree_strength_weight_distributions(hand_graph)
-    binned = pk.log_binned(bin_ratio=2.0)
+    binned = log_binned(pk, bin_ratio=2.0)
     edges = obs._log_edges(1.0, 3.0, 2.0)
     widths = np.diff(edges)[: binned.y.size]
     assert np.isclose(np.sum(binned.y * widths), 1.0)
@@ -66,7 +66,7 @@ def test_s_of_k_hand_values(hand_graph):
     assert series.x.tolist() == [1, 2, 3]
     assert series.y.tolist() == [1.0, 4.5, 4.0]
     assert series.n.tolist() == [1, 2, 1]
-    assert series.low_sample(threshold=2).tolist() == [True, False, True]
+    assert low_sample(series, threshold=2).tolist() == [True, False, True]
 
 
 def test_knn_hand_values(hand_graph):
@@ -276,6 +276,16 @@ def test_similarity_sampling_path(monkeypatch):
     p_exact = exact.counts / exact.counts.sum()
     p_samp = sampled.counts / sampled.counts.sum()
     assert np.max(np.abs(p_exact - p_samp)) < 0.03
+
+
+def test_similarity_sample_does_not_depend_on_block_size(monkeypatch):
+    g = random_cooc(9)
+    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 5)
+    counts = []
+    for block in (1 << 16, obs.SIMILARITY_BLOCK_PAIRS, 999):
+        monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PAIRS", block)
+        counts.append(cosine_similarity_distribution(g, pair_budget=150_000, seed=3).counts)
+    assert all(np.array_equal(counts[0], c) for c in counts[1:])
 
 
 def test_similarity_excludes_isolated_nodes():

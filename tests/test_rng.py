@@ -2,9 +2,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagwalk.rng import (GAMMA, MASK64, derive_seed, mix64,
-                         mix64_array, stream_uniform, stream_uniforms,
-                         walk_seed, walk_seeds)
+from naive_reference import stream_uniform, walk_seed
+from tagwalk.rng import (GAMMA, MASK64, derive_seed, mix64, mix64_array,
+                         stream_uniforms, walk_seeds)
 
 U64 = st.integers(min_value=0, max_value=MASK64)
 

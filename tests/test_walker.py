@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
-from naive_reference import naive_vocabulary, run_walk
+from naive_reference import distinct_count, naive_vocabulary, run_walk
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.observables import fit_power_law
 from tagwalk.rng import stream_uniforms, walk_seeds
@@ -85,8 +85,8 @@ def test_zero_step_walk_is_origin_only(triangle):
     ens = simulate_walks(triangle, 2, 3, FixedLength(0), seed=9)
     for w in range(3):
         assert ens.trace(w).tolist() == [2]
-    assert ens.distinct_count() == 1
-    assert ens.distinct_count(count_origin=False) == 0
+    assert distinct_count(ens) == 1
+    assert distinct_count(ens, count_origin=False) == 0
 
 
 def test_steps_land_on_neighbors(path4):
@@ -173,7 +173,7 @@ def test_empty_ensemble():
     g = generate_watts_strogatz(50, 4, 0.0, seed=0)
     ens = simulate_walks(g, 0, 0, FixedLength(5), seed=1)
     assert ens.walk_count == 0
-    assert ens.distinct_count() == 0
+    assert distinct_count(ens) == 0
     assert ens.lengths().size == 0
 
 
@@ -232,7 +232,7 @@ def test_heaps_curve_matches_brute_force():
                                         count_origin=count_origin))
             assert d2[idx] == want
     assert np.all(np.diff(d) >= 0)
-    assert d[-1] == ens.distinct_count()
+    assert d[-1] == distinct_count(ens)
 
 
 def test_heaps_curve_rejects_bad_checkpoints(k2):
@@ -261,7 +261,7 @@ def test_run_ensemble_bundles_everything():
     assert ens.walk_count == 64
     assert n[-1] == 64
     assert freqs[0] == 0                        # origin excluded
-    assert d[-1] == ens.distinct_count(count_origin=False)
+    assert d[-1] == distinct_count(ens, count_origin=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ observables, closed-form coverage predictions, an ingest path for real
 annotation logs, and a config-driven CLI.
 """
 
-from .cooc import CoocGraph, build_from_posts, build_from_traces
+from .cooc import CoocGraph, build_from_posts, build_from_traces, project
 from .errors import (ConfigError, ContractError, EvaluationError, FitError,
                      IngestError, ParameterError, TagwalkError)
 from .observables import (clustering_of_k, cosine_similarity_distribution,
@@ -31,7 +31,7 @@ from .walker import (FixedLength, PowerLawLength, WalkConfig, WalkEnsemble,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoocGraph", "build_from_posts", "build_from_traces",
+    "CoocGraph", "build_from_posts", "build_from_traces", "project",
     "TagwalkError", "ParameterError", "ConfigError", "ContractError",
     "FitError", "EvaluationError", "IngestError",
     "ExperimentConfig", "IngestConfig", "load_config",

@@ -10,7 +10,7 @@ single pass would produce, which is what makes parallel reduction safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,7 +20,13 @@ from .formats import declared_nodes, read_int_table, write_int_rows
 from .substrate import sorted_unique
 from .walker import WalkEnsemble
 
-__all__ = ["CoocGraph", "build_from_traces", "build_from_posts"]
+__all__ = ["CoocGraph", "project", "build_from_traces", "build_from_posts"]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -51,22 +57,55 @@ class CoocGraph:
     def total_weight(self) -> int:
         return int(self.weights.sum())
 
+    # Arrays derived from the edges are computed on first use and cached
+    # read-only on the instance, so that every observable shares them.
+
     def compact_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints as positions into ``node_ids``."""
-        return (np.searchsorted(self.node_ids, self.src),
-                np.searchsorted(self.node_ids, self.dst))
+        return self._ends
+
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The symmetric adjacency in CSR form, ``(indptr, neighbors, weights)``.
+
+        Node ``i`` links to the positions ``neighbors[indptr[i]:indptr[i+1]]``,
+        ascending, with those weights.
+        """
+        return self._csr
 
     def degrees(self) -> np.ndarray:
-        eu, ev = self.compact_edges()
-        both = np.concatenate([eu, ev])
-        return np.bincount(both, minlength=self.node_count).astype(np.int64)
+        return self._k_s[0]
 
     def strengths(self) -> np.ndarray:
-        eu, ev = self.compact_edges()
-        s = np.zeros(self.node_count, dtype=np.int64)
-        np.add.at(s, eu, self.weights)
-        np.add.at(s, ev, self.weights)
-        return s
+        return self._k_s[1]
+
+    def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per node, the sum of ``values`` (aligned with ``adjacency()[1]``) over its row."""
+        total = np.concatenate([[0], np.cumsum(values)])
+        indptr = self._csr[0]
+        return total[indptr[1:]] - total[indptr[:-1]]
+
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        pos = np.int32 if self.node_count < 2 ** 31 else np.int64
+        return _read_only(np.searchsorted(self.node_ids, self.src).astype(pos),
+                          np.searchsorted(self.node_ids, self.dst).astype(pos))
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        eu, ev = self._ends
+        # Row i lists first the edges (j, i), then the edges (i, j).  Edges
+        # are sorted by (src, dst), so a stable sort by row leaves each row
+        # ascending: every j of the first part is below i, every j after it above.
+        rows = np.concatenate([ev, eu])
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.node_count), out=indptr[1:])
+        return _read_only(indptr, np.concatenate([eu, ev])[order],
+                          np.concatenate([self.weights, self.weights])[order])
+
+    @cached_property
+    def _k_s(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(np.diff(self._csr[0]), self.neighbor_sums(self._csr[2]))
 
     def validate(self) -> None:
         if self.node_ids.size and np.any(np.diff(self.node_ids) <= 0):
@@ -81,8 +120,8 @@ class CoocGraph:
             raise ContractError("weights must be >= 1")
         if np.any(self.src >= self.dst):
             raise ContractError("edges must satisfy src < dst")
-        keys = self.src * (self.node_ids[-1] + 1) + self.dst
-        if np.any(np.diff(keys) <= 0):
+        s, d = self.src, self.dst
+        if np.any((s[1:] < s[:-1]) | ((s[1:] == s[:-1]) & (d[1:] <= d[:-1]))):
             raise ContractError("edges must be sorted and unique")
         present = np.isin(np.concatenate([self.src, self.dst]), self.node_ids)
         if not present.all():
@@ -125,7 +164,7 @@ class CoocGraph:
 
 
 # ---------------------------------------------------------------------------
-# Pair counting
+# Clique projection
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
@@ -135,30 +174,36 @@ def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _count_pairs(group_ids: np.ndarray, members: np.ndarray,
-                 scale: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate unordered pairs within each group of ``members``.
+def project(group_ids: np.ndarray, members: np.ndarray,
+            labels: tuple[str, ...] | None = None) -> CoocGraph:
+    """Clique projection of a (group, member) incidence.
 
-    ``members`` must be grouped by ``group_ids`` (non-decreasing) and sorted
-    ascending inside each group.  Returns (src, dst, weights) with src < dst.
+    ``members`` must be grouped by ``group_ids`` (non-decreasing) and be
+    distinct and ascending inside each group, as
+    :meth:`WalkEnsemble.walk_node_pairs` returns them.  Each group adds 1
+    to the weight of every pair of its members; the vocabulary is the set
+    of members, isolated ones included.
     """
-    if members.size == 0:
-        return _EMPTY, _EMPTY, _EMPTY
+    members = np.asarray(members, dtype=np.int64)   # pair keys need 64 bits
+    node_ids = sorted_unique(members)
+    scale = int(node_ids[-1]) + 1 if node_ids.size else 1
+    src = dst = weights = _EMPTY
     _, counts = np.unique(group_ids, return_counts=True)
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
     key_chunks: list[np.ndarray] = []
-    for m in sorted_unique(counts):
-        m = int(m)
+    for m in sorted_unique(counts).tolist():
         if m < 2:
             continue
         sel = starts[counts == m]
         rows = members[sel[:, None] + np.arange(m)]
         iu, ju = _triu_pairs(m)
         key_chunks.append((rows[:, iu] * scale + rows[:, ju]).ravel())
-    if not key_chunks:
-        return _EMPTY, _EMPTY, _EMPTY
-    keys, weights = np.unique(np.concatenate(key_chunks), return_counts=True)
-    return keys // scale, keys % scale, weights.astype(np.int64)
+    if key_chunks:
+        keys, weights = np.unique(np.concatenate(key_chunks), return_counts=True)
+        src, dst, weights = keys // scale, keys % scale, weights.astype(np.int64)
+    g = CoocGraph(node_ids=node_ids, src=src, dst=dst, weights=weights, labels=labels)
+    g.validate()
+    return g
 
 
 def build_from_traces(traces: WalkEnsemble | Iterable[Sequence[int]],
@@ -172,29 +217,18 @@ def build_from_traces(traces: WalkEnsemble | Iterable[Sequence[int]],
     """
     if not isinstance(traces, WalkEnsemble):
         traces = _ensemble_from_sequences(traces, node_count)
-    walk_ids, nodes = traces.walk_node_pairs(count_origin=count_origin)
-    vocabulary = sorted_unique(nodes)
-    src, dst, weights = _count_pairs(walk_ids, nodes, traces.node_count)
-    g = CoocGraph(node_ids=vocabulary, src=src, dst=dst, weights=weights)
-    g.validate()
-    return g
+    return project(*traces.walk_node_pairs(count_origin=count_origin))
 
 
 def _ensemble_from_sequences(traces: Iterable[Sequence[int]],
                              node_count: int | None) -> WalkEnsemble:
     seqs = [np.asarray(t, dtype=np.int32) for t in traces]
-    if not seqs:
-        return WalkEnsemble(origin=0, node_count=node_count or 1,
-                            offsets=np.zeros(1, dtype=np.int64),
-                            nodes=np.empty(0, dtype=np.int32))
-    lengths = np.asarray([s.size for s in seqs], dtype=np.int64)
-    if np.any(lengths == 0):
+    if any(s.size == 0 for s in seqs):
         raise ParameterError("empty trace")
-    flat = np.concatenate(seqs)
-    if node_count is None:
-        node_count = int(flat.max()) + 1
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    return WalkEnsemble(origin=int(seqs[0][0]), node_count=node_count,
+    flat = np.concatenate(seqs) if seqs else np.empty(0, dtype=np.int32)
+    offsets = np.concatenate([[0], np.cumsum([s.size for s in seqs], dtype=np.int64)])
+    return WalkEnsemble(origin=int(flat[0]) if flat.size else 0,
+                        node_count=node_count or int(flat.max(initial=0)) + 1,
                         offsets=offsets, nodes=flat)
 
 
@@ -219,8 +253,4 @@ def build_from_posts(posts: Iterable[Sequence[str]], focus_tag: str) -> CoocGrap
     group_ids = np.repeat(np.arange(len(tag_sets), dtype=np.int64),
                           [len(t) for t in tag_sets])
     members = np.asarray([index[t] for ts in tag_sets for t in ts], dtype=np.int64)
-    src, dst, weights = _count_pairs(group_ids, members, max(len(labels), 1))
-    g = CoocGraph(node_ids=np.arange(len(labels), dtype=np.int64),
-                  src=src, dst=dst, weights=weights, labels=labels)
-    g.validate()
-    return g
+    return project(group_ids, members, labels)

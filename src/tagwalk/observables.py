@@ -119,12 +119,9 @@ def _log_edges(x_min: float, x_max: float, ratio: float) -> np.ndarray:
 
 
 def _weight_matrix(g: CoocGraph) -> csr_matrix:
-    eu, ev = g.compact_edges()
-    n = g.node_count
-    w = g.weights.astype(np.float64)
-    return csr_matrix((np.concatenate([w, w]),
-                       (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
-                      shape=(n, n))
+    """The cached adjacency as an integer scipy matrix, sharing its arrays."""
+    indptr, neighbors, weights = g.adjacency()
+    return csr_matrix((weights, neighbors, indptr), shape=(g.node_count,) * 2)
 
 
 def _class_means(k: np.ndarray, values: np.ndarray, keep: np.ndarray) -> BinnedSeries:
@@ -160,22 +157,17 @@ def s_of_k(g: CoocGraph) -> BinnedSeries:
     return _class_means(k, g.strengths().astype(np.float64), np.ones(k.size, dtype=bool))
 
 
-def knn_of_k(g: CoocGraph, weighted: bool = False) -> BinnedSeries:
-    """Mean nearest-neighbor degree per degree class (weighted on request)."""
-    k = g.degrees().astype(np.float64)
-    W = _weight_matrix(g)
-    if weighted:
-        num = W @ k
-        denom = g.strengths().astype(np.float64)
-    else:
-        A = W.copy()
-        A.data[:] = 1.0
-        num = A @ k
-        denom = k
+def knn_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
+    """Mean plain and weighted nearest-neighbor degree per degree class."""
+    _, neighbors, weights = g.adjacency()
+    k = g.degrees()
+    k_nb = k[neighbors]
     keep = k >= 1
-    per_node = np.zeros(k.size)
-    per_node[keep] = num[keep] / denom[keep]
-    return _class_means(k.astype(np.int64), per_node, keep)
+    plain = np.zeros(k.size)
+    weighted = np.zeros(k.size)
+    plain[keep] = g.neighbor_sums(k_nb)[keep] / k[keep]
+    weighted[keep] = g.neighbor_sums(weights * k_nb)[keep] / g.strengths()[keep]
+    return _class_means(k, plain, keep), _class_means(k, weighted, keep)
 
 
 def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
@@ -187,11 +179,11 @@ def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     two-paths (a single row above the budget forms its own block), so the
     extra memory never grows with A^2.  Both sums are exact integers.
     """
-    k = g.degrees().astype(np.float64)
+    k = g.degrees()
     W = _weight_matrix(g)
     A = W.copy()
-    A.data[:] = 1.0
-    paths = np.cumsum(A @ k)  # two-paths starting in rows 0..i
+    A.data[:] = 1
+    paths = np.cumsum(g.neighbor_sums(k[g.adjacency()[1]]))  # two-paths from rows 0..i
     plain = np.zeros(k.size)
     weighted = np.zeros(k.size)
     lo = 0
@@ -207,7 +199,6 @@ def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     kk = k[keep]
     plain[keep] /= kk * (kk - 1)
     weighted[keep] /= g.strengths()[keep] * (kk - 1)
-    k = k.astype(np.int64)
     return _class_means(k, plain, keep), _class_means(k, weighted, keep)
 
 
@@ -260,14 +251,14 @@ def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
     if pair_budget < 1:
         raise ParameterError("pair_budget must be >= 1")
     edges = np.round(np.arange(0.0, 1.0 + bin_width / 2, bin_width), 10)
-    live, R = _normalized_rows(g)
-    if live.size < 2:
+    m = np.count_nonzero(g.degrees())     # nodes of positive strength
+    if m < 2:
         return Histogram(edges, np.zeros(edges.size - 1, dtype=np.int64), False, 0)
-    m = live.size
     if m <= EXACT_SIMILARITY_LIMIT:
-        sims = (R @ R.T).toarray()[np.triu_indices(m, k=1)]
+        sims = exact_similarities(g)[1]
         sampled = False
     else:
+        R = _normalized_rows(g)[1]
         rng = np.random.default_rng(seed)
         chunks = []
         remaining = pair_budget

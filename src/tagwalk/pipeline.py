@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +100,6 @@ class FitWindows:
                    zipf_max_rank=_get(d, "zipf_max_rank", int, "fits", 1000),
                    tail_decades=_get(d, "tail_decades", float, "fits", 2.5))
 
-    def to_dict(self) -> dict:
-        return {"heaps_min": self.heaps_min, "zipf_max_rank": self.zipf_max_rank,
-                "tail_decades": self.tail_decades}
-
 
 @dataclass(frozen=True)
 class ObservableFlags:
@@ -128,14 +124,6 @@ class ObservableFlags:
         kw["similarity_pair_budget"] = _get(d, "similarity_pair_budget", int,
                                             "observables", 10 ** 6)
         return cls(**kw)
-
-    def to_dict(self) -> dict:
-        return {"distributions": self.distributions, "s_of_k": self.s_of_k,
-                "knn": self.knn, "clustering": self.clustering,
-                "weight_vs_product": self.weight_vs_product,
-                "similarity": self.similarity,
-                "frequency_rank": self.frequency_rank,
-                "similarity_pair_budget": self.similarity_pair_budget}
 
 
 @dataclass(frozen=True)
@@ -165,10 +153,6 @@ class TheoryOptions:
                     raise ConfigError(f"missing '{key}' in theory.n_grid")
         return cls(ring_prediction=_get(d, "ring_prediction", bool, "theory", True),
                    rings=rings, n_grid=n_grid)
-
-    def to_dict(self) -> dict:
-        return {"ring_prediction": self.ring_prediction, "rings": self.rings,
-                "n_grid": self.n_grid}
 
     def ring_structure(self, graph: SubstrateGraph, origin: int):
         if self.rings == "bfs":
@@ -281,9 +265,9 @@ class ExperimentConfig:
                          "lengths": _lengths_to_dict(self.walk.lengths),
                          "count_origin": self.walk.count_origin,
                          "non_backtracking": self.walk.non_backtracking},
-                "observables": self.observables.to_dict(),
-                "theory": self.theory.to_dict(),
-                "fits": self.fits.to_dict(),
+                "observables": asdict(self.observables),
+                "theory": asdict(self.theory),
+                "fits": asdict(self.fits),
                 "emit_traces": self.emit_traces}
 
 
@@ -329,8 +313,8 @@ class IngestConfig:
                 "seed": self.seed,
                 "ingest": {"input": self.input_path, "focus_tag": self.focus_tag,
                            "ts_min": self.ts_min, "ts_max": self.ts_max},
-                "observables": self.observables.to_dict(),
-                "fits": self.fits.to_dict()}
+                "observables": asdict(self.observables),
+                "fits": asdict(self.fits)}
 
 
 def load_config(path, seed_override: int | None = None):
@@ -369,12 +353,20 @@ def _finite_or_none(value) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Observable emission (shared by synthetic and empirical runs)
+# The stats stage (shared by synthetic and empirical runs)
 # ---------------------------------------------------------------------------
 
-def _write_graph_observables(g: cooc.CoocGraph, out: Path, flags: ObservableFlags,
-                             fitw: FitWindows, sim_seed: int,
-                             fits: dict) -> None:
+def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
+           heaps: tuple[np.ndarray, np.ndarray] | None, counts, n_max: int) -> None:
+    """Observables and ``fits.json`` of a co-occurrence graph.
+
+    ``heaps`` is the vocabulary curve, fitted over ``[heaps_min, n_max]``;
+    ``counts`` the frequencies behind the frequency-rank series.  Either
+    may be None when it is not at hand, and its results are then left out.
+    """
+    flags, fitw = cfg.observables, cfg.fits
+    fits: dict = {"heaps": None if heaps is None else
+                  _fit_or_none(*heaps, (fitw.heaps_min, max(n_max, 1)))}
     obs_dir = out / "observables"
     obs_dir.mkdir(parents=True, exist_ok=True)
     if g.edge_count:
@@ -390,8 +382,7 @@ def _write_graph_observables(g: cooc.CoocGraph, out: Path, flags: ObservableFlag
         write_csv(obs_dir / "s_of_k.csv", ["k", "mean_s", "n"],
                   zip(series.x, series.y, series.n))
     if flags.knn:
-        plain = observables.knn_of_k(g, weighted=False)
-        weighted = observables.knn_of_k(g, weighted=True)
+        plain, weighted = observables.knn_of_k(g)
         write_csv(obs_dir / "knn_of_k.csv", ["k", "knn", "knn_w", "n"],
                   zip(plain.x, plain.y, weighted.y, plain.n))
     if flags.clustering:
@@ -414,27 +405,20 @@ def _write_graph_observables(g: cooc.CoocGraph, out: Path, flags: ObservableFlag
             fits["weight_product_tail"] = None
     if flags.similarity:
         hist = observables.cosine_similarity_distribution(
-            g, pair_budget=flags.similarity_pair_budget, seed=sim_seed)
+            g, pair_budget=flags.similarity_pair_budget,
+            seed=derive_seed(cfg.seed, _SIM_SALT))
         write_csv(obs_dir / "similarity_hist.csv", ["bin_lo", "bin_hi", "count"],
                   zip(hist.edges[:-1], hist.edges[1:], hist.counts))
         fits["similarity_mode"] = (float(hist.mode_center())
                                    if hist.counts.sum() else None)
-
-
-def _write_frequency_rank(counts, out: Path, fitw: FitWindows, fits: dict) -> None:
-    ranks, ordered = observables.frequency_rank(counts)
-    obs_dir = out / "observables"
-    obs_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(obs_dir / "frequency_rank.csv", ["rank", "count"],
-              zip(ranks, ordered))
-    fits["zipf"] = _fit_or_none(ranks, ordered, (1, fitw.zipf_max_rank))
-
-
-def _combine_zipf_heaps(fits: dict) -> None:
-    heaps = fits.get("heaps")
+    if flags.frequency_rank and counts is not None:
+        ranks, ordered = observables.frequency_rank(counts)
+        write_csv(obs_dir / "frequency_rank.csv", ["rank", "count"], zip(ranks, ordered))
+        fits["zipf"] = _fit_or_none(ranks, ordered, (1, fitw.zipf_max_rank))
     zipf = fits.get("zipf")
-    fits["zipf_heaps_product"] = (abs(zipf["exponent"]) * heaps["exponent"]
-                                  if heaps and zipf else None)
+    fits["zipf_heaps_product"] = (abs(zipf["exponent"]) * fits["heaps"]["exponent"]
+                                  if fits["heaps"] and zipf else None)
+    write_json(out / "fits.json", fits)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +438,6 @@ def _write_manifest(out: Path, resolved: dict, provenance: dict | None = None) -
 # ---------------------------------------------------------------------------
 # Synthetic pipeline
 # ---------------------------------------------------------------------------
-
-def _load_or_build_graph(cfg: ExperimentConfig, out: Path) -> SubstrateGraph:
-    path = out / "substrate.edges"
-    if path.exists():
-        return SubstrateGraph.read_edge_list(path)
-    return build_graph(cfg.graph)
-
 
 def _read_heaps(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """The ``n_rw`` and ``n_distinct`` columns of a ``heaps.csv``.
@@ -483,22 +460,56 @@ def _read_heaps(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return table[:, 0], table[:, 1]
 
 
-def _theory_stage(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph) -> None:
+# Each stage is a function of in-memory inputs that writes its artifacts and
+# returns what later stages read.  ``run`` chains them; ``run_stage`` loads
+# a stage's inputs from the artifact directory and calls the same function.
+
+def _generate(cfg: ExperimentConfig, out: Path) -> SubstrateGraph:
+    graph = build_graph(cfg.graph)
+    graph.write_edge_list(out / "substrate.edges")
+    return graph
+
+
+def _walk(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph, threads: int,
+          traces: bool):
+    """Walks, their traces (when ``traces``) and ``heaps.csv``.
+
+    Returns the deduplicated (walk, node) pairs, the vocabulary curve and
+    the node frequencies.
+    """
+    ens, pairs, heaps, freqs = walker.run_ensemble(graph, cfg.walk, threads=threads)
+    if traces:
+        ens.write_traces(out / "traces.txt")
+    write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(*heaps))
+    return pairs, heaps, freqs
+
+
+def _cooc(out: Path, pairs: tuple[np.ndarray, np.ndarray]) -> cooc.CoocGraph:
+    g = cooc.project(*pairs)
+    g.write_edge_list(out / "cooc.edges")
+    return g
+
+
+def _theory(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph,
+            heaps: tuple[np.ndarray, np.ndarray] | None) -> None:
+    """Ring-model prediction, at the points of ``heaps`` and compared with it.
+
+    A configured ``n_grid`` replaces those points and drops the comparison.
+    """
     if not cfg.theory.ring_prediction:
         return
     theory_dir = out / "theory"
     theory_dir.mkdir(parents=True, exist_ok=True)
     rings = cfg.theory.ring_structure(graph, cfg.walk.origin)
     spec = theory.RingModelSpec(rings=rings, lengths=cfg.walk.lengths)
-    heaps_path = out / "heaps.csv"
     simulated = None
     if cfg.theory.n_grid is not None:
         grid_cfg = cfg.theory.n_grid
         n_values = np.logspace(np.log10(float(grid_cfg["min"])),
                                np.log10(float(grid_cfg["max"])),
                                int(grid_cfg["points"]))
-    elif heaps_path.exists():
-        n_values, simulated = _read_heaps(heaps_path)
+    elif heaps is not None:
+        n_values, simulated = heaps
     else:
         n_values = np.empty(0, dtype=np.int64)
     predicted = theory.n_distinct_random_length(spec, n_values.astype(np.float64)) \
@@ -516,31 +527,29 @@ def _theory_stage(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph) -> No
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> Path:
-    """End-to-end synthetic run; returns the artifact directory."""
+    """End-to-end synthetic run: generate, walk, cooc, stats and theory, chained in memory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    graph = build_graph(cfg.graph)
-    graph.write_edge_list(out / "substrate.edges")
-    ens, (heaps_n, heaps_d), freqs = walker.run_ensemble(graph, cfg.walk,
-                                                         threads=threads)
-    if cfg.emit_traces:
-        ens.write_traces(out / "traces.txt")
-    write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(heaps_n, heaps_d))
-    g = cooc.build_from_traces(ens, count_origin=cfg.walk.count_origin)
-    g.write_edge_list(out / "cooc.edges")
-
-    fits: dict = {}
-    fits["heaps"] = _fit_or_none(heaps_n, heaps_d,
-                                 (cfg.fits.heaps_min, max(cfg.walk.n_rw, 1)))
-    _write_graph_observables(g, out, cfg.observables, cfg.fits,
-                             derive_seed(cfg.seed, _SIM_SALT), fits)
-    if cfg.observables.frequency_rank:
-        _write_frequency_rank(freqs, out, cfg.fits, fits)
-    _combine_zipf_heaps(fits)
-    write_json(out / "fits.json", fits)
-    _theory_stage(cfg, out, graph)
+    graph = _generate(cfg, out)
+    pairs, heaps, freqs = _walk(cfg, out, graph, threads, cfg.emit_traces)
+    g = _cooc(out, pairs)
+    del pairs  # only the projection needs them
+    _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw)
+    _theory(cfg, out, graph, heaps)
     _write_manifest(out, cfg.resolved())
     return out
+
+
+def _substrate(cfg: ExperimentConfig, out: Path) -> SubstrateGraph:
+    path = out / "substrate.edges"
+    return SubstrateGraph.read_edge_list(path) if path.exists() else build_graph(cfg.graph)
+
+
+def _input(out: Path, name: str, stage: str) -> Path:
+    path = out / name
+    if not path.exists():
+        raise FileNotFoundError(f"{path} not found; run the {stage} stage first")
+    return path
 
 
 def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> Path:
@@ -550,56 +559,38 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
     the vocabulary curve; ``cooc`` projects an existing traces file;
     ``stats`` analyzes an existing co-occurrence network; ``theory`` adds
     the ring-model prediction.  Later stages read earlier stages' files,
-    so externally supplied inputs in the same formats work too.
+    so externally supplied inputs in the same formats work too.  A missing
+    substrate is generated, and written only by ``walk``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    heaps_path, traces_path = out / "heaps.csv", out / "traces.txt"
+    count_origin = cfg.walk.count_origin
     if stage == "generate":
-        graph = build_graph(cfg.graph)
-        graph.write_edge_list(out / "substrate.edges")
+        _generate(cfg, out)
     elif stage == "walk":
-        graph = _load_or_build_graph(cfg, out)
-        if not (out / "substrate.edges").exists():
-            graph.write_edge_list(out / "substrate.edges")
-        ens, (heaps_n, heaps_d), _ = walker.run_ensemble(graph, cfg.walk,
-                                                         threads=threads)
-        ens.write_traces(out / "traces.txt")
-        write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(heaps_n, heaps_d))
+        graph = _substrate(cfg, out) if (out / "substrate.edges").exists() \
+            else _generate(cfg, out)
+        _walk(cfg, out, graph, threads, traces=True)
     elif stage == "cooc":
-        traces_path = out / "traces.txt"
-        if not traces_path.exists():
-            raise FileNotFoundError(f"{traces_path} not found; run the walk stage first")
-        graph = _load_or_build_graph(cfg, out)
-        ens = WalkEnsemble.read_traces(traces_path, graph, cfg.walk.origin)
-        g = cooc.build_from_traces(ens, count_origin=cfg.walk.count_origin)
-        g.write_edge_list(out / "cooc.edges")
+        ens = WalkEnsemble.read_traces(_input(out, "traces.txt", "walk"),
+                                       _substrate(cfg, out), cfg.walk.origin)
+        _cooc(out, ens.walk_node_pairs(count_origin=count_origin))
     elif stage == "stats":
-        cooc_path = out / "cooc.edges"
-        if not cooc_path.exists():
-            raise FileNotFoundError(f"{cooc_path} not found; run the cooc stage first")
-        g = cooc.CoocGraph.read_edge_list(cooc_path)
-        fits: dict = {}
-        heaps_path = out / "heaps.csv"
-        if heaps_path.exists():
-            heaps_n, heaps_d = _read_heaps(heaps_path)
-            fits["heaps"] = _fit_or_none(
-                heaps_n, heaps_d,
-                (cfg.fits.heaps_min, max(cfg.walk.n_rw, 1)))
-        else:
-            fits["heaps"] = None
-        _write_graph_observables(g, out, cfg.observables, cfg.fits,
-                                 derive_seed(cfg.seed, _SIM_SALT), fits)
-        traces_path = out / "traces.txt"
+        g = cooc.CoocGraph.read_edge_list(_input(out, "cooc.edges", "cooc"))
+        heaps = _read_heaps(heaps_path) if heaps_path.exists() else None
+        freqs = None
         if cfg.observables.frequency_rank and traces_path.exists():
-            graph = _load_or_build_graph(cfg, out)
-            ens = WalkEnsemble.read_traces(traces_path, graph, cfg.walk.origin)
-            freqs = walker.node_frequencies(ens, count_origin=cfg.walk.count_origin)
-            _write_frequency_rank(freqs, out, cfg.fits, fits)
-        _combine_zipf_heaps(fits)
-        write_json(out / "fits.json", fits)
+            ens = WalkEnsemble.read_traces(traces_path, _substrate(cfg, out),
+                                           cfg.walk.origin)
+            freqs = walker.node_frequencies(
+                ens.walk_node_pairs(count_origin=count_origin)[1], ens.node_count)
+        _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw)
     elif stage == "theory":
-        graph = _load_or_build_graph(cfg, out)
-        _theory_stage(cfg, out, graph)
+        graph = _substrate(cfg, out)
+        reads_heaps = cfg.theory.ring_prediction and cfg.theory.n_grid is None
+        _theory(cfg, out, graph, _read_heaps(heaps_path)
+                if reads_heaps and heaps_path.exists() else None)
     else:
         raise ParameterError(f"unknown stage '{stage}'")
     _write_manifest(out, cfg.resolved())
@@ -621,23 +612,15 @@ def run_ingest(cfg: IngestConfig, out_dir, strict: bool = False) -> Path:
     report.write_csv(out / "rejects.csv")
     focus = cfg.focus_tag.lower()
     stream = ingest.filter_by_tag(corpus, focus)
+    provenance = dict(corpus.provenance)
+    del corpus  # the analysis reads only the focus stream
     n_posts, n_distinct = ingest.vocabulary_growth(stream, focus)
     write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(n_posts, n_distinct))
     g = ingest.empirical_cooc(stream, focus)
     g.write_edge_list(out / "cooc.edges")
     g.write_labels(out / "cooc_labels.tsv")
-
-    fits: dict = {}
-    fits["heaps"] = _fit_or_none(n_posts, n_distinct,
-                                 (cfg.fits.heaps_min, max(len(stream), 1)))
-    _write_graph_observables(g, out, cfg.observables, cfg.fits,
-                             derive_seed(cfg.seed, _SIM_SALT), fits)
-    if cfg.observables.frequency_rank:
-        _write_frequency_rank(ingest.tag_post_counts(stream, focus), out,
-                              cfg.fits, fits)
-    _combine_zipf_heaps(fits)
-    write_json(out / "fits.json", fits)
-    provenance = dict(corpus.provenance)
+    counts = ingest.tag_post_counts(stream, focus) if cfg.observables.frequency_rank else None
+    _stats(cfg, out, g, (n_posts, n_distinct), counts, len(stream))
     provenance["input_sha256"] = sha256_of(cfg.input_path)
     provenance["accepted"] = report.accepted
     provenance["focus_posts"] = len(stream)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EvaluationError, ParameterError
 from .rng import derive_seed
 from .substrate import RingProfile, SubstrateGraph, sorted_unique
-from .walker import LengthDist, length_pmf, simulate_walks
+from .walker import LengthDist, length_pmf, node_frequencies, simulate_walks
 
 __all__ = [
     "VisitProbabilities",
@@ -237,10 +237,7 @@ def estimate_visit_probs(graph: SubstrateGraph, origin: int, lengths: LengthDist
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     ens = simulate_walks(graph, origin, n_samples, lengths, seed, threads=threads)
-    wid, nodes = ens.walk_node_pairs()
-    del wid
-    counts = np.bincount(nodes, minlength=graph.node_count)
-    p = counts / float(n_samples)
+    p = node_frequencies(ens.walk_node_pairs()[1], graph.node_count) / float(n_samples)
     stderr = np.sqrt(p * (1.0 - p) / n_samples)
     return VisitProbabilities(p=p, n_samples=n_samples, stderr=stderr)
 

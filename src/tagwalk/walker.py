@@ -320,50 +320,42 @@ def heaps_checkpoints(n_walks: int) -> np.ndarray:
     return pts[pts <= n_walks]
 
 
-def heaps_curve(ensemble: WalkEnsemble, checkpoints: np.ndarray | None = None,
-                count_origin: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def heaps_curve(walk_ids: np.ndarray, nodes: np.ndarray, walk_count: int,
+                checkpoints: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Distinct visited nodes as a function of the number of walks.
 
-    Returns ``(n_rw, n_distinct)`` sampled at ``checkpoints`` (1-based walk
-    counts); with ``count_origin=False`` the origin never enters the tally.
+    Takes the (walk, node) pairs of :meth:`WalkEnsemble.walk_node_pairs`
+    over ``walk_count`` walks and returns ``(n_rw, n_distinct)`` sampled at
+    ``checkpoints`` (1-based walk counts).
     """
-    n = ensemble.walk_count
     if checkpoints is None:
-        checkpoints = heaps_checkpoints(n)
+        checkpoints = heaps_checkpoints(walk_count)
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
-    if np.any((checkpoints < 1) | (checkpoints > n)):
+    if np.any((checkpoints < 1) | (checkpoints > walk_count)):
         raise ParameterError("checkpoints must lie in [1, walk_count]")
-    walk_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(ensemble.offsets))
-    nodes = ensemble.nodes
-    if not count_origin:
-        keep = nodes != ensemble.origin
-        walk_ids, nodes = walk_ids[keep], nodes[keep]
-    _, first_flat = np.unique(nodes, return_index=True)
-    new_per_walk = np.bincount(walk_ids[first_flat], minlength=n)
-    cumulative = np.cumsum(new_per_walk)
-    return checkpoints, cumulative[checkpoints - 1]
+    # pairs are walk-major, so a node's first pair is in its first walk
+    _, first = np.unique(nodes, return_index=True)
+    new_per_walk = np.bincount(walk_ids[first], minlength=walk_count)
+    return checkpoints, np.cumsum(new_per_walk)[checkpoints - 1]
 
 
-def node_frequencies(ensemble: WalkEnsemble, count_origin: bool = True) -> np.ndarray:
-    """Number of walks whose trace contains each node (at most one per walk)."""
-    _, nodes = ensemble.walk_node_pairs(count_origin=count_origin)
-    return np.bincount(nodes, minlength=ensemble.node_count).astype(np.int64)
+def node_frequencies(nodes: np.ndarray, node_count: int) -> np.ndarray:
+    """Number of walks whose trace contains each node, from the pairs' ``nodes``."""
+    return np.bincount(nodes, minlength=node_count).astype(np.int64)
 
 
 def run_ensemble(graph: SubstrateGraph, config: WalkConfig, threads: int = 1
-                 ) -> tuple[WalkEnsemble, tuple[np.ndarray, np.ndarray], np.ndarray]:
+                 ) -> tuple[WalkEnsemble, tuple[np.ndarray, np.ndarray],
+                            tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Simulate a configured ensemble and summarize it.
 
-    Returns the ensemble, the vocabulary-growth curve ``(n_rw, n_distinct)``,
-    and the per-node visit frequencies.
+    Returns the ensemble, its (walk, node) pairs, the vocabulary-growth
+    curve ``(n_rw, n_distinct)`` and the per-node visit frequencies; the
+    curve and the frequencies are read off the pairs.
     """
     ens = simulate_walks(graph, config.origin, config.n_rw, config.lengths,
                          config.seed, threads=threads,
                          non_backtracking=config.non_backtracking)
-    if config.n_rw == 0:
-        curve = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        freqs = np.zeros(graph.node_count, dtype=np.int64)
-    else:
-        curve = heaps_curve(ens, count_origin=config.count_origin)
-        freqs = node_frequencies(ens, count_origin=config.count_origin)
-    return ens, curve, freqs
+    pairs = ens.walk_node_pairs(count_origin=config.count_origin)
+    return (ens, pairs, heaps_curve(*pairs, ens.walk_count),
+            node_frequencies(pairs[1], graph.node_count))

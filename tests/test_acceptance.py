@@ -226,8 +226,9 @@ def test_10_observables_match_naive_references(capsys):
         # vocabulary (exact integers)
         vocab = naive_vocabulary(traces, origin=0, count_origin=count_origin)
         assert set(ids) == vocab, ctx
-        _, curve = heaps_curve(ens, np.asarray([ens.walk_count]),
-                               count_origin=count_origin)
+        wids, nodes = ens.walk_node_pairs(count_origin=count_origin)
+        _, curve = heaps_curve(wids, nodes, ens.walk_count,
+                               np.asarray([ens.walk_count]))
         assert int(curve[-1]) == len(vocab), ctx
 
         # degrees, strengths, and their histograms (exact integers)
@@ -243,7 +244,7 @@ def test_10_observables_match_naive_references(capsys):
             Counter(want.values()), ctx
 
         # per-walk node frequencies (exact integers)
-        freqs = node_frequencies(ens, count_origin=count_origin)
+        freqs = node_frequencies(nodes, g.node_count)
         naive_freqs = np.zeros(g.node_count, dtype=np.int64)
         for trace in traces:
             distinct = set(trace)
@@ -263,8 +264,9 @@ def test_10_observables_match_naive_references(capsys):
         # degree-class means (floats, 1e-9)
         degree_of = {v: naive_degree(adj, v) for v in ids}
         checks = [(s_of_k(cg), {v: float(naive_strength(adj, v)) for v in ids})]
-        for weighted, clustering in zip((False, True), clustering_of_k(cg)):
-            checks.append((knn_of_k(cg, weighted=weighted),
+        for weighted, knn, clustering in zip((False, True), knn_of_k(cg),
+                                             clustering_of_k(cg)):
+            checks.append((knn,
                            {v: naive_knn(adj, v, weighted=weighted) for v in ids}))
             checks.append((clustering,
                            {v: naive_clustering(adj, v, weighted=weighted)

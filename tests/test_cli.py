@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import time
@@ -6,12 +7,13 @@ import numpy as np
 import pytest
 
 from tagwalk.cli import main
+from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ConfigError
 from tagwalk.formats import read_csv, sha256_of
 from tagwalk.pipeline import (ExperimentConfig, IngestConfig, compare,
                               load_config)
 from tagwalk.substrate import SubstrateGraph
-from tagwalk.walker import PowerLawLength
+from tagwalk.walker import PowerLawLength, WalkEnsemble
 
 BASE = {
     "seed": 5,
@@ -342,6 +344,69 @@ def test_empty_ensemble_is_valid(tmp_path):
     assert header == ["n_rw", "n_distinct"] and rows == []
     fits = json.loads((out / "fits.json").read_text())
     assert fits["heaps"] is None and fits["zipf_heaps_product"] is None
+    header, rows = read_csv(out / "theory" / "comparison.csv")
+    assert header == ["n_rw", "simulated", "predicted", "ratio"] and rows == []
+
+
+def test_walk_into_empty_directory_writes_the_generated_substrate(tmp_path):
+    cfg = write_config(tmp_path)
+    gen, walk = tmp_path / "gen", tmp_path / "walk"
+    assert main(["generate", "--config", str(cfg), "--out", str(gen)]) == 0
+    assert main(["walk", "--config", str(cfg), "--out", str(walk)]) == 0
+    assert (walk / "substrate.edges").read_bytes() == \
+        (gen / "substrate.edges").read_bytes()
+    assert (walk / "traces.txt").exists() and (walk / "heaps.csv").exists()
+
+
+def test_stats_leaves_out_what_its_missing_inputs_feed(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    for stage in ("generate", "walk", "cooc"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    (out / "traces.txt").unlink()
+    assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not (out / "observables" / "frequency_rank.csv").exists()
+    fits = json.loads((out / "fits.json").read_text())
+    assert "zipf" not in fits and fits["zipf_heaps_product"] is None
+    assert fits["heaps"]["points"] > 0
+
+    (out / "heaps.csv").unlink()
+    assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 0
+    fits = json.loads((out / "fits.json").read_text())
+    assert fits["heaps"] is None
+    assert (out / "observables" / "degree_dist.csv").exists()
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Count calls of ``owner.name``, a plain method or a cached property."""
+    attr = owner.__dict__[name]
+    cached = isinstance(attr, functools.cached_property)
+    func = attr.func if cached else attr
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return func(*args, **kwargs)
+    if cached:
+        counted = functools.cached_property(counted)
+        counted.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("staged", [False, True], ids=["run", "stats"])
+def test_shared_arrays_are_built_once(tmp_path, monkeypatch, staged):
+    # the (walk, node) dedup, the compact endpoints and the weight CSR
+    cfg = write_config(tmp_path, emit_traces=True)
+    out = tmp_path / "out"
+    if staged:
+        for stage in ("generate", "walk", "cooc"):
+            assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    counts = dict.fromkeys(["walk_node_pairs", "_ends", "_csr"], 0)
+    count_calls(monkeypatch, WalkEnsemble, "walk_node_pairs", counts)
+    count_calls(monkeypatch, CoocGraph, "_ends", counts)
+    count_calls(monkeypatch, CoocGraph, "_csr", counts)
+    command = "stats" if staged else "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert counts == {"walk_node_pairs": 1, "_ends": 1, "_csr": 1}
 
 
 def test_manifest_hash_matches_resolved_config(tmp_path):

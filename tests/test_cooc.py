@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from naive_reference import adjacency_dict, merge, naive_cooc_weights
 from tagwalk.cooc import CoocGraph, build_from_posts, build_from_traces
@@ -172,6 +173,41 @@ def test_validate_rejects_corrupt_graphs():
                         weights=g.weights, labels=None)
     with pytest.raises(ContractError):
         swapped.validate()
+
+
+def test_edge_order_is_checked_without_overflow(tmp_path):
+    # ids up to 10**18 would wrap an int64 key src * (max_id + 1) + dst
+    path = tmp_path / "cooc.edges"
+    path.write_text("0\t1\t1\n9\t999999999999999999\t1\n")
+    assert CoocGraph.read_edge_list(path).dst.tolist() == [1, 999999999999999999]
+    big = 2 ** 62
+    descending = CoocGraph(node_ids=np.asarray([0, 1, 9, big]),
+                           src=np.asarray([9, 0]), dst=np.asarray([big, 1]),
+                           weights=np.ones(2, dtype=np.int64))
+    with pytest.raises(ContractError, match="sorted and unique"):
+        descending.validate()
+
+
+def test_adjacency_is_the_canonical_csr_and_shared():
+    rng = np.random.default_rng(4)
+    traces = [rng.choice(40, size=int(rng.integers(1, 7)), replace=False).tolist()
+              for _ in range(60)]
+    g = build_from_traces(traces)
+    eu, ev = g.compact_edges()
+    n = g.node_count
+    w = np.concatenate([g.weights, g.weights])
+    want = csr_matrix((w, (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
+                      shape=(n, n))
+    want.sort_indices()
+    indptr, neighbors, weights = g.adjacency()
+    assert np.array_equal(indptr, want.indptr)
+    assert np.array_equal(neighbors, want.indices)
+    assert np.array_equal(weights, want.data)
+    assert np.array_equal(g.degrees(), np.diff(want.indptr))
+    assert np.array_equal(g.strengths(), np.asarray(want.sum(axis=1)).ravel())
+    for derived in (g.degrees(), g.strengths(), indptr, neighbors, weights, eu, ev):
+        assert not derived.flags.writeable
+    assert g.degrees() is g.degrees() and g.adjacency() is g.adjacency()
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,8 @@ def test_posts_from_traces_round_trip(tmp_path):
     # vocabulary excludes the focus tag, so compare against the
     # origin-excluded walker curve
     n, d = vocabulary_growth(stream, focus)
-    walks, distinct = heaps_curve(ens, np.arange(1, 301), count_origin=False)
+    walks, distinct = heaps_curve(*ens.walk_node_pairs(count_origin=False),
+                                  ens.walk_count, np.arange(1, 301))
     assert n.tolist() == walks.tolist()
     assert d.tolist() == distinct.tolist()
 

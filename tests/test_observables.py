@@ -70,10 +70,9 @@ def test_s_of_k_hand_values(hand_graph):
 
 
 def test_knn_hand_values(hand_graph):
-    plain = knn_of_k(hand_graph, weighted=False)
+    plain, weighted = knn_of_k(hand_graph)
     assert plain.x.tolist() == [1, 2, 3]
     assert plain.y == pytest.approx([3.0, 2.5, 5.0 / 3.0])
-    weighted = knn_of_k(hand_graph, weighted=True)
     assert weighted.y == pytest.approx([3.0, (2.25 + 2.4) / 2.0, 1.75])
 
 
@@ -101,8 +100,7 @@ def test_uniform_weights_reduce_to_unweighted(seed):
             unique_traces.append(t)
     g = build_from_traces(unique_traces)
     assert np.all(g.weights == 1)
-    for a, b in ((knn_of_k(g, weighted=False), knn_of_k(g, weighted=True)),
-                 clustering_of_k(g)):
+    for a, b in (knn_of_k(g), clustering_of_k(g)):
         assert np.array_equal(a.x, b.x)
         assert a.y == pytest.approx(b.y.tolist(), abs=1e-12)
 
@@ -114,8 +112,7 @@ def test_class_observables_match_naive(seed):
     adj = adjacency_dict({(int(i), int(j)): int(w)
                           for i, j, w in zip(g.src, g.dst, g.weights)})
     ids = g.node_ids.tolist()
-    for weighted, got_c in zip((False, True), clustering_of_k(g)):
-        got = knn_of_k(g, weighted=weighted)
+    for weighted, got, got_c in zip((False, True), knn_of_k(g), clustering_of_k(g)):
         want = naive_class_means(
             {v: naive_knn(adj, v, weighted=weighted) for v in ids},
             key_of=lambda v: len(adj.get(v, {})))

@@ -76,7 +76,7 @@ def test_sampled_length_histogram_slope():
 
 def test_k2_single_walk_covers_both_nodes(k2):
     ens = simulate_walks(k2, 0, 1, FixedLength(1), seed=0)
-    n, d = heaps_curve(ens)
+    n, d = heaps_curve(*ens.walk_node_pairs(), ens.walk_count)
     assert (n.tolist(), d.tolist()) == ([1], [2])
     assert ens.trace(0).tolist() == [0, 1]
 
@@ -222,10 +222,10 @@ def test_heaps_checkpoints_shape():
 def test_heaps_curve_matches_brute_force():
     g = generate_watts_strogatz(80, 6, 0.2, seed=6)
     ens = simulate_walks(g, 1, 120, PowerLawLength(2.5, 1, 30), seed=17)
-    n, d = heaps_curve(ens, checkpoints=np.arange(1, 121))
+    n, d = heaps_curve(*ens.walk_node_pairs(), 120, checkpoints=np.arange(1, 121))
     for count_origin in (True, False):
-        n2, d2 = heaps_curve(ens, checkpoints=np.arange(1, 121),
-                             count_origin=count_origin)
+        n2, d2 = heaps_curve(*ens.walk_node_pairs(count_origin=count_origin), 120,
+                             checkpoints=np.arange(1, 121))
         for idx in (0, 10, 59, 119):
             traces = [ens.trace(w) for w in range(idx + 1)]
             want = len(naive_vocabulary(traces, origin=1,
@@ -238,16 +238,17 @@ def test_heaps_curve_matches_brute_force():
 def test_heaps_curve_rejects_bad_checkpoints(k2):
     ens = simulate_walks(k2, 0, 5, FixedLength(1), seed=0)
     with pytest.raises(ParameterError):
-        heaps_curve(ens, checkpoints=np.asarray([0]))
+        heaps_curve(*ens.walk_node_pairs(), 5, checkpoints=np.asarray([0]))
     with pytest.raises(ParameterError):
-        heaps_curve(ens, checkpoints=np.asarray([6]))
+        heaps_curve(*ens.walk_node_pairs(), 5, checkpoints=np.asarray([6]))
 
 
 def test_node_frequencies_and_visit_probabilities(triangle):
     ens = simulate_walks(triangle, 0, 500, FixedLength(2), seed=2)
-    freqs = node_frequencies(ens)
+    wids, nodes = ens.walk_node_pairs()
+    freqs = node_frequencies(nodes, triangle.node_count)
     assert freqs[0] == 500                      # origin in every walk
-    assert freqs.sum() == ens.walk_node_pairs()[0].size
+    assert freqs.sum() == wids.size
     p = estimate_visit_probs(triangle, 0, FixedLength(2), 500, seed=2).p
     assert p[0] == 1.0
     assert np.array_equal(p * 500, freqs.astype(float))
@@ -257,8 +258,10 @@ def test_run_ensemble_bundles_everything():
     g = generate_regular_tree(2, 4)
     cfg = WalkConfig(origin=0, n_rw=64, lengths=FixedLength(3), seed=10,
                      count_origin=False)
-    ens, (n, d), freqs = run_ensemble(g, cfg, threads=2)
+    ens, (wids, nodes), (n, d), freqs = run_ensemble(g, cfg, threads=2)
     assert ens.walk_count == 64
+    assert set(zip(wids.tolist(), nodes.tolist())) == \
+        {(w, v) for w in range(64) for v in ens.trace(w).tolist() if v != 0}
     assert n[-1] == 64
     assert freqs[0] == 0                        # origin excluded
     assert d[-1] == distinct_count(ens, count_origin=False)

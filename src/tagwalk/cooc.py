@@ -9,6 +9,7 @@ single pass would produce, which is what makes parallel reduction safe.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -174,6 +175,26 @@ def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def _pair_blocks(counts: np.ndarray, budget: int = sys.maxsize):
+    """Member pairs of groups laid end to end, group ``g`` holding ``counts[g]``.
+
+    Groups of one size m >= 2 are taken together: each yielded ``(pos, iu,
+    ju)`` has one group's member positions per row of ``pos`` and its pairs
+    at ``pos[:, iu]``, ``pos[:, ju]``, at most ``budget`` pairs per block.
+    """
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    for m in sorted_unique(counts).tolist():
+        if m < 2:
+            continue
+        sel = starts[counts == m]
+        iu, ju = _triu_pairs(m)
+        rows, cols = max(1, budget // iu.size), min(iu.size, budget)
+        for lo in range(0, sel.size, rows):
+            pos = sel[lo:lo + rows, None] + np.arange(m)
+            for c in range(0, iu.size, cols):
+                yield pos, iu[c:c + cols], ju[c:c + cols]
+
+
 def project(group_ids: np.ndarray, members: np.ndarray,
             labels: tuple[str, ...] | None = None) -> CoocGraph:
     """Clique projection of a (group, member) incidence.
@@ -188,15 +209,9 @@ def project(group_ids: np.ndarray, members: np.ndarray,
     node_ids = sorted_unique(members)
     scale = int(node_ids[-1]) + 1 if node_ids.size else 1
     src = dst = weights = _EMPTY
-    _, counts = np.unique(group_ids, return_counts=True)
-    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
     key_chunks: list[np.ndarray] = []
-    for m in sorted_unique(counts).tolist():
-        if m < 2:
-            continue
-        sel = starts[counts == m]
-        rows = members[sel[:, None] + np.arange(m)]
-        iu, ju = _triu_pairs(m)
+    for pos, iu, ju in _pair_blocks(np.unique(group_ids, return_counts=True)[1]):
+        rows = members[pos]
         key_chunks.append((rows[:, iu] * scale + rows[:, ju]).ravel())
     if key_chunks:
         keys, weights = np.unique(np.concatenate(key_chunks), return_counts=True)

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .cooc import CoocGraph
+from .cooc import _EMPTY, CoocGraph, _pair_blocks
 from .errors import ContractError, FitError, ParameterError
 
 __all__ = [
@@ -52,8 +52,8 @@ EXACT_SIMILARITY_LIMIT = 2000
 # of R[i] and R[j]; of 2,048 to 65,536, this size also ran fastest.
 SIMILARITY_BLOCK_PAIRS = 4096
 
-# Clustering computes common-neighbor counts in row blocks of at most this
-# many two-paths (entries of A^2 worked), which bounds its extra memory.
+# Clustering tests wedges (two-paths whose middle node ranks lowest) for
+# closure in blocks of at most this many, which bounds its extra memory.
 CLUSTERING_BLOCK_PATHS = 1 << 20
 
 
@@ -173,28 +173,40 @@ def knn_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
 def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     """Mean plain and weighted clustering coefficient per degree class, k >= 2 only.
 
-    Both numerators need only t_ij, the number of common neighbors of each
-    linked pair: sum_j t_ij for C(k) and sum_j w_ij t_ij for C^w(k).  One
-    pass computes t_ij in row blocks of at most ``CLUSTERING_BLOCK_PATHS``
-    two-paths (a single row above the budget forms its own block), so the
-    extra memory never grows with A^2.  Both sums are exact integers.
+    Both numerators need only t_ij, the number of triangles on each edge:
+    sum_j t_ij for C(k) and sum_j w_ij t_ij for C^w(k).  Every edge points
+    from its lower to its higher end in (degree, position) order, so each
+    triangle is found once, as a closed wedge of out-neighbours at its
+    lowest node (compact-forward; Latapy, TCS 2008).  The pass tests
+    sum_i C(out_i, 2) wedges in blocks of at most ``CLUSTERING_BLOCK_PATHS``.
+    Both sums are exact integers.
     """
     k = g.degrees()
-    W = _weight_matrix(g)
-    A = W.copy()
-    A.data[:] = 1
-    paths = np.cumsum(g.neighbor_sums(k[g.adjacency()[1]]))  # two-paths from rows 0..i
-    plain = np.zeros(k.size)
-    weighted = np.zeros(k.size)
-    lo = 0
-    while lo < k.size:
-        done = paths[lo - 1] if lo else 0.0
-        hi = max(lo + 1, int(np.searchsorted(paths, done + CLUSTERING_BLOCK_PATHS,
-                                             side="right")))
-        T = (A[lo:hi] @ A).multiply(A[lo:hi])  # T[i,j] = t_ij on edges
-        plain[lo:hi] = np.asarray(T.sum(axis=1)).ravel()
-        weighted[lo:hi] = np.asarray(W[lo:hi].multiply(T).sum(axis=1)).ravel()
-        lo = hi
+    n = k.size
+    eu, ev = g.compact_edges()
+    up = k[eu] <= k[ev]                      # eu < ev breaks degree ties
+    low = np.where(up, eu, ev)
+    order = np.argsort(low, kind="stable")   # out-lists, each ascending
+    high = np.where(up, ev, eu)[order].astype(np.int64)
+    # sorted edge keys, then a sentinel above every key
+    keys = np.append(eu.astype(np.int64) * n + ev, n * n)
+    t = np.zeros(eu.size, dtype=np.int64)
+    closed: list[np.ndarray] = []
+    for pos, iu, ju in _pair_blocks(np.bincount(low, minlength=n), CLUSTERING_BLOCK_PATHS):
+        ends, edges = high[pos], order[pos]
+        probe = (ends[:, iu] * n + ends[:, ju]).ravel()
+        at = np.searchsorted(keys, probe)
+        hit = np.flatnonzero(keys[at] == probe)
+        row, p = np.divmod(hit, iu.size)
+        closed += [edges[row, iu[p]], edges[row, ju[p]], at[hit]]
+        if sum(map(len, closed)) >= t.size:   # the ids held pay for an O(edges) flush
+            t += np.bincount(np.concatenate(closed), minlength=t.size)
+            closed = []
+    t += np.bincount(np.concatenate([_EMPTY, *closed]), minlength=t.size)
+    plain, weighted = np.zeros((2, n))
+    for side in (eu, ev):
+        plain += np.bincount(side, t, n)
+        weighted += np.bincount(side, g.weights * t, n)
     keep = k >= 2
     kk = k[keep]
     plain[keep] /= kk * (kk - 1)

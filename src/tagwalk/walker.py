@@ -175,17 +175,18 @@ class WalkEnsemble:
         With a ``graph``, ids must lie in ``[0, graph.node_count)`` and each
         step must follow an edge; without one, ``node_count`` is one more
         than the largest id.  Violations raise ``ContractError`` at ``path:line``.
+        An empty file holds no walks from ``origin``, which must then be given.
         """
         _, nodes, lengths, lines = read_int_rows(path)
-        if lengths.size == 0:
-            raise ContractError(f"{path}: no walks found")
+        limit = np.iinfo(np.int32).max if graph is None else graph.node_count
+        if lengths.size == 0 and not (origin is not None and 0 <= origin < limit):
+            raise ContractError(f"{path}: no walks found and no origin in [0, {limit}) given")
         offsets = np.concatenate([[0], np.cumsum(lengths)])
 
         def fail(pos: int, message: str) -> ContractError:
             walk = np.searchsorted(offsets, pos, side="right") - 1
             return ContractError(f"{path}:{lines[walk]}: {message}")
 
-        limit = np.iinfo(np.int32).max if graph is None else graph.node_count
         bad = np.flatnonzero((nodes < 0) | (nodes >= limit))
         if bad.size:
             raise fail(bad[0], f"node id {nodes[bad[0]]} outside [0, {limit})")
@@ -193,7 +194,7 @@ class WalkEnsemble:
         bad = offsets[:-1][nodes[offsets[:-1]] != origin]
         if bad.size:
             raise fail(bad[0], f"walk starts at node {nodes[bad[0]]}, not at the origin {origin}")
-        if graph is not None:
+        if graph is not None and nodes.size:
             steps = np.ones(nodes.size - 1, dtype=bool)
             steps[offsets[1:-1] - 1] = False       # no step from one walk into the next
             steps = np.flatnonzero(steps)
@@ -201,7 +202,7 @@ class WalkEnsemble:
             if bad.size:
                 raise fail(bad[0], f"step {nodes[bad[0]]} -> {nodes[bad[0] + 1]} "
                                    "is not a substrate edge")
-        node_count = int(nodes.max()) + 1 if graph is None else graph.node_count
+        node_count = int(nodes.max(initial=origin)) + 1 if graph is None else graph.node_count
         return cls(origin=int(origin), node_count=node_count, offsets=offsets,
                    nodes=nodes.astype(np.int32))
 

@@ -17,7 +17,8 @@ import numpy as np
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ParameterError
 from tagwalk.ingest import DEFAULT_TS_MIN, Post
-from tagwalk.observables import BinnedSeries, Distribution, _log_edges
+from tagwalk.observables import (BinnedSeries, Distribution, _class_means,
+                                 _log_edges, _weight_matrix)
 from tagwalk.rng import _TO_UNIT, GAMMA, mix64
 from tagwalk.substrate import SubstrateGraph
 from tagwalk.walker import WalkEnsemble, sample_lengths
@@ -372,3 +373,42 @@ def posts_from_traces(ensemble: WalkEnsemble, user: str = "walker",
         posts.append(Post(user=user, resource=f"{resource_prefix}-{w}",
                           ts=DEFAULT_TS_MIN + w, tags=tags))
     return posts, label(ensemble.origin)
+
+
+# ---------------------------------------------------------------------------
+# Row-blocked SpGEMM clustering (``clustering_of_k`` must match it bit for bit)
+# ---------------------------------------------------------------------------
+
+CLUSTERING_BLOCK_PATHS = 1 << 20
+
+
+def spgemm_clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
+    """Mean plain and weighted clustering coefficient per degree class, k >= 2 only.
+
+    Both numerators need only t_ij, the number of common neighbors of each
+    linked pair: sum_j t_ij for C(k) and sum_j w_ij t_ij for C^w(k).  One
+    pass computes t_ij in row blocks of at most ``CLUSTERING_BLOCK_PATHS``
+    two-paths (a single row above the budget forms its own block), so the
+    extra memory never grows with A^2.  Both sums are exact integers.
+    """
+    k = g.degrees()
+    W = _weight_matrix(g)
+    A = W.copy()
+    A.data[:] = 1
+    paths = np.cumsum(g.neighbor_sums(k[g.adjacency()[1]]))  # two-paths from rows 0..i
+    plain = np.zeros(k.size)
+    weighted = np.zeros(k.size)
+    lo = 0
+    while lo < k.size:
+        done = paths[lo - 1] if lo else 0.0
+        hi = max(lo + 1, int(np.searchsorted(paths, done + CLUSTERING_BLOCK_PATHS,
+                                             side="right")))
+        T = (A[lo:hi] @ A).multiply(A[lo:hi])  # T[i,j] = t_ij on edges
+        plain[lo:hi] = np.asarray(T.sum(axis=1)).ravel()
+        weighted[lo:hi] = np.asarray(W[lo:hi].multiply(T).sum(axis=1)).ravel()
+        lo = hi
+    keep = k >= 2
+    kk = k[keep]
+    plain[keep] /= kk * (kk - 1)
+    weighted[keep] /= g.strengths()[keep] * (kk - 1)
+    return _class_means(k, plain, keep), _class_means(k, weighted, keep)

@@ -327,13 +327,23 @@ def test_seed_override_changes_results(tmp_path):
     assert (a / "cooc.edges").read_bytes() != (b / "cooc.edges").read_bytes()
 
 
-def test_staged_run_matches_monolithic(tmp_path):
-    cfg = write_config(tmp_path, emit_traces=True)
+def assert_staged_matches_run(tmp_path, cfg):
     mono, staged = tmp_path / "mono", tmp_path / "staged"
     assert main(["run", "--config", str(cfg), "--out", str(mono)]) == 0
     for stage in ("generate", "walk", "cooc", "stats", "theory"):
         assert main([stage, "--config", str(cfg), "--out", str(staged)]) == 0
     assert tree_hash(mono) == tree_hash(staged)
+
+
+def test_staged_run_matches_monolithic(tmp_path):
+    assert_staged_matches_run(tmp_path, write_config(tmp_path, emit_traces=True))
+
+
+def test_staged_run_without_walks_matches_monolithic(tmp_path):
+    # the walk stage writes an empty traces.txt, which cooc and stats read back
+    cfg = write_config(tmp_path, emit_traces=True, walk={"n_rw": 0})
+    assert_staged_matches_run(tmp_path, cfg)
+    assert (tmp_path / "staged" / "traces.txt").read_bytes() == b""
 
 
 def test_empty_ensemble_is_valid(tmp_path):

@@ -1,15 +1,17 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import tagwalk.observables as obs
 from naive_reference import (adjacency_dict, log_binned, low_sample,
                              naive_class_means, naive_clustering,
-                             naive_cooc_weights, naive_cosine, naive_knn)
-from tagwalk.cooc import CoocGraph, build_from_traces
+                             naive_cooc_weights, naive_cosine, naive_knn,
+                             spgemm_clustering_of_k)
+from tagwalk.cooc import CoocGraph, _pair_blocks, build_from_traces
 from tagwalk.errors import FitError, ParameterError
 from tagwalk.observables import (cosine_similarity_distribution,
                                  clustering_of_k,
@@ -134,20 +136,22 @@ def random_cliques(seed, n_nodes=40, n_posts=120):
                               for _ in range(n_posts)])
 
 
+def cooc_graph(node_ids, pairs):
+    """Graph on ``node_ids`` with edges ``pairs`` (i < j), weighted i % 3 + j % 5 + 1."""
+    src, dst = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T.copy()
+    g = CoocGraph(node_ids=np.asarray(node_ids, dtype=np.int64).reshape(-1),
+                  src=src, dst=dst, weights=src % 3 + dst % 5 + 1)
+    g.validate()
+    return g
+
+
 def hub_ring(n):
     """Hub 0 linked to every node of the ring 1..n-1, uneven weights.
 
     Every row of A^2 has about n entries, so full A@A holds at least n^2.
     """
-    ring = np.arange(1, n, dtype=np.int64)
-    src = np.concatenate([np.zeros(n - 1, dtype=np.int64), ring[:-1], [1]])
-    dst = np.concatenate([ring, ring[1:], [n - 1]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    g = CoocGraph(node_ids=np.arange(n, dtype=np.int64), src=src, dst=dst,
-                  weights=src % 3 + dst % 5 + 1)
-    g.validate()
-    return g
+    ring = [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)]
+    return cooc_graph(range(n), [(0, i) for i in range(1, n)] + ring)
 
 
 @pytest.mark.parametrize("graph", [random_cooc(7), random_cooc(8),
@@ -196,6 +200,84 @@ def test_clustering_memory_stays_below_full_product(monkeypatch):
     assert peak() < a2_bytes / 3
     monkeypatch.setattr(obs, "CLUSTERING_BLOCK_PATHS", 1 << 16)
     assert peak() < a2_bytes / 30
+
+
+ORACLE_GRAPHS = {
+    "random_cooc": random_cooc(7),
+    "random_cliques": random_cliques(1),
+    "hub_ring": hub_ring(300),
+    # degrees tie (all of them, or all but the hub's), so position orients
+    "complete": cooc_graph(range(12), list(combinations(range(12), 2))),
+    "ring": cooc_graph(range(20), [(i, i + 1) for i in range(19)] + [(0, 19)]),
+    "star": cooc_graph(range(10), [(0, i) for i in range(1, 10)]),
+    "isolated": cooc_graph([0, 2, 3, 5, 8, 9], [(2, 3), (2, 5), (3, 5), (5, 8)]),
+    "empty": cooc_graph([], []),
+    "triangle": cooc_graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)]),
+}
+
+
+def assert_matches_oracle(graph, want=None):
+    want = spgemm_clustering_of_k(graph) if want is None else want
+    for got, ref in zip(clustering_of_k(graph), want):
+        for field in ("x", "y", "n"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("budget", [1, 700, obs.CLUSTERING_BLOCK_PATHS])
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_clustering_matches_spgemm_oracle(name, budget, monkeypatch):
+    monkeypatch.setattr(obs, "CLUSTERING_BLOCK_PATHS", budget)
+    assert_matches_oracle(ORACLE_GRAPHS[name])
+
+
+@pytest.mark.parametrize("budget", [1, 700, 5000])
+def test_clustering_blocks_stay_within_budget(budget, monkeypatch):
+    sizes = []
+
+    def recorded(counts, limit):
+        for pos, iu, ju in _pair_blocks(counts, limit):
+            sizes.append(pos.shape[0] * iu.size)
+            yield pos, iu, ju
+
+    monkeypatch.setattr(obs, "CLUSTERING_BLOCK_PATHS", budget)
+    monkeypatch.setattr(obs, "_pair_blocks", recorded)
+    g = ORACLE_GRAPHS["hub_ring"]
+    assert_matches_oracle(g)
+    assert max(sizes) <= budget
+    # the hub ranks last; 297 ring nodes point to two others, one to three
+    assert sum(sizes) == 297 * 1 + 3
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(0, 16))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return cooc_graph(range(n), chosen)
+
+
+@seed(20041)
+@given(weighted_graphs())
+@settings(max_examples=80, deadline=None)
+def test_clustering_matches_spgemm_oracle_on_any_graph(graph):
+    want = spgemm_clustering_of_k(graph)
+    for budget in (1, 700, obs.CLUSTERING_BLOCK_PATHS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(obs, "CLUSTERING_BLOCK_PATHS", budget)
+            assert_matches_oracle(graph, want)
+
+
+def test_clustering_needs_no_scipy(monkeypatch):
+    graphs = [hub_ring(300), random_cliques(2), random_cooc(8)]
+    wants = [spgemm_clustering_of_k(g) for g in graphs]
+
+    def no_scipy(*args, **kwargs):
+        raise AssertionError("clustering called into scipy")
+
+    monkeypatch.setattr(obs, "_weight_matrix", no_scipy)
+    monkeypatch.setattr(obs, "csr_matrix", no_scipy)
+    for g, want in zip(graphs, wants):
+        assert_matches_oracle(g, want)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,23 @@ def test_traces_round_trip(workdir, walks):
     assert np.array_equal(back.nodes, ens.nodes)
 
 
+def test_empty_ensemble_round_trip(workdir):
+    g = generate_watts_strogatz(40, 4, 0.3, seed=3)
+    ens = simulate_walks(g, 7, 0, PowerLawLength(2.0, 1, 15), seed=3)
+    path = workdir / "no_walks.txt"
+    ens.write_traces(path)
+    assert path.read_bytes() == b""
+    for back, node_count in ((WalkEnsemble.read_traces(path, g, 7), 40),
+                             (WalkEnsemble.read_traces(path, origin=7), 8)):
+        assert (back.origin, back.node_count, back.walk_count) == (7, node_count, 0)
+        assert np.array_equal(back.offsets, ens.offsets)
+        assert np.array_equal(back.nodes, ens.nodes) and back.nodes.dtype == np.int32
+        assert back.walk_node_pairs()[1].size == 0
+    for origin in (None, 40, -1):
+        with pytest.raises(ContractError, match=r"no origin in \[0, 40\) given"):
+            WalkEnsemble.read_traces(path, g, origin)
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 39))
 @settings(max_examples=30, deadline=None)
 def test_simulated_traces_pass_the_substrate_checks(workdir, seed, origin):

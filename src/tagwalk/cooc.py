@@ -12,16 +12,14 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
 from .formats import declared_nodes, read_int_table, write_int_rows
 from .substrate import sorted_unique
-from .walker import WalkEnsemble
 
-__all__ = ["CoocGraph", "project", "build_from_traces", "build_from_posts"]
+__all__ = ["CoocGraph", "project"]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -201,7 +199,8 @@ def project(group_ids: np.ndarray, members: np.ndarray,
 
     ``members`` must be grouped by ``group_ids`` (non-decreasing) and be
     distinct and ascending inside each group, as
-    :meth:`WalkEnsemble.walk_node_pairs` returns them.  Each group adds 1
+    :meth:`WalkEnsemble.walk_node_pairs` and :meth:`Corpus.tag_pairs`
+    return them.  Each group adds 1
     to the weight of every pair of its members; the vocabulary is the set
     of members, isolated ones included.
     """
@@ -219,53 +218,3 @@ def project(group_ids: np.ndarray, members: np.ndarray,
     g = CoocGraph(node_ids=node_ids, src=src, dst=dst, weights=weights, labels=labels)
     g.validate()
     return g
-
-
-def build_from_traces(traces: WalkEnsemble | Iterable[Sequence[int]],
-                      count_origin: bool = True,
-                      node_count: int | None = None) -> CoocGraph:
-    """Project walk traces into a weighted co-occurrence graph.
-
-    Every trace contributes one clique over its distinct visited nodes
-    (origin excluded when ``count_origin`` is false); each pair gains
-    weight 1 per contributing trace, revisits within a trace count once.
-    """
-    if not isinstance(traces, WalkEnsemble):
-        traces = _ensemble_from_sequences(traces, node_count)
-    return project(*traces.walk_node_pairs(count_origin=count_origin))
-
-
-def _ensemble_from_sequences(traces: Iterable[Sequence[int]],
-                             node_count: int | None) -> WalkEnsemble:
-    seqs = [np.asarray(t, dtype=np.int32) for t in traces]
-    if any(s.size == 0 for s in seqs):
-        raise ParameterError("empty trace")
-    flat = np.concatenate(seqs) if seqs else np.empty(0, dtype=np.int32)
-    offsets = np.concatenate([[0], np.cumsum([s.size for s in seqs], dtype=np.int64)])
-    return WalkEnsemble(origin=int(flat[0]) if flat.size else 0,
-                        node_count=node_count or int(flat.max(initial=0)) + 1,
-                        offsets=offsets, nodes=flat)
-
-
-def build_from_posts(posts: Iterable[Sequence[str]], focus_tag: str) -> CoocGraph:
-    """Project posts' tag sets into a co-occurrence graph around ``focus_tag``.
-
-    All posts must contain the focus tag; the focus tag itself is dropped
-    from every clique.  Nodes are indices into the sorted tag vocabulary,
-    carried in ``labels``.
-    """
-    tag_sets: list[list[str]] = []
-    vocab: set[str] = set()
-    for k, post in enumerate(posts):
-        tags = set(post)
-        if focus_tag not in tags:
-            raise ContractError(f"post {k} does not contain focus tag {focus_tag!r}")
-        tags.discard(focus_tag)
-        tag_sets.append(sorted(tags))
-        vocab.update(tags)
-    labels = tuple(sorted(vocab))
-    index = {t: i for i, t in enumerate(labels)}
-    group_ids = np.repeat(np.arange(len(tag_sets), dtype=np.int64),
-                          [len(t) for t in tag_sets])
-    members = np.asarray([index[t] for ts in tag_sets for t in ts], dtype=np.int64)
-    return project(group_ids, members, labels)

@@ -4,38 +4,38 @@ Input is JSON Lines, one post per line, with fields ``user`` (string),
 ``resource`` (string), ``ts`` (integer epoch seconds), ``tags`` (array of
 strings).  Cleaning lowercases tags, drops duplicate tags within a post,
 rejects posts with no tags left, and rejects timestamps outside a validity
-window.  The cleaned corpus is ordered by timestamp with input order
-breaking ties.
+window or outside the int64 range.  The cleaned corpus is held as columns,
+ordered by timestamp with input order breaking ties.
 
-Analysis of a cleaned corpus is organized around one focus tag: the posts
-containing it form a stream whose co-occurring tags are the vocabulary
-(the focus tag itself is excluded, unlike the walker's origin, which is
-included by default; the two vocabularies therefore differ by exactly one).
+Analysis of a cleaned corpus is organized around one focus tag.  The posts
+containing it form a stream: a (post, tag) incidence of the same form as a
+walk ensemble's (walk, node) pairs, in which the focus tag plays the walk
+origin with ``count_origin`` false.  It is dropped from every post, so the
+stream's vocabulary is the co-occurring tags, and the stream goes through
+the walker's vocabulary curve and node frequencies and the clique
+projection unchanged.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ContractError, IngestError, ParameterError
-from .cooc import CoocGraph, build_from_posts
+from .errors import IngestError, ParameterError
+from .substrate import sorted_unique
 
 __all__ = [
     "DEFAULT_TS_MIN",
-    "Post",
     "Corpus",
     "ValidityWindow",
     "RejectionReport",
     "parse_posts",
     "filter_by_tag",
-    "vocabulary_growth",
-    "empirical_cooc",
-    "tag_post_counts",
 ]
 
 # 2001-01-01 00:00:00 UTC, before which no public tagging system operated
@@ -47,21 +47,7 @@ WRITE_BLOCK_POSTS = 4096
 # The string escaper of json.dumps with ensure_ascii=True, quotes included.
 _quote = json.encoder.encode_basestring_ascii
 
-
-@dataclass(frozen=True)
-class Post:
-    """One annotation event: a user attaches a set of tags to a resource."""
-
-    user: str
-    resource: str
-    ts: int
-    tags: frozenset[str]
-
-    def to_json(self) -> str:
-        """The bytes of ``json.dumps`` with sorted keys: ASCII, ``", "`` and ``": "``."""
-        tags = ", ".join(map(_quote, sorted(self.tags)))
-        return (f'{{"resource": {_quote(self.resource)}, "tags": [{tags}], '
-                f'"ts": {self.ts}, "user": {_quote(self.user)}}}')
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -71,11 +57,12 @@ class ValidityWindow:
     ts_min: int = DEFAULT_TS_MIN
     ts_max: int | None = None
 
-    def resolve(self) -> tuple[int, float]:
-        hi = math.inf if self.ts_max is None else self.ts_max
-        if hi < self.ts_min:
+    def resolve(self) -> tuple[int, int]:
+        """The bounds, narrowed to the int64 range that ``Corpus.ts`` holds."""
+        if self.ts_max is not None and self.ts_max < self.ts_min:
             raise ParameterError("validity window is empty")
-        return self.ts_min, hi
+        hi = _INT64.max if self.ts_max is None else min(self.ts_max, _INT64.max)
+        return max(self.ts_min, _INT64.min), hi
 
 
 @dataclass
@@ -105,23 +92,58 @@ class RejectionReport:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Cleaned posts in ascending timestamp order (ties keep input order)."""
+    """Cleaned posts as columns, in ascending timestamp order (ties keep input order).
 
-    posts: tuple[Post, ...]
+    Post ``p`` was made at ``ts[p]`` by ``users[user_ids[p]]`` on
+    ``resources[resource_ids[p]]`` and carries the tags ``vocabulary[t]``
+    for ``t`` in ``tag_ids[offsets[p]:offsets[p+1]]``, ascending.
+    """
+
+    ts: np.ndarray              # int64
+    user_ids: np.ndarray        # int64 into users
+    resource_ids: np.ndarray    # int64 into resources
+    offsets: np.ndarray         # int64, (post_count + 1,)
+    tag_ids: np.ndarray         # int64 into vocabulary
+    users: tuple[str, ...]
+    resources: tuple[str, ...]
+    vocabulary: tuple[str, ...]  # sorted
     provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.posts)
+        return self.ts.size
+
+    def tag_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(post, tag id) pairs, post-major with tags ascending.
+
+        This is the form of :meth:`WalkEnsemble.walk_node_pairs`, so the
+        walker's summaries and :func:`cooc.project` read the pairs as they are.
+        """
+        return (np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.offsets)),
+                self.tag_ids)
 
     def write_jsonl(self, path) -> None:
+        """One line per post, the bytes of ``json.dumps`` with sorted keys."""
+        users = [_quote(u) for u in self.users]
+        resources = [_quote(r) for r in self.resources]
+        tags = [_quote(t) for t in self.vocabulary]
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for lo in range(0, len(self.posts), WRITE_BLOCK_POSTS):
-                block = self.posts[lo:lo + WRITE_BLOCK_POSTS]
-                fh.write("".join(f"{post.to_json()}\n" for post in block))
+            for lo in range(0, len(self), WRITE_BLOCK_POSTS):
+                hi = min(lo + WRITE_BLOCK_POSTS, len(self))
+                bounds = (self.offsets[lo:hi + 1] - self.offsets[lo]).tolist()
+                names = [tags[t] for t in
+                         self.tag_ids[self.offsets[lo]:self.offsets[hi]].tolist()]
+                fh.write("".join(
+                    f'{{"resource": {resources[r]}, '
+                    f'"tags": [{", ".join(names[a:b])}], '
+                    f'"ts": {ts}, "user": {users[u]}}}\n'
+                    for r, a, b, ts, u in zip(self.resource_ids[lo:hi].tolist(),
+                                              bounds, bounds[1:],
+                                              self.ts[lo:hi].tolist(),
+                                              self.user_ids[lo:hi].tolist())))
 
 
-def _clean_line(line: str, lo: int, hi: float) -> Post | str:
-    """Parse one input line; returns a Post or a rejection reason."""
+def _clean_line(line: str, lo: int, hi: int) -> tuple[str, str, int, set[str]] | str:
+    """Parse one input line into ``(user, resource, ts, tags)`` or a rejection reason."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError:
@@ -138,12 +160,12 @@ def _clean_line(line: str, lo: int, hi: float) -> Post | str:
         return "malformed"
     if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
         return "malformed"
-    folded = frozenset(t.lower() for t in tags if t)
+    folded = {t.lower() for t in tags if t}
     if not folded:
         return "no_tags"
     if not (lo <= ts <= hi):
         return "bad_timestamp"
-    return Post(user=user, resource=resource, ts=ts, tags=folded)
+    return user, resource, ts, folded
 
 
 def parse_posts(source, window: ValidityWindow | None = None,
@@ -157,19 +179,28 @@ def parse_posts(source, window: ValidityWindow | None = None,
     window = window or ValidityWindow()
     lo, hi = window.resolve()
     report = RejectionReport()
-    kept: list[Post] = []
+    # strings are interned as they are read; the columns hold their ids
+    users: dict[str, int] = {}
+    resources: dict[str, int] = {}
+    tags: dict[str, int] = {}
+    ts, user_ids, resource_ids, counts, tag_ids = (array("q") for _ in range(5))
 
     def consume(lines: Iterable[str], name: str | None) -> None:
         for lineno, line in enumerate(lines, start=1):
             outcome = _clean_line(line.strip(), lo, hi)
-            if isinstance(outcome, Post):
-                report.accepted += 1
-                kept.append(outcome)
-            else:
+            if isinstance(outcome, str):
                 if outcome == "malformed" and strict:
                     where = f"{name}:{lineno}" if name else f"line {lineno}"
                     raise IngestError(f"malformed post at {where}")
                 setattr(report, outcome, getattr(report, outcome) + 1)
+                continue
+            user, resource, stamp, folded = outcome
+            report.accepted += 1
+            ts.append(stamp)
+            user_ids.append(users.setdefault(user, len(users)))
+            resource_ids.append(resources.setdefault(resource, len(resources)))
+            counts.append(len(folded))
+            tag_ids.extend([tags.setdefault(t, len(tags)) for t in folded])
 
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         name = source_name or str(source)
@@ -179,49 +210,49 @@ def parse_posts(source, window: ValidityWindow | None = None,
         name = source_name
         consume(source, source_name)
 
-    ordered = tuple(sorted(kept, key=lambda p: p.ts))
+    ts, user_ids, resource_ids, counts, tag_ids = (
+        np.frombuffer(a, dtype=np.int64) for a in (ts, user_ids, resource_ids, counts, tag_ids))
+    vocabulary = tuple(sorted(tags))
+    # rank[i]: the place in the vocabulary of the tag interned as i
+    rank = np.argsort(np.fromiter(map(tags.get, vocabulary), np.int64, len(tags)))
+    order = np.argsort(ts, kind="stable")
+    # one sort by (new post position, tag rank) moves each post's tags to
+    # its place and puts them in ascending order
+    scale = max(len(tags), 1)
+    keys = np.repeat(np.argsort(order), counts)
+    keys *= scale
+    keys += rank[tag_ids]
+    keys.sort()
+    keys %= scale
     provenance = {"source": name,
                   "lines": report.total_lines,
                   "ts_min": window.ts_min, "ts_max": window.ts_max}
-    return Corpus(posts=ordered, provenance=provenance), report
+    corpus = Corpus(ts=ts[order], user_ids=user_ids[order], resource_ids=resource_ids[order],
+                    offsets=np.concatenate([[0], np.cumsum(counts[order])]), tag_ids=keys,
+                    users=tuple(users), resources=tuple(resources),
+                    vocabulary=vocabulary, provenance=provenance)
+    return corpus, report
 
 
-def filter_by_tag(corpus: Corpus, focus_tag: str) -> tuple[Post, ...]:
-    """Posts whose tag set contains the focus tag, order preserved."""
+def filter_by_tag(corpus: Corpus, focus_tag: str) -> Corpus:
+    """The posts that carry ``focus_tag``, in order, with the focus tag dropped.
+
+    The stream's vocabulary is the sorted set of tags that co-occur with
+    the focus tag; a focus tag that no post carries gives an empty stream.
+    """
     if focus_tag != focus_tag.lower():
         raise ParameterError("focus tag must be lowercase")
-    return tuple(p for p in corpus.posts if focus_tag in p.tags)
-
-
-def vocabulary_growth(stream: Sequence[Post],
-                      focus_tag: str) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct co-occurring tags after each post of a focus-tag stream.
-
-    Returns ``(n_posts, n_distinct)`` with one point per post; the focus
-    tag itself never counts toward the vocabulary.
-    """
-    seen: set[str] = set()
-    distinct = np.empty(len(stream), dtype=np.int64)
-    for idx, post in enumerate(stream):
-        if focus_tag not in post.tags:
-            raise ContractError(f"post {idx} does not contain focus tag {focus_tag!r}")
-        seen.update(post.tags)
-        seen.discard(focus_tag)
-        distinct[idx] = len(seen)
-    return np.arange(1, len(stream) + 1, dtype=np.int64), distinct
-
-
-def empirical_cooc(stream: Sequence[Post], focus_tag: str) -> CoocGraph:
-    """Co-occurrence graph of the focus tag's stream (focus tag excluded)."""
-    return build_from_posts([p.tags for p in stream], focus_tag)
-
-
-def tag_post_counts(stream: Sequence[Post], focus_tag: str) -> dict[str, int]:
-    """Number of posts containing each co-occurring tag (focus excluded)."""
-    counts: dict[str, int] = {}
-    for post in stream:
-        for tag in post.tags:
-            if tag != focus_tag:
-                counts[tag] = counts.get(tag, 0) + 1
-    return counts
-
+    posts, tag_ids = corpus.tag_pairs()
+    at = bisect_left(corpus.vocabulary, focus_tag)
+    focus = tag_ids == (at if corpus.vocabulary[at:at + 1] == (focus_tag,) else -1)
+    select = posts[focus]
+    member = np.isin(posts, select) & ~focus
+    used = sorted_unique(tag_ids[member])
+    kept = np.diff(corpus.offsets)[select] - 1   # tags are distinct within a post
+    return Corpus(ts=corpus.ts[select], user_ids=corpus.user_ids[select],
+                  resource_ids=corpus.resource_ids[select],
+                  offsets=np.concatenate([[0], np.cumsum(kept)]),
+                  tag_ids=np.searchsorted(used, tag_ids[member]),
+                  users=corpus.users, resources=corpus.resources,
+                  vocabulary=tuple(corpus.vocabulary[t] for t in used.tolist()),
+                  provenance=corpus.provenance)

@@ -18,7 +18,6 @@ With uniform weights both reduce exactly to their unweighted versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -266,40 +265,39 @@ def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
     m = np.count_nonzero(g.degrees())     # nodes of positive strength
     if m < 2:
         return Histogram(edges, np.zeros(edges.size - 1, dtype=np.int64), False, 0)
+
+    def histogram(sims: np.ndarray) -> np.ndarray:
+        return np.histogram(np.clip(sims, 0.0, 1.0), bins=edges)[0].astype(np.int64)
+
     if m <= EXACT_SIMILARITY_LIMIT:
         sims = exact_similarities(g)[1]
-        sampled = False
-    else:
-        R = _normalized_rows(g)[1]
-        rng = np.random.default_rng(seed)
-        chunks = []
-        remaining = pair_budget
-        while remaining > 0:
-            take = min(remaining, 65536)
-            i = rng.integers(m, size=take + take // 4 + 16)
-            j = rng.integers(m, size=i.size)
-            ok = i != j
-            i, j = i[ok][:take], j[ok][:take]
-            for lo in range(0, i.size, SIMILARITY_BLOCK_PAIRS):
-                a, b = i[lo:lo + SIMILARITY_BLOCK_PAIRS], j[lo:lo + SIMILARITY_BLOCK_PAIRS]
-                chunks.append(np.asarray(R[a].multiply(R[b]).sum(axis=1)).ravel())
-            remaining -= i.size
-        sims = np.concatenate(chunks)
-        sampled = True
-    counts, _ = np.histogram(np.clip(sims, 0.0, 1.0), bins=edges)
-    return Histogram(edges, counts.astype(np.int64), sampled, sims.size)
+        return Histogram(edges, histogram(sims), False, sims.size)
+    R = _normalized_rows(g)[1]
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    remaining = pair_budget
+    while remaining > 0:   # each drawn chunk is binned on its own
+        take = min(remaining, 65536)
+        i = rng.integers(m, size=take + take // 4 + 16)
+        j = rng.integers(m, size=i.size)
+        ok = i != j
+        i, j = i[ok][:take], j[ok][:take]
+        sims = []
+        for lo in range(0, i.size, SIMILARITY_BLOCK_PAIRS):
+            a, b = i[lo:lo + SIMILARITY_BLOCK_PAIRS], j[lo:lo + SIMILARITY_BLOCK_PAIRS]
+            sims.append(np.asarray(R[a].multiply(R[b]).sum(axis=1)).ravel())
+        counts += histogram(np.concatenate(sims))
+        remaining -= i.size
+    return Histogram(edges, counts, True, pair_budget)
 
 
 def frequency_rank(counts) -> tuple[np.ndarray, np.ndarray]:
     """Counts sorted descending against rank 1..N; zero counts dropped.
 
-    Accepts an array indexed by node id or a mapping from label to count;
-    ties keep ascending id (or label) order.
+    ``counts`` is indexed by node id (for a labeled graph, by label
+    position); ties keep ascending id order.
     """
-    if isinstance(counts, Mapping):
-        arr = np.asarray([counts[key] for key in sorted(counts)], dtype=np.int64)
-    else:
-        arr = np.asarray(counts, dtype=np.int64)
+    arr = np.asarray(counts, dtype=np.int64)
     ordered = arr[np.argsort(-arr, kind="stable")]
     ordered = ordered[ordered > 0]
     return np.arange(1, ordered.size + 1, dtype=np.int64), ordered

@@ -610,17 +610,19 @@ def run_ingest(cfg: IngestConfig, out_dir, strict: bool = False) -> Path:
                                         strict=strict)
     corpus.write_jsonl(out / "corpus.jsonl")
     report.write_csv(out / "rejects.csv")
-    focus = cfg.focus_tag.lower()
-    stream = ingest.filter_by_tag(corpus, focus)
+    stream = ingest.filter_by_tag(corpus, cfg.focus_tag.lower())
     provenance = dict(corpus.provenance)
     del corpus  # the analysis reads only the focus stream
-    n_posts, n_distinct = ingest.vocabulary_growth(stream, focus)
-    write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(n_posts, n_distinct))
-    g = ingest.empirical_cooc(stream, focus)
+    # the stream's (post, tag) pairs take the path of a walk ensemble's pairs
+    pairs, n = stream.tag_pairs(), len(stream)
+    heaps = walker.heaps_curve(*pairs, n, np.arange(1, n + 1))
+    write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(*heaps))
+    g = cooc.project(*pairs, stream.vocabulary)
     g.write_edge_list(out / "cooc.edges")
     g.write_labels(out / "cooc_labels.tsv")
-    counts = ingest.tag_post_counts(stream, focus) if cfg.observables.frequency_rank else None
-    _stats(cfg, out, g, (n_posts, n_distinct), counts, len(stream))
+    counts = walker.node_frequencies(pairs[1], len(stream.vocabulary)) \
+        if cfg.observables.frequency_rank else None
+    _stats(cfg, out, g, heaps, counts, n)
     provenance["input_sha256"] = sha256_of(cfg.input_path)
     provenance["accepted"] = report.accepted
     provenance["focus_posts"] = len(stream)

@@ -6,6 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from naive_reference import corpus_of
+from tagwalk.cooc import CoocGraph, project
+from tagwalk.ingest import Corpus, filter_by_tag
 from tagwalk.substrate import SubstrateGraph, from_edge_pairs
 
 
@@ -15,6 +18,18 @@ def graph_from_pairs(n, pairs) -> SubstrateGraph:
                                np.empty(0, dtype=np.int64))
     src, dst = zip(*pairs)
     return from_edge_pairs(n, np.asarray(src), np.asarray(dst))
+
+
+def focus_stream(tagsets, focus_tag="t") -> Corpus:
+    """The focus stream of one post per tag set, in the given order."""
+    return filter_by_tag(corpus_of([("u", f"r{i}", i, tags)
+                                    for i, tags in enumerate(tagsets)]), focus_tag)
+
+
+def focus_graph(tagsets, focus_tag="t") -> CoocGraph:
+    """Co-occurrence graph of :func:`focus_stream`, by the ingest path."""
+    stream = focus_stream(tagsets, focus_tag)
+    return project(*stream.tag_pairs(), stream.vocabulary)
 
 
 @pytest.fixture

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from tagwalk.cooc import CoocGraph
-from tagwalk.errors import ParameterError
-from tagwalk.ingest import DEFAULT_TS_MIN, Post
+from tagwalk.cooc import CoocGraph, project
+from tagwalk.errors import ContractError, ParameterError
+from tagwalk.ingest import DEFAULT_TS_MIN, Corpus
 from tagwalk.observables import (BinnedSeries, Distribution, _class_means,
                                  _log_edges, _weight_matrix)
 from tagwalk.rng import _TO_UNIT, GAMMA, mix64
@@ -285,18 +286,16 @@ def naive_write_traces(ens, path) -> None:
             fh.write("\n")
 
 
-def naive_post_json(post) -> str:
-    """``Post.to_json`` through ``json.dumps``."""
-    return json.dumps({"user": post.user, "resource": post.resource,
-                       "ts": post.ts, "tags": sorted(post.tags)},
-                      sort_keys=True)
-
-
 def naive_write_jsonl(corpus, path) -> None:
     """``Corpus.write_jsonl`` as one ``json.dumps`` per post."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for post in corpus.posts:
-            fh.write(naive_post_json(post))
+        for p in range(len(corpus)):
+            tags = corpus.tag_ids[corpus.offsets[p]:corpus.offsets[p + 1]]
+            fh.write(json.dumps({"user": corpus.users[corpus.user_ids[p]],
+                                 "resource": corpus.resources[corpus.resource_ids[p]],
+                                 "ts": int(corpus.ts[p]),
+                                 "tags": sorted(corpus.vocabulary[t] for t in tags)},
+                                sort_keys=True))
             fh.write("\n")
 
 
@@ -355,11 +354,11 @@ def distinct_count(ens: WalkEnsemble, count_origin: bool = True) -> int:
 
 
 def posts_from_traces(ensemble: WalkEnsemble, user: str = "walker",
-                      resource_prefix: str = "walk") -> tuple[list[Post], str]:
-    """Serialize walk traces as posts, one per walk, in walk order.
+                      resource_prefix: str = "walk") -> tuple[list[str], str]:
+    """Serialize walk traces as JSON Lines posts, one per walk, in walk order.
 
     Node ids become zero-padded tags so lexicographic and numeric order
-    agree; the origin's tag doubles as the focus tag.  Returns the posts
+    agree; the origin's tag doubles as the focus tag.  Returns the lines
     and that focus tag.
     """
     width = len(str(max(ensemble.node_count - 1, 1)))
@@ -367,12 +366,82 @@ def posts_from_traces(ensemble: WalkEnsemble, user: str = "walker",
     def label(node: int) -> str:
         return f"n{node:0{width}d}"
 
-    posts = []
+    lines = []
     for w in range(ensemble.walk_count):
-        tags = frozenset(label(int(v)) for v in ensemble.trace(w))
-        posts.append(Post(user=user, resource=f"{resource_prefix}-{w}",
-                          ts=DEFAULT_TS_MIN + w, tags=tags))
-    return posts, label(ensemble.origin)
+        tags = sorted({label(int(v)) for v in ensemble.trace(w)})
+        lines.append(json.dumps({"user": user, "resource": f"{resource_prefix}-{w}",
+                                 "ts": DEFAULT_TS_MIN + w, "tags": tags}, sort_keys=True))
+    return lines, label(ensemble.origin)
+
+
+def corpus_of(posts: Sequence[tuple[str, str, int, Iterable[str]]]) -> Corpus:
+    """A columnar corpus holding ``(user, resource, ts, tags)`` posts as given.
+
+    Unlike ``parse_posts``, it neither cleans nor reorders the posts.
+    """
+    users = sorted({u for u, _, _, _ in posts})
+    resources = sorted({r for _, r, _, _ in posts})
+    vocabulary = sorted({t for _, _, _, tags in posts for t in tags})
+    tag_lists = [sorted(vocabulary.index(t) for t in set(tags)) for _, _, _, tags in posts]
+    return Corpus(ts=np.asarray([ts for _, _, ts, _ in posts], dtype=np.int64),
+                  user_ids=np.asarray([users.index(u) for u, _, _, _ in posts], dtype=np.int64),
+                  resource_ids=np.asarray([resources.index(r) for _, r, _, _ in posts],
+                                          dtype=np.int64),
+                  offsets=np.cumsum([0] + [len(t) for t in tag_lists], dtype=np.int64),
+                  tag_ids=np.asarray([t for ts in tag_lists for t in ts], dtype=np.int64),
+                  users=tuple(users), resources=tuple(resources),
+                  vocabulary=tuple(vocabulary))
+
+
+def build_from_traces(traces: WalkEnsemble | Iterable[Sequence[int]],
+                      count_origin: bool = True,
+                      node_count: int | None = None) -> CoocGraph:
+    """Project walk traces into a weighted co-occurrence graph.
+
+    Every trace contributes one clique over its distinct visited nodes
+    (origin excluded when ``count_origin`` is false); each pair gains
+    weight 1 per contributing trace, revisits within a trace count once.
+    """
+    if not isinstance(traces, WalkEnsemble):
+        traces = _ensemble_from_sequences(traces, node_count)
+    return project(*traces.walk_node_pairs(count_origin=count_origin))
+
+
+def _ensemble_from_sequences(traces: Iterable[Sequence[int]],
+                             node_count: int | None) -> WalkEnsemble:
+    seqs = [np.asarray(t, dtype=np.int32) for t in traces]
+    if any(s.size == 0 for s in seqs):
+        raise ParameterError("empty trace")
+    flat = np.concatenate(seqs) if seqs else np.empty(0, dtype=np.int32)
+    offsets = np.concatenate([[0], np.cumsum([s.size for s in seqs], dtype=np.int64)])
+    return WalkEnsemble(origin=int(flat[0]) if flat.size else 0,
+                        node_count=node_count or int(flat.max(initial=0)) + 1,
+                        offsets=offsets, nodes=flat)
+
+
+def build_from_posts(posts: Iterable[Sequence[str]], focus_tag: str) -> CoocGraph:
+    """Project posts' tag sets into a co-occurrence graph around ``focus_tag``.
+
+    All posts must contain the focus tag; the focus tag itself is dropped
+    from every clique.  Nodes are indices into the sorted tag vocabulary,
+    carried in ``labels``.  The focus stream of ``ingest.filter_by_tag``
+    through ``cooc.project`` must give the same graph.
+    """
+    tag_sets: list[list[str]] = []
+    vocab: set[str] = set()
+    for k, post in enumerate(posts):
+        tags = set(post)
+        if focus_tag not in tags:
+            raise ContractError(f"post {k} does not contain focus tag {focus_tag!r}")
+        tags.discard(focus_tag)
+        tag_sets.append(sorted(tags))
+        vocab.update(tags)
+    labels = tuple(sorted(vocab))
+    index = {t: i for i, t in enumerate(labels)}
+    group_ids = np.repeat(np.arange(len(tag_sets), dtype=np.int64),
+                          [len(t) for t in tag_sets])
+    members = np.asarray([index[t] for ts in tag_sets for t in ts], dtype=np.int64)
+    return project(group_ids, members, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from naive_reference import (adjacency_dict, distinct_count,
+from naive_reference import (adjacency_dict, build_from_traces, distinct_count,
                              naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_degree,
                              naive_knn, naive_strength, naive_vocabulary)
 from tagwalk.cli import main
-from tagwalk.cooc import CoocGraph, build_from_traces
+from tagwalk.cooc import CoocGraph
 from tagwalk.formats import read_csv
 from tagwalk.observables import (clustering_of_k,
                                  degree_strength_weight_distributions,

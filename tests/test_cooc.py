@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from naive_reference import adjacency_dict, merge, naive_cooc_weights
-from tagwalk.cooc import CoocGraph, build_from_posts, build_from_traces
+from conftest import focus_graph
+from naive_reference import (adjacency_dict, build_from_traces, merge,
+                             naive_cooc_weights)
+from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.substrate import generate_watts_strogatz
 from tagwalk.walker import PowerLawLength, simulate_walks
@@ -84,23 +86,18 @@ def test_empty_trace_rejected():
 # ---------------------------------------------------------------------------
 
 def test_single_post_triangle():
-    g = build_from_posts([{"t", "a", "b", "c"}], focus_tag="t")
+    g = focus_graph([{"t", "a", "b", "c"}], "t")
     assert g.labels == ("a", "b", "c")
     assert weight_map(g) == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
 
 
 def test_posts_share_pair():
-    g = build_from_posts([{"t", "a", "b"}, {"t", "b", "a"}], focus_tag="t")
+    g = focus_graph([{"t", "a", "b"}, {"t", "b", "a"}], "t")
     assert weight_map(g) == {(0, 1): 2}
 
 
-def test_post_missing_focus_rejected():
-    with pytest.raises(ContractError):
-        build_from_posts([{"t", "a"}, {"a", "b"}], focus_tag="t")
-
-
 def test_focus_only_posts_make_empty_graph():
-    g = build_from_posts([{"t"}, {"t"}], focus_tag="t")
+    g = focus_graph([{"t"}, {"t"}], "t")
     assert g.node_count == 0 and g.edge_count == 0
 
 
@@ -126,9 +123,9 @@ def test_merge_with_empty_is_identity():
 
 
 def test_merge_label_compatibility():
-    a = build_from_posts([{"t", "x", "y"}], "t")
-    b = build_from_posts([{"t", "x", "y"}], "t")
-    c = build_from_posts([{"t", "x", "z"}], "t")
+    a = focus_graph([{"t", "x", "y"}], "t")
+    b = focus_graph([{"t", "x", "y"}], "t")
+    c = focus_graph([{"t", "x", "z"}], "t")
     merged = merge(a, b)
     assert weight_map(merged) == {(0, 1): 2}
     with pytest.raises(ParameterError):
@@ -227,7 +224,7 @@ def test_edge_list_round_trip(tmp_path):
 
 
 def test_labels_file(tmp_path):
-    g = build_from_posts([{"t", "b", "a"}], "t")
+    g = focus_graph([{"t", "b", "a"}], "t")
     path = tmp_path / "labels.tsv"
     g.write_labels(path)
     assert path.read_text() == "id\tlabel\n0\ta\n1\tb\n"

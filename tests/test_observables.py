@@ -7,11 +7,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import tagwalk.observables as obs
-from naive_reference import (adjacency_dict, log_binned, low_sample,
-                             naive_class_means, naive_clustering,
+from naive_reference import (adjacency_dict, build_from_traces, log_binned,
+                             low_sample, naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_knn,
                              spgemm_clustering_of_k)
-from tagwalk.cooc import CoocGraph, _pair_blocks, build_from_traces
+from tagwalk.cooc import CoocGraph, _pair_blocks
 from tagwalk.errors import FitError, ParameterError
 from tagwalk.observables import (cosine_similarity_distribution,
                                  clustering_of_k,
@@ -367,6 +367,27 @@ def test_similarity_sample_does_not_depend_on_block_size(monkeypatch):
     assert all(np.array_equal(counts[0], c) for c in counts[1:])
 
 
+def test_similarity_sample_memory_does_not_grow_with_budget():
+    # a ring just above the exact limit: its weight rows are tiny, so the
+    # peak is that of the sampling itself
+    n = obs.EXACT_SIMILARITY_LIMIT + 100
+    g = build_from_traces([[i, (i + 1) % n] for i in range(n)])
+    g.adjacency()
+
+    def peak(pair_budget):
+        tracemalloc.start()
+        try:
+            hist = cosine_similarity_distribution(g, pair_budget=pair_budget, seed=2)
+            assert hist.sampled and hist.pair_count == pair_budget
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 10**6 similarities held at once take 8 MB per copy; one draw of
+    # 65,536 pairs holds about 3.5 MB of index arrays and similarities
+    assert peak(10 ** 6) < 1.5 * peak(65_536)
+
+
 def test_similarity_excludes_isolated_nodes():
     g = build_from_traces([[0, 1], [5]], node_count=6)
     hist = cosine_similarity_distribution(g)
@@ -386,8 +407,9 @@ def test_similarity_degenerate_graph():
 # Frequency rank
 # ---------------------------------------------------------------------------
 
-def test_frequency_rank_from_mapping():
-    ranks, ordered = frequency_rank({"a": 5, "b": 2, "c": 5, "d": 0})
+def test_frequency_rank_of_label_ordered_counts():
+    # the counts of the labels ("a", "b", "c", "d")
+    ranks, ordered = frequency_rank(np.asarray([5, 2, 5, 0]))
     assert ranks.tolist() == [1, 2, 3]
     assert ordered.tolist() == [5, 5, 2]
 
@@ -399,7 +421,7 @@ def test_frequency_rank_from_array():
 
 
 def test_frequency_rank_empty():
-    ranks, ordered = frequency_rank({})
+    ranks, ordered = frequency_rank(np.zeros(0, dtype=np.int64))
     assert ranks.size == 0 and ordered.size == 0
 
 

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
-from tagwalk.cooc import CoocGraph, build_from_traces
+from naive_reference import build_from_traces
+from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ContractError
 from tagwalk.formats import read_int_rows
 from tagwalk.substrate import SubstrateGraph, generate_watts_strogatz

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .cooc import _EMPTY, CoocGraph, _pair_blocks
 from .errors import ContractError, FitError, ParameterError
@@ -47,9 +46,17 @@ __all__ = [
 # budget of sampled pairs is used instead.
 EXACT_SIMILARITY_LIMIT = 2000
 # Sampled pairs are drawn 65,536 at a time (the draws fix the sample) and
-# their row products formed this many at a time, which bounds the copies
-# of R[i] and R[j]; of 2,048 to 65,536, this size also ran fastest.
+# intersected at most SIMILARITY_BLOCK_PAIRS at a time.  A pair probes
+# min(k_a, k_b) entries; a block also ends once its probes pass
+# SIMILARITY_BLOCK_PROBES, which bounds the probe arrays on hub-heavy graphs.
 SIMILARITY_BLOCK_PAIRS = 4096
+SIMILARITY_BLOCK_PROBES = 1 << 17
+# The sampled path finds adjacency entries through a table of 2-byte row
+# offsets (4-byte if a row has more than 2^15 entries), at least this many
+# bytes per entry, with a power-of-two slot count.
+SIMILARITY_TABLE_BYTES = 8
+# The exact path adds wedge products about this many at a time.
+SIMILARITY_BATCH_WEDGES = 1 << 18
 
 # Clustering tests wedges (two-paths whose middle node ranks lowest) for
 # closure in blocks of at most this many, which bounds its extra memory.
@@ -115,12 +122,6 @@ def _log_edges(x_min: float, x_max: float, ratio: float) -> np.ndarray:
         raise ParameterError("log binning needs positive x")
     n_bins = max(1, int(np.ceil(np.log(x_max / x_min) / np.log(ratio) - 1e-9)))
     return x_min * ratio ** np.arange(n_bins + 1)
-
-
-def _weight_matrix(g: CoocGraph) -> csr_matrix:
-    """The cached adjacency as an integer scipy matrix, sharing its arrays."""
-    indptr, neighbors, weights = g.adjacency()
-    return csr_matrix((weights, neighbors, indptr), shape=(g.node_count,) * 2)
 
 
 def _class_means(k: np.ndarray, values: np.ndarray, keep: np.ndarray) -> BinnedSeries:
@@ -190,18 +191,23 @@ def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     # sorted edge keys, then a sentinel above every key
     keys = np.append(eu.astype(np.int64) * n + ev, n * n)
     t = np.zeros(eu.size, dtype=np.int64)
-    closed: list[np.ndarray] = []
+    per_slot = np.zeros(eu.size, dtype=np.int64)   # closed wedges per out-list slot
+    closed: list[np.ndarray] = []                  # ids of the closing edges
     for pos, iu, ju in _pair_blocks(np.bincount(low, minlength=n), CLUSTERING_BLOCK_PATHS):
-        ends, edges = high[pos], order[pos]
+        ends = high[pos]
         probe = (ends[:, iu] * n + ends[:, ju]).ravel()
         at = np.searchsorted(keys, probe)
         hit = np.flatnonzero(keys[at] == probe)
         row, p = np.divmod(hit, iu.size)
-        closed += [edges[row, iu[p]], edges[row, ju[p]], at[hit]]
+        row *= pos.shape[1]
+        per_slot[pos] += np.bincount(np.concatenate([row + iu[p], row + ju[p]]),
+                                     minlength=pos.size).reshape(pos.shape)
+        closed.append(at[hit])
         if sum(map(len, closed)) >= t.size:   # the ids held pay for an O(edges) flush
             t += np.bincount(np.concatenate(closed), minlength=t.size)
             closed = []
     t += np.bincount(np.concatenate([_EMPTY, *closed]), minlength=t.size)
+    t[order] += per_slot
     plain, weighted = np.zeros((2, n))
     for side in (eu, ev):
         plain += np.bincount(side, t, n)
@@ -223,18 +229,14 @@ def weight_vs_kikj(g: CoocGraph,
     return products, weights, log_bin(products, weights, bin_ratio)
 
 
-def _normalized_rows(g: CoocGraph) -> tuple[np.ndarray, csr_matrix | None]:
-    """Unit-norm weight rows of the positive-strength nodes."""
-    W = _weight_matrix(g)
-    norms = np.sqrt(np.asarray(W.multiply(W).sum(axis=1)).ravel())
-    live = np.nonzero(norms > 0)[0]
-    if live.size == 0:
-        return live, None
-    R = csr_matrix((1.0 / norms[live], (np.arange(live.size), np.arange(live.size))),
-                   shape=(live.size, live.size)) @ W[live][:, live]
-    # note: restricting columns to live nodes drops no mass, since any
-    # neighbor of a live node has positive strength itself
-    return live, R
+def _inverse_norms(g: CoocGraph) -> np.ndarray:
+    """Per node, 1 / sqrt(sum_j w_ij^2), with the sum exact in integers; 0 if isolated.
+
+    Entry j of node i's unit weight row is ``inv[i] * w_ij``.
+    """
+    _, _, weights = g.adjacency()
+    squares = g.neighbor_sums(weights * weights)
+    return np.divide(1.0, np.sqrt(squares), out=np.zeros(squares.size), where=squares > 0)
 
 
 def exact_similarities(g: CoocGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -242,12 +244,152 @@ def exact_similarities(g: CoocGraph) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the live node positions and their condensed upper triangle
     (pair order matches ``itertools.combinations`` over the live list).
+    Each pair's products over its common neighbours c are added one at a
+    time to 0.0, c descending: the pass visits the centres c from the
+    last to the first and adds the product of every pair of c's entries.
     Quadratic in node count; meant for small graphs and validation.
     """
-    live, R = _normalized_rows(g)
-    if live.size < 2:
+    indptr, neighbors, weights = g.adjacency()
+    k = g.degrees()
+    live = np.flatnonzero(k)
+    m = live.size
+    if m < 2:
         return live, np.empty(0)
-    return live, (R @ R.T).toarray()[np.triu_indices(live.size, k=1)]
+    y = (np.cumsum(k > 0) - 1)[neighbors]           # live position of each entry's column
+    unit = _inverse_norms(g)[neighbors] * weights   # entry e of row c is y_e's weight at c
+    x = np.arange(m, dtype=np.int64)
+    base = (x * (2 * m - x - 3) // 2 - 1)[y]        # pair (y_e, j) sits at base[e] + j
+    later = np.repeat(indptr[1:], k) - np.arange(y.size) - 1   # entries after e in its row
+    sims = np.zeros(m * (m - 1) // 2)
+    entries = np.arange(y.size)[::-1]
+    ends = np.cumsum(later[entries])
+    cuts = np.searchsorted(ends, np.arange(SIMILARITY_BATCH_WEDGES, ends[-1],
+                                           SIMILARITY_BATCH_WEDGES), side="right")
+    for e in np.split(entries, np.unique(cuts)):
+        n = later[e]
+        f = np.arange(n.sum()) + np.repeat(e + 1 - np.cumsum(n) + n, n)
+        np.add.at(sims, np.repeat(base[e], n) + y[f], np.repeat(unit[e], n) * unit[f])
+    return live, sims
+
+
+class _RowIntersector:
+    """Cosine similarity of node pairs by intersecting their adjacency rows.
+
+    Each pair probes the entries of its shorter row against the longer row
+    and sums the products at the common neighbours with ``np.add.reduceat``,
+    neighbours ascending; a pair with none is 0.0.  A probe for column c of
+    row r looks up the key ``r * stride + c`` by its low bits in a
+    direct-address table.  A slot holds the offset within its row of a key
+    that maps to it, -1 when none does, and -2 when keys with different
+    offsets share it; those are found in the sorted list of shared keys
+    instead.  The probe then reads the entry at that offset of row r, so it
+    finds its own entry whichever key the offset came from, and nothing when
+    it has none.  Per-probe arrays are narrowed to the candidates and then
+    to the matches as soon as they are known: about 44 bytes per probe at
+    the peak.
+    """
+
+    def __init__(self, g: CoocGraph):
+        self.indptr, self.neighbors, self.weights = g.adjacency()
+        self.k = g.degrees()
+        self.inv = _inverse_norms(g)
+        nnz = self.neighbors.size
+        self.stride = g.node_count | 1        # odd, so rows start at distinct slots
+        dtype = np.dtype(np.int16 if self.k.max() <= 2 ** 15 else np.int32)
+        size = max(1, SIMILARITY_TABLE_BYTES * nnz // dtype.itemsize)
+        self.mask = (1 << (size - 1).bit_length()) - 1
+        keys = np.repeat(np.arange(g.node_count, dtype=np.int64) * self.stride, self.k)
+        keys += self.neighbors
+        slot = (keys & self.mask).astype(np.int32 if self.mask < 2 ** 31 else np.int64)
+        del keys
+        offsets = np.arange(nnz)
+        offsets -= np.repeat(self.indptr[:-1], self.k)
+        offsets = offsets.astype(dtype)
+        self.table = np.full(self.mask + 1, -1, dtype=dtype)
+        self.table[slot] = offsets
+        self.table[slot[self.table[slot] != offsets]] = -2
+        shared = np.flatnonzero(self.table[slot] == -2)     # entries, ascending
+        rows = np.searchsorted(self.indptr, shared, side="right") - 1
+        self.shared_keys = np.append(rows * self.stride + self.neighbors[shared],
+                                     np.iinfo(np.int64).max)
+        self.shared_ids = np.append(shared, -1)
+
+    def cosines(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Similarity of each pair (a[p], b[p]) of distinct live nodes."""
+        flip = self.k[a] > self.k[b]
+        short, other = np.where(flip, b, a), np.where(flip, a, b)
+        n = self.k[short]
+        owner = np.repeat(np.arange(n.size), n)
+        pos = np.arange(owner.size)
+        pos += np.repeat(self.indptr[short] - np.cumsum(n) + n, n)
+        columns = self.neighbors[pos]
+        slot = np.repeat(other * self.stride, n)
+        slot += columns
+        slot &= self.mask
+        offset = self.table[slot]
+        del slot
+        probe = np.flatnonzero(offset != -1)
+        owner = owner[probe]      # one array at a time, so that only one is held twice
+        pos = pos[probe]
+        columns = columns[probe]
+        offset = offset[probe]
+        del probe
+        t = self.indptr[other][owner]
+        t += offset
+        found = offset < self.k[other][owner]
+        found &= np.take(self.neighbors, t, mode="clip") == columns
+        shared = np.flatnonzero(offset == -2)
+        if shared.size:
+            wanted = other[owner[shared]] * self.stride + columns[shared]
+            at = np.searchsorted(self.shared_keys, wanted)
+            found[shared] = self.shared_keys[at] == wanted
+            t[shared] = self.shared_ids[at]
+        del columns, offset
+        owner = owner[found]
+        pos = pos[found]
+        t = t[found]
+        sims = np.zeros(a.size)
+        if owner.size:
+            first = np.flatnonzero(np.diff(owner, prepend=-1))
+            products = self.inv[short][owner]
+            products *= self.weights[pos]
+            del pos
+            right = self.inv[other][owner]
+            right *= self.weights[t]
+            products *= right
+            sims[owner[first]] = np.add.reduceat(products, first)
+        return sims
+
+
+def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int):
+    """Cosine similarities of ``pair_budget`` seeded pairs of distinct live nodes.
+
+    Yields one array per draw of at most 65,536 pairs, which are
+    intersected in blocks of at most ``SIMILARITY_BLOCK_PAIRS`` pairs and
+    about ``SIMILARITY_BLOCK_PROBES`` probes.
+    """
+    rows = _RowIntersector(g)
+    live = np.flatnonzero(rows.k)
+    rng = np.random.default_rng(seed)
+    remaining = pair_budget
+    while remaining > 0:
+        take = min(remaining, 65536)
+        i = rng.integers(live.size, size=take + take // 4 + 16)
+        j = rng.integers(live.size, size=i.size)
+        ok = i != j
+        i, j = live[i[ok][:take]], live[j[ok][:take]]
+        sims = np.empty(i.size)
+        ends = np.cumsum(np.minimum(rows.k[i], rows.k[j]))   # probes up to each pair
+        lo = 0
+        while lo < i.size:
+            hi = np.searchsorted(ends, ends[lo] + SIMILARITY_BLOCK_PROBES, side="right")
+            hi = min(int(hi), lo + SIMILARITY_BLOCK_PAIRS)
+            sims[lo:hi] = rows.cosines(i[lo:hi], j[lo:hi])
+            lo = hi
+        remaining -= i.size
+        del i, j, ok, ends      # the next draw need not meet this one's arrays
+        yield sims
+        del sims
 
 
 def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
@@ -272,22 +414,10 @@ def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
     if m <= EXACT_SIMILARITY_LIMIT:
         sims = exact_similarities(g)[1]
         return Histogram(edges, histogram(sims), False, sims.size)
-    R = _normalized_rows(g)[1]
-    rng = np.random.default_rng(seed)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    remaining = pair_budget
-    while remaining > 0:   # each drawn chunk is binned on its own
-        take = min(remaining, 65536)
-        i = rng.integers(m, size=take + take // 4 + 16)
-        j = rng.integers(m, size=i.size)
-        ok = i != j
-        i, j = i[ok][:take], j[ok][:take]
-        sims = []
-        for lo in range(0, i.size, SIMILARITY_BLOCK_PAIRS):
-            a, b = i[lo:lo + SIMILARITY_BLOCK_PAIRS], j[lo:lo + SIMILARITY_BLOCK_PAIRS]
-            sims.append(np.asarray(R[a].multiply(R[b]).sum(axis=1)).ravel())
-        counts += histogram(np.concatenate(sims))
-        remaining -= i.size
+    for sims in _sampled_similarities(g, pair_budget, seed):   # each draw binned on its own
+        counts += histogram(sims)
+        del sims
     return Histogram(edges, counts, True, pair_budget)
 
 

@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: dict-of-dicts weights,
 explicit pair loops, exhaustive walk enumeration.  Production code never
 imports this module; tests compare its answers against the incremental
-builders and the sparse-matrix observables.
+builders and the numpy observables.  The sparse-matrix oracles import
+scipy when called, so only the tests that use them need it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from tagwalk.cooc import CoocGraph, project
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.ingest import DEFAULT_TS_MIN, Corpus
-from tagwalk.observables import (BinnedSeries, Distribution, _class_means,
-                                 _log_edges, _weight_matrix)
+import tagwalk.observables as obs
+from tagwalk.observables import BinnedSeries, Distribution, _class_means, _log_edges
 from tagwalk.rng import _TO_UNIT, GAMMA, mix64
 from tagwalk.substrate import SubstrateGraph
 from tagwalk.walker import WalkEnsemble, sample_lengths
@@ -445,8 +446,62 @@ def build_from_posts(posts: Iterable[Sequence[str]], focus_tag: str) -> CoocGrap
 
 
 # ---------------------------------------------------------------------------
-# Row-blocked SpGEMM clustering (``clustering_of_k`` must match it bit for bit)
+# Sparse-matrix oracles: row-blocked SpGEMM clustering and scipy cosine
+# (``clustering_of_k`` and the cosine paths must match them bit for bit)
 # ---------------------------------------------------------------------------
+
+def _weight_matrix(g: CoocGraph):
+    """The cached adjacency as an integer scipy matrix, sharing its arrays."""
+    from scipy.sparse import csr_matrix
+    indptr, neighbors, weights = g.adjacency()
+    return csr_matrix((weights, neighbors, indptr), shape=(g.node_count,) * 2)
+
+
+def _normalized_rows(g: CoocGraph):
+    """Unit-norm weight rows of the positive-strength nodes."""
+    from scipy.sparse import csr_matrix
+    W = _weight_matrix(g)
+    norms = np.sqrt(np.asarray(W.multiply(W).sum(axis=1)).ravel())
+    live = np.nonzero(norms > 0)[0]
+    if live.size == 0:
+        return live, None
+    R = csr_matrix((1.0 / norms[live], (np.arange(live.size), np.arange(live.size))),
+                   shape=(live.size, live.size)) @ W[live][:, live]
+    # note: restricting columns to live nodes drops no mass, since any
+    # neighbor of a live node has positive strength itself
+    return live, R
+
+
+def scipy_similarities(g: CoocGraph, pair_budget: int = 10 ** 6,
+                       seed: int = 0) -> np.ndarray:
+    """Per-pair cosine similarities as the scipy implementation computed them.
+
+    At most ``obs.EXACT_SIMILARITY_LIMIT`` live nodes: the condensed upper
+    triangle of ``R @ R.T``.  Above it: the ``pair_budget`` drawn pairs in
+    draw order, ``R[a].multiply(R[b]).sum(axis=1)`` over blocks of
+    ``obs.SIMILARITY_BLOCK_PAIRS`` pairs.
+    """
+    live, R = _normalized_rows(g)
+    m = live.size
+    if m <= obs.EXACT_SIMILARITY_LIMIT:
+        if m < 2:
+            return np.empty(0)
+        return (R @ R.T).toarray()[np.triu_indices(m, k=1)]
+    rng = np.random.default_rng(seed)
+    sims = []
+    remaining = pair_budget
+    while remaining > 0:
+        take = min(remaining, 65536)
+        i = rng.integers(m, size=take + take // 4 + 16)
+        j = rng.integers(m, size=i.size)
+        ok = i != j
+        i, j = i[ok][:take], j[ok][:take]
+        for lo in range(0, i.size, obs.SIMILARITY_BLOCK_PAIRS):
+            a, b = i[lo:lo + obs.SIMILARITY_BLOCK_PAIRS], j[lo:lo + obs.SIMILARITY_BLOCK_PAIRS]
+            sims.append(np.asarray(R[a].multiply(R[b]).sum(axis=1)).ravel())
+        remaining -= i.size
+    return np.concatenate(sims)
+
 
 CLUSTERING_BLOCK_PATHS = 1 << 20
 

@@ -5,8 +5,7 @@ commands, and a small hand-built log through ``ingest``.  The sha256 of
 every artifact that holds only integers and strings must equal the value
 recorded before the bulk writers replaced the per-line ones, so a change
 to how these files are produced cannot change their bytes unnoticed.
-Float CSVs are left out: their last bits may depend on the numpy or scipy
-build.
+Float CSVs are left out: their last bits may depend on the numpy build.
 """
 
 import json

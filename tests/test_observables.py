@@ -1,16 +1,22 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import tagwalk
 import tagwalk.observables as obs
 from naive_reference import (adjacency_dict, build_from_traces, log_binned,
                              low_sample, naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_knn,
-                             spgemm_clustering_of_k)
+                             scipy_similarities, spgemm_clustering_of_k)
 from tagwalk.cooc import CoocGraph, _pair_blocks
 from tagwalk.errors import FitError, ParameterError
 from tagwalk.observables import (cosine_similarity_distribution,
@@ -23,11 +29,15 @@ from tagwalk.substrate import generate_watts_strogatz
 from tagwalk.walker import PowerLawLength, simulate_walks
 
 
-@pytest.fixture
-def hand_graph():
+def hand_cooc():
     """Weights (0,1)=3, (0,2)=1, (1,2)=2, (2,3)=1."""
     return build_from_traces([[0, 1], [0, 1], [0, 1], [0, 2],
                               [1, 2], [1, 2], [2, 3]])
+
+
+@pytest.fixture
+def hand_graph():
+    return hand_cooc()
 
 
 def random_cooc(seed, n_nodes=60, n_walks=150):
@@ -267,19 +277,6 @@ def test_clustering_matches_spgemm_oracle_on_any_graph(graph):
             assert_matches_oracle(graph, want)
 
 
-def test_clustering_needs_no_scipy(monkeypatch):
-    graphs = [hub_ring(300), random_cliques(2), random_cooc(8)]
-    wants = [spgemm_clustering_of_k(g) for g in graphs]
-
-    def no_scipy(*args, **kwargs):
-        raise AssertionError("clustering called into scipy")
-
-    monkeypatch.setattr(obs, "_weight_matrix", no_scipy)
-    monkeypatch.setattr(obs, "csr_matrix", no_scipy)
-    for g, want in zip(graphs, wants):
-        assert_matches_oracle(g, want)
-
-
 # ---------------------------------------------------------------------------
 # Weight versus degree product
 # ---------------------------------------------------------------------------
@@ -401,6 +398,196 @@ def test_similarity_degenerate_graph():
     assert hist.counts.sum() == 0
     with pytest.raises(ParameterError):
         hist.mode_center()
+
+
+# The per-pair similarities must equal, bit for bit, those of the scipy
+# implementation they replaced (``naive_reference.scipy_similarities``):
+# with integer weights a value can sit exactly on a bin edge, so another
+# summation order could move histogram counts.
+
+COSINE_GRAPHS = {
+    "hand": hand_cooc(),
+    "random_cooc": random_cooc(7),
+    "hub_ring": hub_ring(300),
+    "complete": ORACLE_GRAPHS["complete"],
+    "star": ORACLE_GRAPHS["star"],
+    "ring": ORACLE_GRAPHS["ring"],
+    "isolated": ORACLE_GRAPHS["isolated"],
+}
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+def sampled_similarities(graph, pair_budget, seed):
+    return np.concatenate([np.empty(0), *obs._sampled_similarities(graph, pair_budget, seed)])
+
+
+@pytest.mark.parametrize("batch", [obs.SIMILARITY_BATCH_WEDGES, 1, 7])
+@pytest.mark.parametrize("name", COSINE_GRAPHS)
+def test_exact_similarities_match_scipy_oracle(name, batch, monkeypatch):
+    graph = COSINE_GRAPHS[name]
+    want = scipy_similarities(graph)
+    monkeypatch.setattr(obs, "SIMILARITY_BATCH_WEDGES", batch)
+    live, got = obs.exact_similarities(graph)
+    assert np.array_equal(live, np.flatnonzero(graph.degrees()))
+    assert same_bits(got, want)
+
+
+# (pairs, probes) per block: cut by pair count only, then also by probes
+@pytest.mark.parametrize("block, probes", [(1, 10 ** 9), (999, 10 ** 9), (4096, 10 ** 9),
+                                           (4096, obs.SIMILARITY_BLOCK_PROBES), (4096, 1),
+                                           (999, 50)])
+@pytest.mark.parametrize("name", COSINE_GRAPHS)
+def test_sampled_similarities_match_scipy_oracle(name, block, probes, monkeypatch):
+    graph = COSINE_GRAPHS[name]
+    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+    want = scipy_similarities(graph, pair_budget=3000, seed=5)
+    assert want.size == 3000
+    monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PAIRS", block)
+    monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PROBES", probes)
+    assert same_bits(sampled_similarities(graph, 3000, 5), want)
+
+
+def test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch):
+    graph = random_cooc(8)
+    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+    want = scipy_similarities(graph, pair_budget=140_000, seed=9)   # three draws
+    draws = list(obs._sampled_similarities(graph, 140_000, 9))
+    assert [d.size for d in draws] == [65536, 65536, 8928]
+    assert same_bits(np.concatenate(draws), want)
+
+
+@pytest.mark.parametrize("table_bytes", [0, 1])
+@pytest.mark.parametrize("name", ["hand", "random_cooc", "hub_ring", "complete"])
+def test_sampled_similarities_survive_a_colliding_table(name, table_bytes, monkeypatch):
+    # 0 bytes leaves one slot, which every key shares; 1 byte leaves one
+    # slot per one or two entries
+    graph = COSINE_GRAPHS[name]
+    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+    want = scipy_similarities(graph, pair_budget=3000, seed=6)
+    monkeypatch.setattr(obs, "SIMILARITY_TABLE_BYTES", table_bytes)
+    rows = obs._RowIntersector(graph)
+    assert rows.mask + 1 < rows.neighbors.size         # fewer slots than keys
+    assert rows.shared_ids.size > 1
+    assert same_bits(sampled_similarities(graph, 3000, 6), want)
+
+
+def test_sampled_similarities_with_a_row_past_int16(monkeypatch):
+    # a hub of 2^15 + 2 leaves needs 4-byte row offsets
+    n = 2 ** 15 + 3
+    graph = cooc_graph(range(n), [(0, i) for i in range(1, n)] + [(1, 2), (2, 3)])
+    assert obs._RowIntersector(graph).table.dtype == np.int32
+    want = scipy_similarities(graph, pair_budget=4000, seed=2)
+    assert same_bits(sampled_similarities(graph, 4000, 2), want)
+    monkeypatch.setattr(obs, "SIMILARITY_TABLE_BYTES", 0)
+    assert same_bits(sampled_similarities(graph, 4000, 2), want)
+
+
+@st.composite
+def cosine_graphs(draw):
+    n = draw(st.integers(0, 14))
+    pairs = list(combinations(range(n), 2))
+    chosen = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    src, dst = np.array(chosen, dtype=np.int64).reshape(-1, 2).T.copy()
+    weights = np.array(draw(st.lists(st.integers(1, 60), min_size=len(chosen),
+                                     max_size=len(chosen))), dtype=np.int64)
+    graph = CoocGraph(node_ids=np.arange(n, dtype=np.int64), src=src, dst=dst,
+                      weights=weights)
+    graph.validate()
+    return graph
+
+
+@seed(20091)
+@given(cosine_graphs())
+@settings(max_examples=60, deadline=None)
+def test_cosine_matches_scipy_oracle_on_any_graph(graph):
+    assert same_bits(obs.exact_similarities(graph)[1], scipy_similarities(graph))
+    if np.count_nonzero(graph.degrees()) < 2:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+        want = scipy_similarities(graph, pair_budget=600, seed=4)
+        for table_bytes in (0, obs.SIMILARITY_TABLE_BYTES):
+            mp.setattr(obs, "SIMILARITY_TABLE_BYTES", table_bytes)
+            assert same_bits(sampled_similarities(graph, 600, 4), want)
+
+
+def ring_of_hubs(n, hubs):
+    """``hubs`` nodes linked to every node, the other nodes on a ring."""
+    ring = [(i, i + 1) for i in range(hubs, n - 1)] + [(hubs, n - 1)]
+    return cooc_graph(range(n), [(h, j) for h in range(hubs) for j in range(h + 1, n)]
+                      + ring)
+
+
+@pytest.mark.parametrize("n, hubs, pair_budget", [(50_000, 4, 10 ** 6), (2_200, 100, 200_000)])
+def test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budget):
+    # Most drawn pairs touch a hub row.  With 100 hubs every pair probes
+    # about 100 entries, so blocks are cut by probe count, not pair count.
+    # The ring of the same size holds the same draws and blocks over rows
+    # of two entries: one block.
+    graph, ring = ring_of_hubs(n, hubs), ring_of_hubs(n, 0)
+    assert n > obs.EXACT_SIMILARITY_LIMIT
+
+    def peak(g):
+        g.adjacency()
+        g.degrees()
+        tracemalloc.start()
+        try:
+            hist = cosine_similarity_distribution(g, pair_budget=pair_budget, seed=2)
+            assert hist.sampled
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    adjacency = sum(a.nbytes for a in graph.adjacency())
+    assert peak(graph) <= 2 * adjacency + peak(ring)
+
+
+NO_SCIPY = """
+import sys
+from tagwalk.cli import main
+
+run, ingest, stats = sys.argv[1:4]
+assert "scipy" not in sys.modules, "import"
+for command, config in (("run", run), ("ingest", ingest), ("stats", stats)):
+    out = config.replace(".json", "_out")
+    assert main([command, "--config", config, "--out", out]) == 0, command
+    assert "scipy" not in sys.modules, command
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter: run on a graph of the exact cosine path, ingest,
+    # and stats on a graph above the limit, each leaving scipy unimported
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({
+        "seed": 3, "graph": {"type": "watts_strogatz", "n": 300, "k": 4, "p_rewire": 0.1},
+        "walk": {"origin": 0, "n_rw": 300, "lengths": {
+            "type": "power_law", "exponent": 2.5, "l_min": 1, "l_max": 50}}}))
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps({"user": "u", "resource": f"r{i}", "ts": 10 ** 9 + i,
+                                       "tags": ["web", f"t{i % 5}", f"t{i % 3}"]}) + "\n"
+                           for i in range(30)))
+    ingest = tmp_path / "ingest.json"
+    ingest.write_text(json.dumps({"seed": 3, "ingest": {"input": str(log), "focus_tag": "web"}}))
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({**json.loads(run.read_text()),
+                                 "observables": {"similarity_pair_budget": 20_000}}))
+    n = obs.EXACT_SIMILARITY_LIMIT + 100
+    (tmp_path / "stats_out").mkdir()
+    cooc_graph(range(n), [(i, i + 1) for i in range(n - 1)]).write_edge_list(
+        tmp_path / "stats_out" / "cooc.edges")
+    src = str(Path(tagwalk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, str(run), str(ingest), str(stats)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run_out" / "observables" / "similarity_hist.csv").exists()
+    assert (tmp_path / "stats_out" / "observables" / "similarity_hist.csv").exists()
 
 
 # ---------------------------------------------------------------------------

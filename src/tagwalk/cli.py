@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from .errors import ConfigError, ParameterError, TagwalkError
-from .pipeline import (ExperimentConfig, IngestConfig, compare, load_config,
-                       run_experiment, run_ingest, run_stage)
+from .pipeline import (IngestConfig, compare, load_config, run_experiment,
+                       run_ingest, run_stage)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,27 +62,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_experiment(cfg, command: str) -> ExperimentConfig:
-    if not isinstance(cfg, ExperimentConfig):
-        raise ConfigError(f"'{command}' needs a synthetic-run config, "
-                          "got an ingest config")
-    return cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "compare":
             out = compare(args.left, args.right, args.out)
-        elif args.command == "ingest":
-            cfg = load_config(args.config, seed_override=args.seed)
-            if not isinstance(cfg, IngestConfig):
-                raise ConfigError("'ingest' needs a config with an ingest section")
-            out = run_ingest(cfg, args.out, strict=args.strict)
         else:
-            cfg = _require_experiment(
-                load_config(args.config, seed_override=args.seed), args.command)
-            if args.command == "run":
+            cfg = load_config(args.config, seed_override=args.seed)
+            ingest = args.command == "ingest"
+            if isinstance(cfg, IngestConfig) != ingest:
+                raise ConfigError(f"'{args.command}' needs a config "
+                                  f"{'with' if ingest else 'without'} an ingest section")
+            if ingest:
+                out = run_ingest(cfg, args.out, strict=args.strict)
+            elif args.command == "run":
                 out = run_experiment(cfg, args.out, threads=args.threads)
             else:
                 threads = getattr(args, "threads", 1)

@@ -55,21 +55,31 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Header and raw string rows of a CSV written by :func:`write_csv`."""
+    """Header and raw string rows of a CSV written by :func:`write_csv`.
+
+    Blank and ``#`` lines are skipped and the first other line is the
+    header.  A non-ASCII byte, a row whose cell count differs from the
+    header's, or no header at all raises ``ContractError``.
+    """
     header: list[str] | None = None
     rows: list[list[str]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise ContractError(f"{path}:{number}: non-ASCII byte")
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             cells = line.split(",")
             if header is None:
                 header = cells
+            elif len(cells) != len(header):
+                raise ContractError(f"{path}:{number}: expected {len(header)} "
+                                    f"cells, got {len(cells)}")
             else:
                 rows.append(cells)
     if header is None:
-        raise ParameterError(f"{path}: empty CSV")
+        raise ContractError(f"{path}: empty CSV")
     return header, rows
 
 

@@ -27,6 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import IngestError, ParameterError
+from .formats import write_csv
 from .substrate import sorted_unique
 
 __all__ = [
@@ -57,10 +58,12 @@ class ValidityWindow:
     ts_min: int = DEFAULT_TS_MIN
     ts_max: int | None = None
 
-    def resolve(self) -> tuple[int, int]:
-        """The bounds, narrowed to the int64 range that ``Corpus.ts`` holds."""
+    def __post_init__(self):
         if self.ts_max is not None and self.ts_max < self.ts_min:
             raise ParameterError("validity window is empty")
+
+    def resolve(self) -> tuple[int, int]:
+        """The bounds, narrowed to the int64 range that ``Corpus.ts`` holds."""
         hi = _INT64.max if self.ts_max is None else min(self.ts_max, _INT64.max)
         return max(self.ts_min, _INT64.min), hi
 
@@ -84,10 +87,7 @@ class RejectionReport:
                 ("no_tags", self.no_tags)]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("reason,count\n")
-            for reason, count in self.as_rows():
-                fh.write(f"{reason},{count}\n")
+        write_csv(path, ["reason", "count"], self.as_rows())
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,18 @@ config plus its hash so a directory can be reproduced from the manifest
 alone.
 """
 
-from __future__ import annotations
+# No ``from __future__ import annotations``: the config loader reads the
+# dataclasses' annotations as types, and evaluating them from strings on
+# first use would cost more than the load itself.
 
+import functools
 import hashlib
 import json
+import math
 import re
-from dataclasses import asdict, dataclass
+import sys
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +29,16 @@ from . import cooc, ingest, observables, theory, walker
 from .errors import ConfigError, ContractError, FitError, ParameterError
 from .formats import read_csv, sha256_of, write_csv, write_json
 from .rng import derive_seed
-from .substrate import (ErdosRenyi, GraphSpec, RegularTree, SubstrateGraph,
-                        WattsStrogatz, bfs_rings, build_graph)
-from .walker import (FixedLength, LengthDist, PowerLawLength, WalkConfig,
-                     WalkEnsemble)
+from .substrate import (ErdosRenyi, GraphSpec, GraphVariant, RegularTree,
+                        SubstrateGraph, WattsStrogatz, bfs_rings, build_graph)
+from .walker import FixedLength, PowerLawLength, WalkConfig, WalkEnsemble
 
 __all__ = [
     "FitWindows",
     "ObservableFlags",
+    "NGrid",
     "TheoryOptions",
+    "IngestSource",
     "ExperimentConfig",
     "IngestConfig",
     "load_config",
@@ -58,27 +65,6 @@ _OBSERVABLE_FILES = [
 # Config schema
 # ---------------------------------------------------------------------------
 
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _get(mapping: dict, key: str, kind, where: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in {where}")
-        return default
-    value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"'{key}' in {where} must be {kind.__name__}")
-    if not isinstance(value, kind):
-        raise ConfigError(f"'{key}' in {where} must be {kind.__name__}")
-    return value
-
-
 @dataclass(frozen=True)
 class FitWindows:
     """Documented default fitting windows for the standard analyses.
@@ -93,12 +79,13 @@ class FitWindows:
     zipf_max_rank: int = 1000
     tail_decades: float = 2.5
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitWindows":
-        _check_keys(d, {"heaps_min", "zipf_max_rank", "tail_decades"}, "fits")
-        return cls(heaps_min=_get(d, "heaps_min", float, "fits", 100.0),
-                   zipf_max_rank=_get(d, "zipf_max_rank", int, "fits", 1000),
-                   tail_decades=_get(d, "tail_decades", float, "fits", 2.5))
+    def __post_init__(self):
+        if not self.heaps_min > 0:
+            raise ParameterError("heaps_min must be > 0")
+        if self.zipf_max_rank < 1:
+            raise ParameterError("zipf_max_rank must be >= 1")
+        if not 0 < self.tail_decades <= 308:     # 10**tail_decades is a float
+            raise ParameterError("tail_decades must be in (0, 308]")
 
 
 @dataclass(frozen=True)
@@ -112,226 +99,190 @@ class ObservableFlags:
     frequency_rank: bool = True
     similarity_pair_budget: int = 10 ** 6
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObservableFlags":
-        allowed = {"distributions", "s_of_k", "knn", "clustering",
-                   "weight_vs_product", "similarity", "frequency_rank",
-                   "similarity_pair_budget"}
-        _check_keys(d, allowed, "observables")
-        kw = {}
-        for key in allowed - {"similarity_pair_budget"}:
-            kw[key] = _get(d, key, bool, "observables", True)
-        kw["similarity_pair_budget"] = _get(d, "similarity_pair_budget", int,
-                                            "observables", 10 ** 6)
-        return cls(**kw)
+    def __post_init__(self):
+        if self.similarity_pair_budget < 1:
+            raise ParameterError("similarity_pair_budget must be >= 1")
+
+
+@dataclass(frozen=True)
+class NGrid:
+    """``points`` walk counts spaced evenly in log from ``min`` to ``max``."""
+
+    min: float
+    max: float
+    points: int
+
+    def __post_init__(self):
+        if not self.min > 0:
+            raise ParameterError("min must be > 0")
+        if not self.min <= self.max < math.inf:
+            raise ParameterError("max must be finite and >= min")
+        if self.points < 1:
+            raise ParameterError("points must be >= 1")
+
+    def values(self) -> np.ndarray:
+        return np.logspace(np.log10(self.min), np.log10(self.max), self.points)
 
 
 @dataclass(frozen=True)
 class TheoryOptions:
-    """Ring-model prediction settings for the theory stage."""
+    """Ring-model prediction settings for the theory stage.
+
+    ``rings`` is ``"bfs"``, the rings measured on the substrate, or a
+    parametric ring structure; ``n_grid`` replaces the simulated
+    checkpoints as the points of the prediction.
+    """
 
     ring_prediction: bool = True
-    rings: str | dict = "bfs"      # "bfs" or a ring-structure dict
-    n_grid: dict | None = None     # {"min","max","points"} log grid override
+    rings: str | theory.PowerLawRings | theory.ExponentialRings = "bfs"
+    n_grid: NGrid | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TheoryOptions":
-        _check_keys(d, {"ring_prediction", "rings", "n_grid"}, "theory")
-        rings = d.get("rings", "bfs")
-        if isinstance(rings, dict):
-            _check_keys(rings, {"type", "a", "c_n", "z"}, "theory.rings")
-            kind = _get(rings, "type", str, "theory.rings", required=True)
-            if kind not in ("power_law", "exponential"):
-                raise ConfigError(f"unknown ring structure type '{kind}'")
-        elif rings != "bfs":
-            raise ConfigError("theory.rings must be 'bfs' or a ring-structure object")
-        n_grid = d.get("n_grid")
-        if n_grid is not None:
-            _check_keys(n_grid, {"min", "max", "points"}, "theory.n_grid")
-            for key in ("min", "max", "points"):
-                if key not in n_grid:
-                    raise ConfigError(f"missing '{key}' in theory.n_grid")
-        return cls(ring_prediction=_get(d, "ring_prediction", bool, "theory", True),
-                   rings=rings, n_grid=n_grid)
+    def __post_init__(self):
+        if isinstance(self.rings, str) and self.rings != "bfs":
+            raise ParameterError("rings must be 'bfs' or a ring-structure object")
 
     def ring_structure(self, graph: SubstrateGraph, origin: int):
-        if self.rings == "bfs":
-            return bfs_rings(graph, origin)
-        if self.rings["type"] == "power_law":
-            return theory.PowerLawRings(a=float(self.rings.get("a", 1.0)),
-                                        c_n=float(self.rings.get("c_n", 1.0)))
-        return theory.ExponentialRings(z=float(self.rings["z"]))
+        return bfs_rings(graph, origin) if self.rings == "bfs" else self.rings
 
 
-def _lengths_from_dict(d: dict) -> LengthDist:
-    kind = _get(d, "type", str, "walk.lengths", required=True)
-    if kind == "fixed":
-        _check_keys(d, {"type", "value"}, "walk.lengths")
-        return FixedLength(_get(d, "value", int, "walk.lengths", required=True))
-    if kind == "power_law":
-        _check_keys(d, {"type", "exponent", "l_min", "l_max"}, "walk.lengths")
-        return PowerLawLength(
-            exponent=_get(d, "exponent", float, "walk.lengths", 3.0),
-            l_min=_get(d, "l_min", int, "walk.lengths", 1),
-            l_max=_get(d, "l_max", int, "walk.lengths", 1000))
-    raise ConfigError(f"unknown length distribution type '{kind}'")
+@dataclass(frozen=True, kw_only=True)
+class IngestSource(ingest.ValidityWindow):
+    """The annotation log of an empirical run, its focus tag and validity window."""
+
+    input: str
+    focus_tag: str
 
 
-def _lengths_to_dict(lengths: LengthDist) -> dict:
-    if isinstance(lengths, FixedLength):
-        return {"type": "fixed", "value": lengths.value}
-    return {"type": "power_law", "exponent": lengths.exponent,
-            "l_min": lengths.l_min, "l_max": lengths.l_max}
+@dataclass(frozen=True, kw_only=True)
+class _RunConfig:
+    seed: int
+    observables: ObservableFlags = ObservableFlags()
+    fits: FitWindows = FitWindows()
+    format_version: int = FORMAT_VERSION
+
+    def __post_init__(self):
+        if self.format_version != FORMAT_VERSION:
+            raise ParameterError(f"unsupported format_version {self.format_version}")
+
+    def resolved(self) -> dict:
+        """The config as it ran, every default filled in: the inverse of :func:`load_config`."""
+        return _dump(self)
 
 
-def _graph_from_dict(d: dict, seed: int) -> GraphSpec:
-    kind = _get(d, "type", str, "graph", required=True)
-    if kind == "watts_strogatz":
-        _check_keys(d, {"type", "n", "k", "p_rewire"}, "graph")
-        variant = WattsStrogatz(n=_get(d, "n", int, "graph", required=True),
-                                k=_get(d, "k", int, "graph", required=True),
-                                p_rewire=_get(d, "p_rewire", float, "graph",
-                                              required=True))
-    elif kind == "regular_tree":
-        _check_keys(d, {"type", "z", "depth"}, "graph")
-        variant = RegularTree(z=_get(d, "z", int, "graph", required=True),
-                              depth=_get(d, "depth", int, "graph", required=True))
-    elif kind == "erdos_renyi":
-        _check_keys(d, {"type", "n", "mean_degree"}, "graph")
-        variant = ErdosRenyi(n=_get(d, "n", int, "graph", required=True),
-                             mean_degree=_get(d, "mean_degree", float, "graph",
-                                              required=True))
-    else:
-        raise ConfigError(f"unknown graph type '{kind}'")
-    return GraphSpec(variant=variant, seed=derive_seed(seed, _GRAPH_SALT))
-
-
-def _graph_to_dict(spec: GraphSpec) -> dict:
-    v = spec.variant
-    if isinstance(v, WattsStrogatz):
-        return {"type": "watts_strogatz", "n": v.n, "k": v.k, "p_rewire": v.p_rewire}
-    if isinstance(v, RegularTree):
-        return {"type": "regular_tree", "z": v.z, "depth": v.depth}
-    return {"type": "erdos_renyi", "n": v.n, "mean_degree": v.mean_degree}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(_RunConfig):
     """Resolved synthetic-run configuration."""
 
-    seed: int
-    graph: GraphSpec
+    graph: GraphVariant
     walk: WalkConfig
-    observables: ObservableFlags = ObservableFlags()
     theory: TheoryOptions = TheoryOptions()
-    fits: FitWindows = FitWindows()
     emit_traces: bool = False
-    format_version: int = FORMAT_VERSION
 
-    @classmethod
-    def from_dict(cls, d: dict, seed_override: int | None = None) -> "ExperimentConfig":
-        allowed = {"format_version", "seed", "graph", "walk", "observables",
-                   "theory", "fits", "emit_traces"}
-        _check_keys(d, allowed, "config")
-        version = _get(d, "format_version", int, "config", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
-            raise ConfigError(f"unsupported format_version {version}")
-        seed = seed_override if seed_override is not None else \
-            _get(d, "seed", int, "config", required=True)
-        graph = _graph_from_dict(_get(d, "graph", dict, "config", required=True), seed)
-        wd = _get(d, "walk", dict, "config", required=True)
-        _check_keys(wd, {"origin", "n_rw", "lengths", "count_origin",
-                         "non_backtracking"}, "walk")
-        lengths = _lengths_from_dict(wd["lengths"]) if "lengths" in wd else \
-            PowerLawLength(3.0, 1, 1000)
-        walk = WalkConfig(origin=_get(wd, "origin", int, "walk", 0),
-                          n_rw=_get(wd, "n_rw", int, "walk", required=True),
-                          lengths=lengths, seed=seed,
-                          count_origin=_get(wd, "count_origin", bool, "walk", True),
-                          non_backtracking=_get(wd, "non_backtracking", bool,
-                                                "walk", False))
-        return cls(seed=seed, graph=graph, walk=walk,
-                   observables=ObservableFlags.from_dict(d.get("observables", {})),
-                   theory=TheoryOptions.from_dict(d.get("theory", {})),
-                   fits=FitWindows.from_dict(d.get("fits", {})),
-                   emit_traces=_get(d, "emit_traces", bool, "config", False),
-                   format_version=version)
-
-    def resolved(self) -> dict:
-        return {"format_version": self.format_version,
-                "seed": self.seed,
-                "graph": _graph_to_dict(self.graph),
-                "walk": {"origin": self.walk.origin, "n_rw": self.walk.n_rw,
-                         "lengths": _lengths_to_dict(self.walk.lengths),
-                         "count_origin": self.walk.count_origin,
-                         "non_backtracking": self.walk.non_backtracking},
-                "observables": asdict(self.observables),
-                "theory": asdict(self.theory),
-                "fits": asdict(self.fits),
-                "emit_traces": self.emit_traces}
+    @property
+    def graph_spec(self) -> GraphSpec:
+        return GraphSpec(variant=self.graph, seed=derive_seed(self.seed, _GRAPH_SALT))
 
 
-@dataclass(frozen=True)
-class IngestConfig:
+@dataclass(frozen=True, kw_only=True)
+class IngestConfig(_RunConfig):
     """Resolved empirical-run configuration."""
 
-    seed: int
-    input_path: str
-    focus_tag: str
-    ts_min: int = ingest.DEFAULT_TS_MIN
-    ts_max: int | None = None
-    observables: ObservableFlags = ObservableFlags()
-    fits: FitWindows = FitWindows()
-    format_version: int = FORMAT_VERSION
-
-    @classmethod
-    def from_dict(cls, d: dict, seed_override: int | None = None) -> "IngestConfig":
-        allowed = {"format_version", "seed", "ingest", "observables", "fits"}
-        _check_keys(d, allowed, "config")
-        version = _get(d, "format_version", int, "config", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
-            raise ConfigError(f"unsupported format_version {version}")
-        seed = seed_override if seed_override is not None else \
-            _get(d, "seed", int, "config", required=True)
-        sub = _get(d, "ingest", dict, "config", required=True)
-        _check_keys(sub, {"input", "focus_tag", "ts_min", "ts_max"}, "ingest")
-        ts_max = sub.get("ts_max")
-        if ts_max is not None and (isinstance(ts_max, bool) or
-                                   not isinstance(ts_max, int)):
-            raise ConfigError("'ts_max' in ingest must be int or null")
-        return cls(seed=seed,
-                   input_path=_get(sub, "input", str, "ingest", required=True),
-                   focus_tag=_get(sub, "focus_tag", str, "ingest", required=True),
-                   ts_min=_get(sub, "ts_min", int, "ingest", ingest.DEFAULT_TS_MIN),
-                   ts_max=ts_max,
-                   observables=ObservableFlags.from_dict(d.get("observables", {})),
-                   fits=FitWindows.from_dict(d.get("fits", {})),
-                   format_version=version)
-
-    def resolved(self) -> dict:
-        return {"format_version": self.format_version,
-                "seed": self.seed,
-                "ingest": {"input": self.input_path, "focus_tag": self.focus_tag,
-                           "ts_min": self.ts_min, "ts_max": self.ts_max},
-                "observables": asdict(self.observables),
-                "fits": asdict(self.fits)}
+    ingest: IngestSource
 
 
-def load_config(path, seed_override: int | None = None):
-    """Parse a config file into an ExperimentConfig or IngestConfig."""
+# The value of "type" that picks each class out of a union of sections.
+_TYPE_NAMES = {WattsStrogatz: "watts_strogatz", RegularTree: "regular_tree",
+               ErdosRenyi: "erdos_renyi", FixedLength: "fixed",
+               PowerLawLength: "power_law", theory.PowerLawRings: "power_law",
+               theory.ExponentialRings: "exponential"}
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", type(None): "null"}
+
+
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _build(cls, d, path: str, seed: int | None = None):
+    """``cls`` read off the config object ``d`` at the dotted key ``path``.
+
+    The keys of ``d`` are the fields of ``cls``, with their annotated types
+    and their defaults.  A section's ``seed`` field is no key of its own
+    but the config's ``seed``.  A ``ParameterError`` from the constructor
+    becomes a ``ConfigError`` that names the section.
+    """
+    where = path or "config"
+    keys = {f.name for f in fields(cls)} - ({"seed"} if path else set())
+    unknown = sorted(set(d) - keys)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    kw = {}
+    for f in fields(cls):
+        key = f"{path}.{f.name}" if path else f.name
+        if f.name not in keys:
+            kw["seed"] = seed
+        elif f.name in d:
+            kw[f.name] = _value(_hints(cls)[f.name], d[f.name], key, kw.get("seed", seed))
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key '{key}'")
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        return cls(**kw)
+    except ParameterError as exc:
+        # a check that opens with a field's name names its dotted key
+        if str(exc).split(" ", 1)[0] in keys:
+            raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _value(hint, value, key: str, seed: int | None):
+    """``value`` read as a ``hint``: a scalar, a section, or a union of them."""
+    options = typing.get_args(hint) or (hint,)
+    sections = [c for c in options if is_dataclass(c)]
+    if sections and isinstance(value, dict):
+        if sections[0] not in _TYPE_NAMES:
+            return _build(sections[0], value, key, seed)
+        value = dict(value)
+        kind = value.pop("type", None)
+        for cls in sections:
+            if _TYPE_NAMES[cls] == kind:
+                return _build(cls, value, key, seed)
+        names = ", ".join(repr(_TYPE_NAMES[c]) for c in sections)
+        raise ConfigError(f"{key}.type must be one of {names}, got {kind!r}")
+    for kind in options:
+        if type(value) is kind or (kind is float and type(value) is int):
+            if kind is float and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{key} must be a finite number")
+            return float(value) if kind is float else value
+    expected = " or ".join(dict.fromkeys(_KINDS.get(kind, "an object") for kind in options))
+    raise ConfigError(f"{key} must be {expected}")
+
+
+def _dump(obj, nested: bool = False) -> dict:
+    """The config object of a section: the inverse of :func:`_build`."""
+    d = {"type": _TYPE_NAMES[type(obj)]} if type(obj) in _TYPE_NAMES else {}
+    for f in fields(obj):
+        if not (nested and f.name == "seed"):
+            v = getattr(obj, f.name)
+            d[f.name] = _dump(v, nested=True) if is_dataclass(v) else v
+    return d
+
+
+def load_config(path, seed_override: int | None = None) -> ExperimentConfig | IngestConfig:
+    """Parse a config file into an ExperimentConfig or IngestConfig.
+
+    The file's keys, types, defaults and ranges are those of the config
+    dataclasses; any violation raises ``ConfigError`` naming the dotted key.
+    """
+    try:
+        d = json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
-    try:
-        d = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:    # a bad byte, bad JSON, too deep
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    if "ingest" in d:
-        return IngestConfig.from_dict(d, seed_override)
-    return ExperimentConfig.from_dict(d, seed_override)
+    if seed_override is not None:
+        d["seed"] = seed_override
+    return _build(IngestConfig if "ingest" in d else ExperimentConfig, d, "")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +416,7 @@ def _read_heaps(path: Path) -> tuple[np.ndarray, np.ndarray]:
 # a stage's inputs from the artifact directory and calls the same function.
 
 def _generate(cfg: ExperimentConfig, out: Path) -> SubstrateGraph:
-    graph = build_graph(cfg.graph)
+    graph = build_graph(cfg.graph_spec)
     graph.write_edge_list(out / "substrate.edges")
     return graph
 
@@ -504,10 +455,7 @@ def _theory(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph,
     spec = theory.RingModelSpec(rings=rings, lengths=cfg.walk.lengths)
     simulated = None
     if cfg.theory.n_grid is not None:
-        grid_cfg = cfg.theory.n_grid
-        n_values = np.logspace(np.log10(float(grid_cfg["min"])),
-                               np.log10(float(grid_cfg["max"])),
-                               int(grid_cfg["points"]))
+        n_values = cfg.theory.n_grid.values()
     elif heaps is not None:
         n_values, simulated = heaps
     else:
@@ -542,7 +490,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> Path:
 
 def _substrate(cfg: ExperimentConfig, out: Path) -> SubstrateGraph:
     path = out / "substrate.edges"
-    return SubstrateGraph.read_edge_list(path) if path.exists() else build_graph(cfg.graph)
+    return SubstrateGraph.read_edge_list(path) if path.exists() else build_graph(cfg.graph_spec)
 
 
 def _input(out: Path, name: str, stage: str) -> Path:
@@ -605,12 +553,11 @@ def run_ingest(cfg: IngestConfig, out_dir, strict: bool = False) -> Path:
     """Parse, clean, and analyze an annotation log around one focus tag."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    window = ingest.ValidityWindow(ts_min=cfg.ts_min, ts_max=cfg.ts_max)
-    corpus, report = ingest.parse_posts(cfg.input_path, window=window,
-                                        strict=strict)
+    source = cfg.ingest
+    corpus, report = ingest.parse_posts(source.input, window=source, strict=strict)
     corpus.write_jsonl(out / "corpus.jsonl")
     report.write_csv(out / "rejects.csv")
-    stream = ingest.filter_by_tag(corpus, cfg.focus_tag.lower())
+    stream = ingest.filter_by_tag(corpus, source.focus_tag.lower())
     provenance = dict(corpus.provenance)
     del corpus  # the analysis reads only the focus stream
     # the stream's (post, tag) pairs take the path of a walk ensemble's pairs
@@ -623,7 +570,7 @@ def run_ingest(cfg: IngestConfig, out_dir, strict: bool = False) -> Path:
     counts = walker.node_frequencies(pairs[1], len(stream.vocabulary)) \
         if cfg.observables.frequency_rank else None
     _stats(cfg, out, g, heaps, counts, n)
-    provenance["input_sha256"] = sha256_of(cfg.input_path)
+    provenance["input_sha256"] = sha256_of(source.input)
     provenance["accepted"] = report.accepted
     provenance["focus_posts"] = len(stream)
     _write_manifest(out, cfg.resolved(), provenance=provenance)
@@ -658,11 +605,8 @@ def _compare_csv(left: Path, right: Path, name: str, out: Path,
               for row in lrows if row[0] in rmap]
     dest = out / name
     dest.parent.mkdir(parents=True, exist_ok=True)
-    with open(dest, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join([lh[0]] + [f"{side}_{c}" for c in shared
-                                     for side in ("left", "right")]) + "\n")
-        for cells in joined:
-            fh.write(",".join(cells) + "\n")
+    write_csv(dest, [lh[0]] + [f"{side}_{c}" for c in shared for side in ("left", "right")],
+              joined)
     if not joined:
         warnings.append(f"{name}: no common x values")
 

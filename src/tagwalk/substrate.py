@@ -152,17 +152,37 @@ class WattsStrogatz:
     k: int
     p_rewire: float
 
+    def __post_init__(self):
+        if self.k % 2 != 0:
+            raise ParameterError("k must be even")
+        if not (2 <= self.k < self.n):
+            raise ParameterError("need 2 <= k < n")
+        if not (0.0 <= self.p_rewire <= 1.0):
+            raise ParameterError("p_rewire must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class RegularTree:
     z: int
     depth: int
 
+    def __post_init__(self):
+        if self.z < 1:
+            raise ParameterError("z must be >= 1")
+        if self.depth < 0:
+            raise ParameterError("depth must be >= 0")
+
 
 @dataclass(frozen=True)
 class ErdosRenyi:
     n: int
     mean_degree: float
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError("n must be >= 1")
+        if not (0.0 <= self.mean_degree <= self.n - 1):
+            raise ParameterError("need 0 <= mean_degree <= n-1")
 
 
 GraphVariant = Union[WattsStrogatz, RegularTree, ErdosRenyi]
@@ -201,12 +221,7 @@ def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> Subst
     graph byte for byte.  Rewire targets are drawn in batches that match
     numpy's scalar draws one for one; the test suite pins graphs by hash.
     """
-    if k % 2 != 0:
-        raise ParameterError("k must be even")
-    if not (2 <= k < n):
-        raise ParameterError("need 2 <= k < n")
-    if not (0.0 <= p_rewire <= 1.0):
-        raise ParameterError("p_rewire must be in [0, 1]")
+    WattsStrogatz(n, k, p_rewire)   # raises ParameterError on a bad parameter
     rng = np.random.default_rng(seed)
     half = k // 2
     # only changes are tracked: lattice edge (i, i+j) lives in slot (j-1)*n + i
@@ -258,10 +273,7 @@ def generate_regular_tree(z: int, depth: int, seed: int = 0) -> SubstrateGraph:
     interface uniformity only.
     """
     del seed
-    if z < 1:
-        raise ParameterError("z must be >= 1")
-    if depth < 0:
-        raise ParameterError("depth must be >= 0")
+    RegularTree(z, depth)           # raises ParameterError on a bad parameter
     total = 1 + sum((z + 1) * z ** (l - 1) for l in range(1, depth + 1))
     # nodes are numbered level by level: the root's children are 1..z+1 and
     # node v >= 1 has children z+2+(v-1)*z .. z+1+v*z
@@ -272,10 +284,7 @@ def generate_regular_tree(z: int, depth: int, seed: int = 0) -> SubstrateGraph:
 
 def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> SubstrateGraph:
     """``G(n, p)`` with ``p = mean_degree / (n - 1)``, via geometric edge skipping."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if not (0.0 <= mean_degree <= n - 1):
-        raise ParameterError("need 0 <= mean_degree <= n-1")
+    ErdosRenyi(n, mean_degree)      # raises ParameterError on a bad parameter
     p = mean_degree / (n - 1) if n > 1 else 0.0
     total_pairs = n * (n - 1) // 2
     if p <= 0.0 or total_pairs == 0:

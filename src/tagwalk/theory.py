@@ -77,12 +77,14 @@ class VisitProbabilities:
 class PowerLawRings:
     """Ring sizes N_l = max(1, round(c_n * l**a)); N_0 = 1."""
 
-    a: float
+    a: float = 1.0
     c_n: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0 or self.c_n <= 0:
-            raise ParameterError("ring parameters must be positive")
+        if self.a <= 0:
+            raise ParameterError("a must be > 0")
+        if self.c_n <= 0:
+            raise ParameterError("c_n must be > 0")
 
 
 @dataclass(frozen=True)

@@ -59,14 +59,14 @@ class FixedLength:
 
     def __post_init__(self):
         if self.value < 0:
-            raise ParameterError("walk length must be >= 0")
+            raise ParameterError("value must be >= 0")
 
 
 @dataclass(frozen=True)
 class PowerLawLength:
     """Discrete power law P(l) proportional to l**(-exponent) on [l_min, l_max]."""
 
-    exponent: float
+    exponent: float = 3.0
     l_min: int = 1
     l_max: int = 1000
 
@@ -78,27 +78,27 @@ class PowerLawLength:
 LengthDist = Union[FixedLength, PowerLawLength]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class WalkConfig:
     """Everything that determines an ensemble besides the substrate."""
 
-    origin: int
+    origin: int = 0
     n_rw: int
-    lengths: LengthDist
+    lengths: LengthDist = PowerLawLength()
     seed: int
     count_origin: bool = True
     non_backtracking: bool = False
 
     def __post_init__(self):
+        if self.origin < 0:
+            raise ParameterError("origin must be >= 0")
         if self.n_rw < 0:
             raise ParameterError("n_rw must be >= 0")
 
 
 @lru_cache(maxsize=32)
-def _power_law_cdf(exponent: float, l_min: int, l_max: int) -> np.ndarray:
-    values = np.arange(l_min, l_max + 1, dtype=np.float64)
-    weights = values ** (-exponent)
-    return np.cumsum(weights / weights.sum())
+def _power_law_cdf(dist: PowerLawLength) -> np.ndarray:
+    return np.cumsum(length_pmf(dist)[1])
 
 
 def sample_lengths(dist: LengthDist, u):
@@ -106,7 +106,7 @@ def sample_lengths(dist: LengthDist, u):
     u = np.asarray(u)
     if isinstance(dist, FixedLength):
         return np.full(u.shape, dist.value, dtype=np.int64)
-    cdf = _power_law_cdf(dist.exponent, dist.l_min, dist.l_max)
+    cdf = _power_law_cdf(dist)
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
     return (dist.l_min + idx).astype(np.int64)
 

@@ -1,15 +1,19 @@
 import functools
 import hashlib
 import json
+import shutil
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagwalk.cli import main
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ConfigError
 from tagwalk.formats import read_csv, sha256_of
+from tagwalk.ingest import DEFAULT_TS_MIN
 from tagwalk.pipeline import (ExperimentConfig, IngestConfig, compare,
                               load_config)
 from tagwalk.substrate import SubstrateGraph
@@ -65,6 +69,42 @@ def test_defaults_fill_in(tmp_path):
     assert cfg.fits.heaps_min == 100.0
 
 
+# Values of the right shape that the config schema rejects, each with the
+# message that ends the command at load.
+BAD_VALUES = [
+    ({"theory": {"rings": {"type": "power_law", "a": "x"}}},
+     "theory.rings.a must be a number"),
+    ({"theory": {"rings": {"type": "exponential"}}},
+     "missing required key 'theory.rings.z'"),
+    ({"theory": {"rings": {"type": "exponential", "z": "2"}}},
+     "theory.rings.z must be a number"),
+    ({"theory": {"rings": {"type": "power_law", "a": 10 ** 400}}},
+     "theory.rings.a must be a finite number"),
+    ({"theory": {"n_grid": {"min": "a", "max": 10, "points": 5}}},
+     "theory.n_grid.min must be a number"),
+    ({"theory": {"n_grid": {"min": 1, "max": 10, "points": -3}}},
+     "theory.n_grid.points must be >= 1"),
+    ({"theory": {"n_grid": {"min": 1, "max": 10, "points": 5.5}}},
+     "theory.n_grid.points must be an integer"),
+    ({"theory": {"n_grid": {"min": 0, "max": 10, "points": 5}}},
+     "theory.n_grid.min must be > 0"),
+    ({"theory": 3}, "theory must be an object"),
+    ({"observables": [1]}, "observables must be an object"),
+    ({"walk": {"n_rw": 10, "lengths": 3}}, "walk.lengths must be an object"),
+    ({"fits": "x"}, "fits must be an object"),
+    ({"fits": {"zipf_max_rank": 0}}, "fits.zipf_max_rank must be >= 1"),
+    ({"fits": {"heaps_min": 0}}, "fits.heaps_min must be > 0"),
+    ({"fits": {"heaps_min": float("nan")}}, "fits.heaps_min must be a finite number"),
+    ({"fits": {"tail_decades": 0}}, "fits.tail_decades must be in (0, 308]"),
+    ({"fits": {"tail_decades": 400}}, "fits.tail_decades must be in (0, 308]"),
+    ({"observables": {"similarity_pair_budget": 0}},
+     "observables.similarity_pair_budget must be >= 1"),
+    ({"graph": {"type": "watts_strogatz", "n": 60, "k": 3, "p_rewire": 0.1}},
+     "graph.k must be even"),
+    ({"walk": {"n_rw": 10, "origin": -1}}, "walk.origin must be >= 0"),
+]
+
+
 @pytest.mark.parametrize("mutate", [
     {"bogus": 1},
     {"graph": {"type": "watts_strogatz", "n": 60, "k": 4, "p_rewire": 0.1,
@@ -82,10 +122,85 @@ def test_defaults_fill_in(tmp_path):
     {"walk": {"n_rw": 10, "count_origin": 1}},
     {"walk": {"n_rw": 10, "lengths": {"type": "gaussian"}}},
     {"graph": {"type": "hypercube", "n": 8}},
+    *[mutate for mutate, _ in BAD_VALUES],
 ])
 def test_config_rejects_bad_shapes(tmp_path, mutate):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, **mutate))
+
+
+@pytest.mark.parametrize("mutate, message", BAD_VALUES)
+def test_bad_config_value_exits_1_at_load(tmp_path, capsys, mutate, message):
+    cfg = write_config(tmp_path, **mutate)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"tagwalk: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"seed": 1, "\xff": 2}', b"[" * 100_000,
+                                     b'{"seed": ' + b"9" * 5000 + b"}"],
+                         ids=["non_utf8", "deep_nesting", "huge_integer"])
+def test_unparsable_config_exits_1(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"tagwalk: error: config {path} is not ")
+
+
+def valid_config(draw, kind):
+    """A valid config of ``kind``, each optional key present or left to its default."""
+    def some(section):
+        return {k: v for k, v in section.items() if draw(st.booleans())}
+    count = st.integers(0, 10 ** 6)
+    number = st.one_of(st.integers(1, 10 ** 6), st.floats(1e-3, 1e6))
+    cfg = {"seed": draw(st.integers(0, 2 ** 64 - 1)),
+           "observables": some({"knn": draw(st.booleans()),
+                                "similarity": draw(st.booleans()),
+                                "similarity_pair_budget": draw(st.integers(1, 10 ** 7))}),
+           "fits": some({"heaps_min": draw(number), "zipf_max_rank": draw(st.integers(1, 10 ** 4)),
+                         "tail_decades": draw(st.floats(0.1, 308))}),
+           "format_version": 1}
+    if kind == "ingest":
+        ts_min = draw(st.integers(-2 ** 70, 2 ** 70))
+        cfg["ingest"] = {"input": draw(st.text()), "focus_tag": draw(st.text()),
+                         **some({"ts_min": ts_min,
+                                 "ts_max": draw(st.none() | st.integers(
+                                     max(ts_min, DEFAULT_TS_MIN), 2 ** 70))})}
+        return some(cfg) | {"seed": cfg["seed"], "ingest": cfg["ingest"]}
+    n = draw(st.integers(3, 10 ** 6))
+    cfg["graph"] = draw(st.sampled_from([
+        {"type": "watts_strogatz", "n": n, "k": 2 * draw(st.integers(1, (n - 1) // 2)),
+         "p_rewire": draw(st.floats(0, 1))},
+        {"type": "regular_tree", "z": draw(st.integers(1, 5)), "depth": draw(st.integers(0, 9))},
+        {"type": "erdos_renyi", "n": n, "mean_degree": draw(st.integers(0, n - 1))}]))
+    l_min = draw(st.integers(1, 100))
+    cfg["walk"] = {"n_rw": draw(count), **some({
+        "origin": draw(count), "count_origin": draw(st.booleans()),
+        "non_backtracking": draw(st.booleans()),
+        "lengths": draw(st.sampled_from([
+            {"type": "fixed", "value": draw(count)},
+            {"type": "power_law", **some({"exponent": draw(number), "l_min": l_min,
+                                          "l_max": draw(st.integers(l_min, 10 ** 4))})}]))})}
+    cfg["theory"] = some({
+        "ring_prediction": draw(st.booleans()),
+        "rings": draw(st.sampled_from([
+            "bfs", {"type": "power_law", **some({"a": draw(number), "c_n": draw(number)})},
+            {"type": "exponential", "z": draw(st.floats(1.001, 1e3))}])),
+        "n_grid": draw(st.none() | st.just({"min": 1, "max": draw(number),
+                                            "points": draw(st.integers(1, 100))}))})
+    cfg["emit_traces"] = draw(st.booleans())
+    return some(cfg) | {"seed": cfg["seed"], "graph": cfg["graph"], "walk": cfg["walk"]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["run", "ingest"]))
+def test_resolved_config_reloads_to_itself(tmp_path_factory, data, kind):
+    path = tmp_path_factory.mktemp("config") / "cfg.json"
+    path.write_text(json.dumps(valid_config(data.draw, kind)))
+    resolved = load_config(path).resolved()
+    path.write_text(json.dumps(resolved))
+    assert load_config(path).resolved() == resolved
 
 
 def test_config_requires_seed_unless_overridden(tmp_path):
@@ -105,6 +220,10 @@ def test_ingest_config_validation(tmp_path):
         load_config(bad)
     bad.write_text(json.dumps({"seed": 1, "ingest": {"focus_tag": "t"}}))
     with pytest.raises(ConfigError):
+        load_config(bad)
+    bad.write_text(json.dumps({"seed": 1, "ingest": {
+        "input": "x", "focus_tag": "t", "ts_min": 10, "ts_max": 5}}))
+    with pytest.raises(ConfigError, match="ingest: validity window is empty"):
         load_config(bad)
 
 
@@ -600,3 +719,23 @@ def test_compare_corrupt_fits_exits_2(tmp_path, capsys):
                  str(tmp_path / "rep")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"tagwalk: error: {out / 'fits.json'}: ")
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("s_of_k.csv", b"1,2.0", ":3: expected 3 cells, got 2"),
+    ("knn_of_k.csv", b"1,\xff,2.0,3", ":3: non-ASCII byte"),
+    ("knn_of_k.csv", None, ": empty CSV"),
+], ids=["short_row", "non_ascii", "empty"])
+def test_compare_malformed_csv_exits_2(tmp_path, capsys, name, bad, message):
+    cfg = write_config(tmp_path)
+    out, right = tmp_path / "out", tmp_path / "right"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    shutil.copytree(out, right)
+    path = right / "observables" / name
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = bad
+    path.write_bytes(b"" if bad is None else b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["compare", str(out), str(right), "--out",
+                 str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: {path}{message}\n"

@@ -74,10 +74,6 @@ class Distribution:
     values: np.ndarray  # int64, sorted ascending
     counts: np.ndarray  # int64
 
-    @property
-    def sample_size(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class BinnedSeries:

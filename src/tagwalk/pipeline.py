@@ -178,6 +178,12 @@ class ExperimentConfig(_RunConfig):
     theory: TheoryOptions = TheoryOptions()
     emit_traces: bool = False
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.walk.origin >= self.graph.node_count:
+            raise ParameterError(f"walk.origin must be < {self.graph.node_count}, "
+                                 "the graph's node count")
+
     @property
     def graph_spec(self) -> GraphSpec:
         return GraphSpec(variant=self.graph, seed=derive_seed(self.seed, _GRAPH_SALT))
@@ -227,8 +233,8 @@ def _build(cls, d, path: str, seed: int | None = None):
     try:
         return cls(**kw)
     except ParameterError as exc:
-        # a check that opens with a field's name names its dotted key
-        if str(exc).split(" ", 1)[0] in keys:
+        # a check that opens with a field's name (or dotted key) names its dotted key
+        if str(exc).split(" ", 1)[0].split(".")[0] in keys:
             raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None
         raise ConfigError(f"{where}: {exc}") from None
 

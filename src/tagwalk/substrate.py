@@ -96,10 +96,8 @@ class SubstrateGraph:
             same_row = rows[1:] == rows[:-1]
             if np.any(same_row & (np.diff(cols) <= 0)):
                 raise ContractError("neighbor list not strictly increasing")
-        # symmetry: the multiset of directed edges equals its own transpose
-        fwd = np.sort(rows * n + cols)
-        rev = np.sort(cols * n + rows)
-        if not np.array_equal(fwd, rev):
+        # symmetry: the forward keys ascend already and equal the transpose's
+        if not np.array_equal(rows * n + cols, np.sort(cols * n + rows)):
             raise ContractError("adjacency not symmetric")
 
     # -- file format: "# nodes=<n>" header, then "i<TAB>j" per edge, i < j --
@@ -151,6 +149,7 @@ class WattsStrogatz:
     n: int
     k: int
     p_rewire: float
+    node_count = property(lambda self: self.n)
 
     def __post_init__(self):
         if self.k % 2 != 0:
@@ -159,6 +158,7 @@ class WattsStrogatz:
             raise ParameterError("need 2 <= k < n")
         if not (0.0 <= self.p_rewire <= 1.0):
             raise ParameterError("p_rewire must be in [0, 1]")
+        _check_node_count(self)
 
 
 @dataclass(frozen=True)
@@ -171,18 +171,42 @@ class RegularTree:
             raise ParameterError("z must be >= 1")
         if self.depth < 0:
             raise ParameterError("depth must be >= 0")
+        _check_node_count(self)
+
+    @property
+    def node_count(self) -> int:
+        """Summed shell by shell; the sum stops once it reaches ``_MAX_NODES``."""
+        if self.z == 1:
+            return 1 + 2 * self.depth
+        total, shell = 1, self.z + 1
+        for _ in range(self.depth):
+            total += shell
+            if total >= _MAX_NODES:
+                break
+            shell *= self.z
+        return total
 
 
 @dataclass(frozen=True)
 class ErdosRenyi:
     n: int
     mean_degree: float
+    node_count = property(lambda self: self.n)
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("n must be >= 1")
         if not (0.0 <= self.mean_degree <= self.n - 1):
             raise ParameterError("need 0 <= mean_degree <= n-1")
+        _check_node_count(self)
+
+
+_MAX_NODES = 2 ** 31   # substrate ids are int32
+
+
+def _check_node_count(variant) -> None:
+    if variant.node_count >= _MAX_NODES:
+        raise ParameterError("node count must be below 2**31")
 
 
 GraphVariant = Union[WattsStrogatz, RegularTree, ErdosRenyi]
@@ -209,6 +233,12 @@ def build_graph(spec: GraphSpec) -> SubstrateGraph:
 # Generators
 # ---------------------------------------------------------------------------
 
+# A slice spans at most _BLOCK coins, so a stop costs O(_BLOCK); below
+# _VECTOR_MIN coins a numpy pass costs more than the scalar rule.
+_BLOCK = 4096
+_VECTOR_MIN = 64
+
+
 def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> SubstrateGraph:
     """Small-world graph by rewiring a ring lattice.
 
@@ -217,51 +247,99 @@ def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> Subst
     ``p_rewire`` to a uniformly chosen node, avoiding self-loops and
     duplicate edges.  Rewiring preserves the edge count ``n*k/2`` exactly.
 
+    Round ``j`` tosses a coin for each lattice edge ``(i, i+j)``.  The scalar
+    rule takes the coins in order: it skips a node linked to all others, and
+    otherwise draws targets until one is neither ``i`` nor a neighbor.  The
+    coins run in slices, each settled by :func:`_settle_slice` up to its
+    first stop, which alone takes the scalar rule.  A slice doubles in size
+    after each slice or coin settled on its first draw, up to ``_BLOCK``, and
+    halves after a rejection.
+
     Determinism contract: the same ``(n, k, p_rewire, seed)`` gives the same
-    graph byte for byte.  Rewire targets are drawn in batches that match
-    numpy's scalar draws one for one; the test suite pins graphs by hash.
+    graph byte for byte.  Draws come from one batch of one per coin, then
+    from scalar ``rng.integers(n)``; unused batch draws are rewound, so the
+    stream is the scalar draws'.  The test suite pins graphs by hash.
     """
     WattsStrogatz(n, k, p_rewire)   # raises ParameterError on a bad parameter
     rng = np.random.default_rng(seed)
     half = k // 2
-    # only changes are tracked: lattice edge (i, i+j) lives in slot (j-1)*n + i
-    removed = bytearray(half * n)   # 1 once the slot's edge is rewired away
-    added: set[int] = set()         # rewired-in edges as keys i*n + m, both ways
-    degree = [k] * n
+    # lattice edge (i, i+j) lives in slot (j-1)*n + i, which holds the node
+    # that coin i of round j rewired it to, or -1 while the edge is kept
+    partner = np.full(half * n, -1, dtype=np.int64)
+    degree = np.full(n, k, dtype=np.int64)
+    pv, dv = memoryview(partner), memoryview(degree)   # scalar access, same memory
 
     def linked(i: int, m: int) -> bool:
         d = (m - i) % n             # the lattice joins exactly the ring gaps <= half
-        return ((d <= half and not removed[(d - 1) * n + i])
-                or (n - d <= half and not removed[(n - d - 1) * n + m])
-                or i * n + m in added)
+        return ((d <= half and pv[(d - 1) * n + i] < 0)
+                or (n - d <= half and pv[(n - d - 1) * n + m] < 0)
+                or m in pv[i::n] or i in pv[m::n])
 
     for j in range(1, half + 1):
-        coins = np.flatnonzero(rng.random(n) < p_rewire).tolist()
+        coins = np.flatnonzero(rng.random(n) < p_rewire)
         before = rng.bit_generator.state
-        draws = rng.integers(n, size=len(coins)).tolist()
-        used = 0
-        for i in coins:
-            if degree[i] >= n - 1:
+        draws = rng.integers(n, size=coins.size)
+        cv, mv = memoryview(coins), memoryview(draws)
+        pos, used, size = 0, 0, 1
+        while pos < coins.size:
+            span = min(size, coins.size - pos, draws.size - used)
+            if span >= _VECTOR_MIN:
+                t = _settle_slice(coins[pos:pos + span], draws[used:used + span],
+                                  j, partner, degree)
+                pos, used = pos + t, used + t
+                if t == span:
+                    size = min(2 * size, _BLOCK)
+                    continue
+            i = cv[pos]
+            pos += 1
+            if dv[i] >= n - 1:
                 continue  # nothing left to rewire to
+            first = used
             while True:
-                m = draws[used] if used < len(draws) else int(rng.integers(n))
+                m = mv[used] if used < draws.size else int(rng.integers(n))
                 used += 1
                 if m != i and not linked(i, m):
                     break
-            removed[(j - 1) * n + i] = 1
-            added.update((i * n + m, m * n + i))
-            degree[(i + j) % n] -= 1
-            degree[m] += 1
-        if used < len(draws):  # rewind to where scalar draws would have left it
+            pv[(j - 1) * n + i] = m
+            dv[(i + j) % n] -= 1
+            dv[m] += 1
+            size = min(2 * size, _BLOCK) if used == first + 1 else max(size // 2, 1)
+        if used < draws.size:  # rewind to where scalar draws would have left it
             rng.bit_generator.state = before
             rng.integers(n, size=used)
     src = np.tile(np.arange(n, dtype=np.int64), half)
     dst = (src + np.repeat(np.arange(1, half + 1, dtype=np.int64), n)) % n
-    keep = ~np.frombuffer(removed, dtype=bool)
-    rewired = np.fromiter(added, dtype=np.int64, count=len(added))
-    rewired = rewired[rewired // n < rewired % n]
-    return from_edge_pairs(n, np.concatenate([src[keep], rewired // n]),
-                           np.concatenate([dst[keep], rewired % n]))
+    return from_edge_pairs(n, src, np.where(partner < 0, dst, partner))
+
+
+def _settle_slice(c: np.ndarray, m: np.ndarray, j: int, partner: np.ndarray,
+                  degree: np.ndarray) -> int:
+    """Rewire coins ``c`` of round ``j`` to their draws ``m`` up to the first stop.
+
+    Coin ``t`` stops the slice when the state at its start cannot tell its
+    outcome: ``m_t`` is ``c_t`` or a neighbor (this covers the lattice edge
+    an earlier coin ``s`` of the slice removes, ``c_t = c_s + j`` and
+    ``m_t = c_s``), or ``m_t = c_s`` and ``m_s = c_t``, the edge an earlier
+    coin adds.  A node that the scalar rule would skip stops the slice too:
+    all others are its neighbors, so its draw meets one of these.  Returns
+    the coins settled.
+    """
+    n, half = degree.size, partner.size // degree.size
+    d = (m - c) % n
+    at = np.arange(c.size)
+    key, rev = c * n + m, m * n + c             # key ascends with c
+    back = np.searchsorted(key, rev)
+    rows = partner.reshape(half, n)
+    stop = ((m == c)
+            | (d <= half) & (partner[(np.minimum(d, half) - 1) * n + c] < 0)
+            | (n - d <= half) & (partner[(np.minimum(n - d, half) - 1) * n + m] < 0)
+            | (rows[:, c] == m).any(axis=0) | (rows[:, m] == c).any(axis=0)
+            | (back < at) & (key[np.minimum(back, c.size - 1)] == rev))
+    t = int(stop.argmax()) if stop.any() else c.size
+    partner[(j - 1) * n + c[:t]] = m[:t]
+    degree[(c[:t] + j) % n] -= 1
+    np.add.at(degree, m[:t], 1)
+    return t
 
 
 def generate_regular_tree(z: int, depth: int, seed: int = 0) -> SubstrateGraph:
@@ -273,8 +351,7 @@ def generate_regular_tree(z: int, depth: int, seed: int = 0) -> SubstrateGraph:
     interface uniformity only.
     """
     del seed
-    RegularTree(z, depth)           # raises ParameterError on a bad parameter
-    total = 1 + sum((z + 1) * z ** (l - 1) for l in range(1, depth + 1))
+    total = RegularTree(z, depth).node_count   # raises ParameterError on a bad parameter
     # nodes are numbered level by level: the root's children are 1..z+1 and
     # node v >= 1 has children z+2+(v-1)*z .. z+1+v*z
     child = np.arange(1, total, dtype=np.int64)
@@ -325,10 +402,6 @@ class RingProfile:
     @property
     def max_distance(self) -> int:
         return len(self.sizes) - 1
-
-    @property
-    def component_size(self) -> int:
-        return int(self.sizes.sum())
 
 
 def _gather_neighbors(graph: SubstrateGraph, nodes: np.ndarray) -> np.ndarray:

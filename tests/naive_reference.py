@@ -329,9 +329,19 @@ def low_sample(series: BinnedSeries, threshold: int = 3) -> np.ndarray:
     return series.n < threshold
 
 
+def component_size(rings) -> int:
+    """Nodes reachable from a ring profile's origin, the origin included."""
+    return int(rings.sizes.sum())
+
+
+def sample_size(dist: Distribution) -> int:
+    """Number of samples a raw histogram holds."""
+    return int(dist.counts.sum())
+
+
 def log_binned(dist: Distribution, bin_ratio: float = 2.0) -> BinnedSeries:
     """Probability density per geometric bin (counts / width / total)."""
-    total = dist.sample_size
+    total = sample_size(dist)
     if total == 0:
         return BinnedSeries(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
     x = dist.values.astype(np.float64)

@@ -16,7 +16,7 @@ from tagwalk.formats import read_csv, sha256_of
 from tagwalk.ingest import DEFAULT_TS_MIN
 from tagwalk.pipeline import (ExperimentConfig, IngestConfig, compare,
                               load_config)
-from tagwalk.substrate import SubstrateGraph
+from tagwalk.substrate import RegularTree, SubstrateGraph
 from tagwalk.walker import PowerLawLength, WalkEnsemble
 
 BASE = {
@@ -102,6 +102,18 @@ BAD_VALUES = [
     ({"graph": {"type": "watts_strogatz", "n": 60, "k": 3, "p_rewire": 0.1}},
      "graph.k must be even"),
     ({"walk": {"n_rw": 10, "origin": -1}}, "walk.origin must be >= 0"),
+    ({"walk": {"n_rw": 10, "origin": 100}},
+     "walk.origin must be < 60, the graph's node count"),
+    ({"walk": {"n_rw": 10, "origin": 60}},
+     "walk.origin must be < 60, the graph's node count"),
+    ({"graph": {"type": "regular_tree", "z": 10, "depth": 40}},
+     "graph: node count must be below 2**31"),
+    ({"graph": {"type": "regular_tree", "z": 1, "depth": 2 ** 30}},
+     "graph: node count must be below 2**31"),
+    ({"graph": {"type": "regular_tree", "z": 3, "depth": 10 ** 18}},
+     "graph: node count must be below 2**31"),
+    ({"graph": {"type": "erdos_renyi", "n": 2 ** 31, "mean_degree": 1}},
+     "graph: node count must be below 2**31"),
 ]
 
 
@@ -174,9 +186,11 @@ def valid_config(draw, kind):
          "p_rewire": draw(st.floats(0, 1))},
         {"type": "regular_tree", "z": draw(st.integers(1, 5)), "depth": draw(st.integers(0, 9))},
         {"type": "erdos_renyi", "n": n, "mean_degree": draw(st.integers(0, n - 1))}]))
+    g = cfg["graph"]
+    nodes = g["n"] if "n" in g else RegularTree(g["z"], g["depth"]).node_count
     l_min = draw(st.integers(1, 100))
     cfg["walk"] = {"n_rw": draw(count), **some({
-        "origin": draw(count), "count_origin": draw(st.booleans()),
+        "origin": draw(st.integers(0, nodes - 1)), "count_origin": draw(st.booleans()),
         "non_backtracking": draw(st.booleans()),
         "lengths": draw(st.sampled_from([
             {"type": "fixed", "value": draw(count)},

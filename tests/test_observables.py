@@ -16,7 +16,8 @@ import tagwalk.observables as obs
 from naive_reference import (adjacency_dict, build_from_traces, log_binned,
                              low_sample, naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_knn,
-                             scipy_similarities, spgemm_clustering_of_k)
+                             sample_size, scipy_similarities,
+                             spgemm_clustering_of_k)
 from tagwalk.cooc import CoocGraph, _pair_blocks
 from tagwalk.errors import FitError, ParameterError
 from tagwalk.observables import (cosine_similarity_distribution,
@@ -58,7 +59,7 @@ def test_distributions_hand_values(hand_graph):
     assert ps.counts.tolist() == [1, 2, 1]
     assert pw.values.tolist() == [1, 2, 3]
     assert pw.counts.tolist() == [2, 1, 1]
-    assert pk.sample_size == 4 and pw.sample_size == 4
+    assert sample_size(pk) == 4 and sample_size(pw) == 4
 
 
 def test_log_binned_density_normalizes(hand_graph):

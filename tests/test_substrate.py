@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
-from naive_reference import naive_watts_strogatz
+from naive_reference import component_size, naive_watts_strogatz
+from tagwalk import substrate
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.substrate import (ErdosRenyi, GraphSpec, RegularTree,
                                SubstrateGraph, WattsStrogatz, bfs_rings,
@@ -55,22 +57,90 @@ def test_ws_seed_determinism():
     assert not np.array_equal(a.indices, c.indices)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 17, 50, 301, 5000])
+def assert_same_graph(fast, slow, case):
+    assert fast.indptr.dtype == slow.indptr.dtype, case
+    assert fast.indices.dtype == slow.indices.dtype, case
+    assert fast.indptr.tobytes() == slow.indptr.tobytes(), case
+    assert fast.indices.tobytes() == slow.indices.tobytes(), case
+
+
+# (k, p, seed) cases at the sizes of the bench workloads, where slices run
+# to the block size; every other n sweeps k, p and seeds
+BENCH_SIZED = {200_000: [(8, 0.1, 1000), (8, 0.1, 1001)], 50_000: [(8, 1.0, 1)]}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 17, 50, 301, 5000, *BENCH_SIZED])
 def test_ws_matches_set_based_oracle(n):
     # n = k+1 and n = k+2 saturate nodes, so the skip of a node linked to
     # every other one and the rewind of unused draws both run; the rewind
     # changes a later round's coins only rarely (n=9, k=6, p=0.5, seed 5 and
     # n=10, k=8, p=0.5, seed 2), hence the many seeds on small rings
     seeds = range(40) if n <= 17 else (0, 1, 7)
-    for k in [k for k in (2, 4, 6, 8, 10, 16) if k < n]:
-        for p in (0.0, 0.05, 0.5, 0.9, 1.0):
-            for seed in seeds:
-                fast = generate_watts_strogatz(n, k, p, seed)
-                slow = naive_watts_strogatz(n, k, p, seed)
-                assert fast.indptr.dtype == slow.indptr.dtype, (n, k, p, seed)
-                assert fast.indices.dtype == slow.indices.dtype, (n, k, p, seed)
-                assert fast.indptr.tobytes() == slow.indptr.tobytes(), (n, k, p, seed)
-                assert fast.indices.tobytes() == slow.indices.tobytes(), (n, k, p, seed)
+    cases = BENCH_SIZED.get(n) or [(k, p, seed) for k in (2, 4, 6, 8, 10, 16) if k < n
+                                   for p in (0.0, 0.05, 0.5, 0.9, 1.0) for seed in seeds]
+    for k, p, seed in cases:
+        assert_same_graph(generate_watts_strogatz(n, k, p, seed),
+                          naive_watts_strogatz(n, k, p, seed), (n, k, p, seed))
+
+
+def _stop_reasons(c, m, j, partner, degree, t):
+    """Why coin ``t`` of a slice cannot be settled in bulk, from the slice's start state."""
+    n, half = degree.size, partner.size // degree.size
+    src = np.tile(np.arange(n), half)
+    dst = np.where(partner < 0, (src + np.repeat(np.arange(1, half + 1), n)) % n, partner)
+    edges = set(zip(src.tolist(), dst.tolist())) | set(zip(dst.tolist(), src.tolist()))
+    ct, mt, before = int(c[t]), int(m[t]), range(t)
+    reasons = set()
+    if mt == ct or (ct, mt) in edges:
+        reasons.add("rejected draw")
+    if any(c[s] == mt and (c[s] + j) % n == ct for s in before):
+        reasons.add("removed lattice edge")
+    if any(c[s] == mt and m[s] == ct for s in before):
+        reasons.add("reverse of a new edge")
+    if degree[ct] + np.sum(m[:t] == ct) - np.sum((c[:t] + j) % n == ct) >= n - 1:
+        reasons.add("skip at degree n-1")
+    return reasons
+
+
+def test_ws_slice_stops_cover_every_condition(monkeypatch):
+    # every slice goes through the numpy pass, so small rings reach each stop
+    # condition often; the graphs must still equal the scalar oracle's
+    seen = {}
+    settle, default_rng = substrate._settle_slice, np.random.default_rng
+
+    def recording_settle(c, m, j, partner, degree):
+        start = partner.copy(), degree.copy()
+        t = settle(c, m, j, partner, degree)
+        if t < c.size:
+            for reason in _stop_reasons(c, m, j, *start, t):
+                seen.setdefault(reason, case)
+        return t
+
+    class CountingRng:
+        """A generator whose scalar ``integers`` draws are those past a round's batch."""
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def integers(self, high, size=None):
+            if size is None:
+                seen.setdefault("past the batch", case)
+            return self.rng.integers(high, size=size)
+
+    monkeypatch.setattr(substrate, "_VECTOR_MIN", 1)
+    monkeypatch.setattr(substrate, "_settle_slice", recording_settle)
+    for case in itertools.product((5, 9, 20), (2, 4, 6, 8), (0.5, 1.0), range(12)):
+        n, k, p, seed = case
+        if k >= n:
+            continue
+        with monkeypatch.context() as patched:
+            patched.setattr(np.random, "default_rng", CountingRng)
+            fast = generate_watts_strogatz(n, k, p, seed)
+        assert_same_graph(fast, naive_watts_strogatz(n, k, p, seed), case)
+    assert sorted(seen) == ["past the batch", "rejected draw", "removed lattice edge",
+                            "reverse of a new edge", "skip at degree n-1"], seen
 
 
 @pytest.mark.parametrize("n", [3, 1000, 2**31 + 11, 2**40])
@@ -130,6 +200,22 @@ def test_tree_first_shell_sum():
     g = generate_regular_tree(z=2, depth=6)
     rings = bfs_rings(g, 0)
     assert int(rings.sizes[:4].sum()) == 22
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 7])
+def test_tree_node_count_is_the_shell_sum(z):
+    for depth in range(8):
+        shells = sum((z + 1) * z ** (l - 1) for l in range(1, depth + 1))
+        assert RegularTree(z, depth).node_count == 1 + shells
+
+
+@pytest.mark.parametrize("z, depth, nodes", [(1, 2 ** 30 - 1, 2 ** 31 - 1),
+                                            (2, 29, 1_610_612_734), (1289, 3, 2_145_026_191)])
+def test_tree_node_count_bound_is_exact(z, depth, nodes):
+    # the largest depth whose tree still fits int32 ids, and one more level
+    assert RegularTree(z, depth).node_count == nodes
+    with pytest.raises(ParameterError, match="node count must be below 2"):
+        RegularTree(z, depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +334,7 @@ def test_bfs_rings_path(path4):
     rings = bfs_rings(path4, 0)
     assert rings.sizes.tolist() == [1, 1, 1, 1]
     assert rings.max_distance == 3
-    assert rings.component_size == 4
+    assert component_size(rings) == 4
     mid = bfs_rings(path4, 1)
     assert mid.sizes.tolist() == [1, 2, 1]
 
@@ -264,7 +350,7 @@ def test_bfs_rings_disconnected():
     g = graph_from_pairs(4, [(0, 1), (2, 3)])
     rings = bfs_rings(g, 0)
     assert rings.sizes.tolist() == [1, 1]
-    assert rings.component_size == 2
+    assert component_size(rings) == 2
 
 
 def test_bfs_rings_bad_origin(triangle):

@@ -201,7 +201,8 @@ def valid_config(draw, kind):
         "rings": draw(st.sampled_from([
             "bfs", {"type": "power_law", **some({"a": draw(number), "c_n": draw(number)})},
             {"type": "exponential", "z": draw(st.floats(1.001, 1e3))}])),
-        "n_grid": draw(st.none() | st.just({"min": 1, "max": draw(number),
+        "n_grid": draw(st.none() | st.just({"min": 1, "max": draw(st.integers(1, 10 ** 6)
+                                                                   | st.floats(1, 1e6)),
                                             "points": draw(st.integers(1, 100))}))})
     cfg["emit_traces"] = draw(st.booleans())
     return some(cfg) | {"seed": cfg["seed"], "graph": cfg["graph"], "walk": cfg["walk"]}

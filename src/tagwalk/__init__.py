@@ -21,10 +21,7 @@ from .substrate import (ErdosRenyi, GraphSpec, RegularTree, RingProfile,
                         generate_erdos_renyi, generate_regular_tree,
                         generate_watts_strogatz)
 from .theory import (ExponentialRings, PowerLawRings, RingModelSpec,
-                     asymptotic_exponent, asymptotic_log_corrected,
-                     estimate_visit_probs, n_distinct_exact,
-                     n_distinct_fixed_length, n_distinct_random_length,
-                     simulate_mean_distinct)
+                     n_distinct_random_length)
 from .walker import (FixedLength, PowerLawLength, WalkConfig, WalkEnsemble,
                      heaps_curve, run_ensemble, simulate_walks)
 
@@ -40,9 +37,7 @@ __all__ = [
     "ErdosRenyi", "RingProfile", "build_graph", "bfs_rings",
     "generate_watts_strogatz", "generate_regular_tree", "generate_erdos_renyi",
     "RingModelSpec", "PowerLawRings", "ExponentialRings",
-    "n_distinct_exact", "n_distinct_fixed_length", "n_distinct_random_length",
-    "asymptotic_exponent", "asymptotic_log_corrected",
-    "estimate_visit_probs", "simulate_mean_distinct",
+    "n_distinct_random_length",
     "FixedLength", "PowerLawLength", "WalkConfig", "WalkEnsemble",
     "simulate_walks", "run_ensemble", "heaps_curve",
     "degree_strength_weight_distributions", "s_of_k", "knn_of_k",

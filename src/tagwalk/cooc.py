@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,11 +22,24 @@ from .substrate import sorted_unique
 
 __all__ = ["CoocGraph", "project"]
 
+# The edge lookup finds adjacency entries through a table of 2-byte row
+# offsets (4-byte if a row has more than 2^15 entries), at least this many
+# bytes per entry, with a power-of-two slot count.
+EDGE_TABLE_BYTES = 8
+
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+class _EdgeTable(NamedTuple):
+    bytes_per_entry: int     # the EDGE_TABLE_BYTES it was built for
+    mask: int                # slot count - 1
+    table: np.ndarray        # per slot: a row offset, -1 (no key) or -2 (shared)
+    shared_keys: np.ndarray  # keys of the shared slots, ascending, then a sentinel
+    shared_ids: np.ndarray   # their adjacency entries, then -1
 
 
 @dataclass(frozen=True)
@@ -82,6 +96,68 @@ class CoocGraph:
         total = np.concatenate([[0], np.cumsum(values)])
         indptr = self._csr[0]
         return total[indptr[1:]] - total[indptr[:-1]]
+
+    def find_edges(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which probes ``(rows[p], cols[p])`` are edges, and their adjacency entries.
+
+        Returns the positions p of the probes that are edges, ascending, and
+        for each the entry e of row ``rows[p]`` with ``neighbors[e] == cols[p]``.
+        A probe looks up the key ``row * stride + col`` by its low bits in a
+        direct-address table (:class:`_EdgeTable`) and reads the entry at
+        the offset found there, so it finds its own entry whichever key the
+        offset came from, and nothing when it has none.  Per-probe arrays
+        shrink to the candidates as soon as those are known.
+        """
+        indptr, neighbors, _ = self._csr
+        lookup = self._edge_table()
+        stride = self.node_count | 1
+        slot = np.multiply(rows, stride, dtype=np.int64)
+        slot += cols
+        slot &= lookup.mask
+        offset = lookup.table[slot]
+        del slot
+        probe = np.flatnonzero(offset != -1)
+        rows = rows[probe]        # one array at a time, so that only one is held twice
+        cols = cols[probe]
+        offset = offset[probe]
+        found = offset < self.degrees()[rows]
+        entry = indptr[rows] + offset
+        found &= np.take(neighbors, entry, mode="clip") == cols
+        shared = np.flatnonzero(offset == -2)
+        wanted = np.multiply(rows[shared], stride, dtype=np.int64) + cols[shared]
+        at = np.searchsorted(lookup.shared_keys, wanted)
+        found[shared] = lookup.shared_keys[at] == wanted
+        entry[shared] = lookup.shared_ids[at]
+        del rows, cols, offset
+        return probe[found], entry[found]
+
+    def _edge_table(self) -> _EdgeTable:
+        # Cached on the instance like ``_csr``, and rebuilt if EDGE_TABLE_BYTES changed.
+        cached = self.__dict__.get("_table")
+        if cached is not None and cached.bytes_per_entry == EDGE_TABLE_BYTES:
+            return cached
+        indptr, neighbors, _ = self._csr
+        k = self.degrees()
+        stride = self.node_count | 1        # odd, so rows start at distinct slots
+        dtype = np.dtype(np.int16 if k.max(initial=0) <= 2 ** 15 else np.int32)
+        size = max(1, EDGE_TABLE_BYTES * neighbors.size // dtype.itemsize)
+        mask = (1 << (size - 1).bit_length()) - 1
+        keys = np.repeat(np.arange(self.node_count, dtype=np.int64) * stride, k)
+        keys += neighbors
+        slot = (keys & mask).astype(np.int32 if mask < 2 ** 31 else np.int64)
+        del keys
+        offsets = np.arange(neighbors.size)
+        offsets -= np.repeat(indptr[:-1], k)
+        offsets = offsets.astype(dtype)
+        table = np.full(mask + 1, -1, dtype=dtype)
+        table[slot] = offsets
+        table[slot[table[slot] != offsets]] = -2
+        shared = np.flatnonzero(table[slot] == -2)     # entries, ascending
+        rows = np.searchsorted(indptr, shared, side="right") - 1
+        shared_keys = np.append(rows * stride + neighbors[shared], np.iinfo(np.int64).max)
+        self.__dict__["_table"] = cached = _EdgeTable(
+            EDGE_TABLE_BYTES, mask, *_read_only(table, shared_keys, np.append(shared, -1)))
+        return cached
 
     @cached_property
     def _ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,10 +242,6 @@ class CoocGraph:
 # Clique projection
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(m, k=1)
-
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
@@ -185,7 +257,7 @@ def _pair_blocks(counts: np.ndarray, budget: int = sys.maxsize):
         if m < 2:
             continue
         sel = starts[counts == m]
-        iu, ju = _triu_pairs(m)
+        iu, ju = np.triu_indices(m, k=1)
         rows, cols = max(1, budget // iu.size), min(iu.size, budget)
         for lo in range(0, sel.size, rows):
             pos = sel[lo:lo + rows, None] + np.arange(m)

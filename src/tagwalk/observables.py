@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooc import _EMPTY, CoocGraph, _pair_blocks
+from .cooc import CoocGraph, _pair_blocks
 from .errors import ContractError, FitError, ParameterError
 
 __all__ = [
@@ -51,10 +51,6 @@ EXACT_SIMILARITY_LIMIT = 2000
 # SIMILARITY_BLOCK_PROBES, which bounds the probe arrays on hub-heavy graphs.
 SIMILARITY_BLOCK_PAIRS = 4096
 SIMILARITY_BLOCK_PROBES = 1 << 17
-# The sampled path finds adjacency entries through a table of 2-byte row
-# offsets (4-byte if a row has more than 2^15 entries), at least this many
-# bytes per entry, with a power-of-two slot count.
-SIMILARITY_TABLE_BYTES = 8
 # The exact path adds wedge products about this many at a time.
 SIMILARITY_BATCH_WEDGES = 1 << 18
 
@@ -173,41 +169,28 @@ def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     sum_j t_ij for C(k) and sum_j w_ij t_ij for C^w(k).  Every edge points
     from its lower to its higher end in (degree, position) order, so each
     triangle is found once, as a closed wedge of out-neighbours at its
-    lowest node (compact-forward; Latapy, TCS 2008).  The pass tests
-    sum_i C(out_i, 2) wedges in blocks of at most ``CLUSTERING_BLOCK_PATHS``.
-    Both sums are exact integers.
+    lowest node (compact-forward; Latapy, TCS 2008).  Its sum_i C(out_i, 2)
+    wedges go through :meth:`CoocGraph.find_edges` in blocks of at most
+    ``CLUSTERING_BLOCK_PATHS``; the triangle counts per adjacency entry are exact.
     """
+    _, neighbors, weights = g.adjacency()
     k = g.degrees()
     n = k.size
-    eu, ev = g.compact_edges()
-    up = k[eu] <= k[ev]                      # eu < ev breaks degree ties
-    low = np.where(up, eu, ev)
-    order = np.argsort(low, kind="stable")   # out-lists, each ascending
-    high = np.where(up, ev, eu)[order].astype(np.int64)
-    # sorted edge keys, then a sentinel above every key
-    keys = np.append(eu.astype(np.int64) * n + ev, n * n)
-    t = np.zeros(eu.size, dtype=np.int64)
-    per_slot = np.zeros(eu.size, dtype=np.int64)   # closed wedges per out-list slot
-    closed: list[np.ndarray] = []                  # ids of the closing edges
-    for pos, iu, ju in _pair_blocks(np.bincount(low, minlength=n), CLUSTERING_BLOCK_PATHS):
-        ends = high[pos]
-        probe = (ends[:, iu] * n + ends[:, ju]).ravel()
-        at = np.searchsorted(keys, probe)
-        hit = np.flatnonzero(keys[at] == probe)
+    rank = k * n + np.arange(n)               # (degree, position) as one key
+    outgoing = np.repeat(rank, k) < rank[neighbors]
+    out = np.flatnonzero(outgoing)            # out-lists, row by row, each ascending
+    c = np.zeros(neighbors.size, dtype=np.int64)   # triangles counted on each entry
+    for pos, iu, ju in _pair_blocks(g.neighbor_sums(outgoing), CLUSTERING_BLOCK_PATHS):
+        ends = neighbors[out[pos]]
+        hit, closing = g.find_edges(ends[:, iu].ravel(), ends[:, ju].ravel())
+        np.add.at(c, closing, 1)
         row, p = np.divmod(hit, iu.size)
-        row *= pos.shape[1]
-        per_slot[pos] += np.bincount(np.concatenate([row + iu[p], row + ju[p]]),
-                                     minlength=pos.size).reshape(pos.shape)
-        closed.append(at[hit])
-        if sum(map(len, closed)) >= t.size:   # the ids held pay for an O(edges) flush
-            t += np.bincount(np.concatenate(closed), minlength=t.size)
-            closed = []
-    t += np.bincount(np.concatenate([_EMPTY, *closed]), minlength=t.size)
-    t[order] += per_slot
-    plain, weighted = np.zeros((2, n))
-    for side in (eu, ev):
-        plain += np.bincount(side, t, n)
-        weighted += np.bincount(side, g.weights * t, n)
+        row *= pos.shape[1]     # each closed wedge's two out-entries, counted in the block
+        c[out[pos]] += np.bincount(np.concatenate([row + iu[p], row + ju[p]]),
+                                   minlength=pos.size).reshape(pos.shape)
+    # t_ij is c at (i, j) plus c at (j, i): a row's own entries and those naming it
+    plain, weighted = (np.add(g.neighbor_sums(v), np.bincount(neighbors, v, n),
+                              dtype=np.float64) for v in (c, weights * c))
     keep = k >= 2
     kk = k[keep]
     plain[keep] /= kk * (kk - 1)
@@ -268,93 +251,35 @@ def exact_similarities(g: CoocGraph) -> tuple[np.ndarray, np.ndarray]:
     return live, sims
 
 
-class _RowIntersector:
-    """Cosine similarity of node pairs by intersecting their adjacency rows.
+def _cosines(g: CoocGraph, inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Similarity of each pair (a[p], b[p]) of distinct live nodes, ``inv`` the inverse norms.
 
-    Each pair probes the entries of its shorter row against the longer row
-    and sums the products at the common neighbours with ``np.add.reduceat``,
-    neighbours ascending; a pair with none is 0.0.  A probe for column c of
-    row r looks up the key ``r * stride + c`` by its low bits in a
-    direct-address table.  A slot holds the offset within its row of a key
-    that maps to it, -1 when none does, and -2 when keys with different
-    offsets share it; those are found in the sorted list of shared keys
-    instead.  The probe then reads the entry at that offset of row r, so it
-    finds its own entry whichever key the offset came from, and nothing when
-    it has none.  Per-probe arrays are narrowed to the candidates and then
-    to the matches as soon as they are known: about 44 bytes per probe at
-    the peak.
+    Each pair probes its shorter row's entries against the longer row with
+    :meth:`CoocGraph.find_edges` and sums the products at the common
+    neighbours with ``np.add.reduceat``, neighbours ascending; 0.0 if none.
     """
-
-    def __init__(self, g: CoocGraph):
-        self.indptr, self.neighbors, self.weights = g.adjacency()
-        self.k = g.degrees()
-        self.inv = _inverse_norms(g)
-        nnz = self.neighbors.size
-        self.stride = g.node_count | 1        # odd, so rows start at distinct slots
-        dtype = np.dtype(np.int16 if self.k.max() <= 2 ** 15 else np.int32)
-        size = max(1, SIMILARITY_TABLE_BYTES * nnz // dtype.itemsize)
-        self.mask = (1 << (size - 1).bit_length()) - 1
-        keys = np.repeat(np.arange(g.node_count, dtype=np.int64) * self.stride, self.k)
-        keys += self.neighbors
-        slot = (keys & self.mask).astype(np.int32 if self.mask < 2 ** 31 else np.int64)
-        del keys
-        offsets = np.arange(nnz)
-        offsets -= np.repeat(self.indptr[:-1], self.k)
-        offsets = offsets.astype(dtype)
-        self.table = np.full(self.mask + 1, -1, dtype=dtype)
-        self.table[slot] = offsets
-        self.table[slot[self.table[slot] != offsets]] = -2
-        shared = np.flatnonzero(self.table[slot] == -2)     # entries, ascending
-        rows = np.searchsorted(self.indptr, shared, side="right") - 1
-        self.shared_keys = np.append(rows * self.stride + self.neighbors[shared],
-                                     np.iinfo(np.int64).max)
-        self.shared_ids = np.append(shared, -1)
-
-    def cosines(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Similarity of each pair (a[p], b[p]) of distinct live nodes."""
-        flip = self.k[a] > self.k[b]
-        short, other = np.where(flip, b, a), np.where(flip, a, b)
-        n = self.k[short]
-        owner = np.repeat(np.arange(n.size), n)
-        pos = np.arange(owner.size)
-        pos += np.repeat(self.indptr[short] - np.cumsum(n) + n, n)
-        columns = self.neighbors[pos]
-        slot = np.repeat(other * self.stride, n)
-        slot += columns
-        slot &= self.mask
-        offset = self.table[slot]
-        del slot
-        probe = np.flatnonzero(offset != -1)
-        owner = owner[probe]      # one array at a time, so that only one is held twice
-        pos = pos[probe]
-        columns = columns[probe]
-        offset = offset[probe]
-        del probe
-        t = self.indptr[other][owner]
-        t += offset
-        found = offset < self.k[other][owner]
-        found &= np.take(self.neighbors, t, mode="clip") == columns
-        shared = np.flatnonzero(offset == -2)
-        if shared.size:
-            wanted = other[owner[shared]] * self.stride + columns[shared]
-            at = np.searchsorted(self.shared_keys, wanted)
-            found[shared] = self.shared_keys[at] == wanted
-            t[shared] = self.shared_ids[at]
-        del columns, offset
-        owner = owner[found]
-        pos = pos[found]
-        t = t[found]
-        sims = np.zeros(a.size)
-        if owner.size:
-            first = np.flatnonzero(np.diff(owner, prepend=-1))
-            products = self.inv[short][owner]
-            products *= self.weights[pos]
-            del pos
-            right = self.inv[other][owner]
-            right *= self.weights[t]
-            products *= right
-            sims[owner[first]] = np.add.reduceat(products, first)
-        return sims
+    indptr, neighbors, weights = g.adjacency()
+    k = g.degrees()
+    flip = k[a] > k[b]
+    short, other = np.where(flip, b, a), np.where(flip, a, b)
+    n = k[short]
+    start = indptr[short] - np.cumsum(n) + n    # probe p of pair q reads entry p + start[q]
+    # only the probes' columns wait out the lookup; each hit's pair is found again
+    cols = neighbors[np.arange(n.sum()) + np.repeat(start, n)]
+    pos, t = g.find_edges(np.repeat(other, n), cols)   # the probes that hit
+    del cols
+    owner = np.searchsorted(np.cumsum(n), pos, side="right")
+    pos += start[owner]
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    products = inv[short][owner]
+    products *= weights[pos]
+    del pos
+    right = inv[other][owner]
+    right *= weights[t]
+    products *= right
+    sims = np.zeros(a.size)
+    sims[owner[first]] = np.add.reduceat(products, first)
+    return sims
 
 
 def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int):
@@ -364,8 +289,10 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int):
     intersected in blocks of at most ``SIMILARITY_BLOCK_PAIRS`` pairs and
     about ``SIMILARITY_BLOCK_PROBES`` probes.
     """
-    rows = _RowIntersector(g)
-    live = np.flatnonzero(rows.k)
+    k = g.degrees()
+    inv = _inverse_norms(g)
+    g._edge_table()     # built before any block's probe arrays are held
+    live = np.flatnonzero(k)
     rng = np.random.default_rng(seed)
     remaining = pair_budget
     while remaining > 0:
@@ -375,12 +302,12 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int):
         ok = i != j
         i, j = live[i[ok][:take]], live[j[ok][:take]]
         sims = np.empty(i.size)
-        ends = np.cumsum(np.minimum(rows.k[i], rows.k[j]))   # probes up to each pair
+        ends = np.cumsum(np.minimum(k[i], k[j]))   # probes up to each pair
         lo = 0
         while lo < i.size:
             hi = np.searchsorted(ends, ends[lo] + SIMILARITY_BLOCK_PROBES, side="right")
             hi = min(int(hi), lo + SIMILARITY_BLOCK_PAIRS)
-            sims[lo:hi] = rows.cosines(i[lo:hi], j[lo:hi])
+            sims[lo:hi] = _cosines(g, inv, i[lo:hi], j[lo:hi])
             lo = hi
         remaining -= i.size
         del i, j, ok, ends      # the next draw need not meet this one's arrays

@@ -106,7 +106,11 @@ class ObservableFlags:
 
 @dataclass(frozen=True)
 class NGrid:
-    """``points`` walk counts spaced evenly in log from ``min`` to ``max``."""
+    """``points`` walk counts spaced evenly in log from ``min`` to ``max``.
+
+    At most 10,000 points: the ring-model sum holds about points * 256
+    float64 per block of rings, about 20 MB at the cap.
+    """
 
     min: float
     max: float
@@ -119,6 +123,8 @@ class NGrid:
             raise ParameterError("max must be finite and >= min")
         if self.points < 1:
             raise ParameterError("points must be >= 1")
+        if self.points > 10_000:
+            raise ParameterError("points must be <= 10000")
 
     def values(self) -> np.ndarray:
         return np.logspace(np.log10(self.min), np.log10(self.max), self.points)

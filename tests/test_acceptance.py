@@ -29,11 +29,11 @@ from tagwalk.observables import (clustering_of_k,
                                  s_of_k, weight_vs_kikj)
 from tagwalk.substrate import generate_regular_tree, generate_watts_strogatz
 from tagwalk.theory import (ExponentialRings, PowerLawRings, RingModelSpec,
-                            asymptotic_log_corrected, estimate_visit_probs,
-                            n_distinct_exact, n_distinct_random_length,
-                            simulate_mean_distinct)
+                            n_distinct_random_length)
 from tagwalk.walker import (FixedLength, PowerLawLength, heaps_curve,
                             node_frequencies, simulate_walks)
+from theory_reference import (asymptotic_log_corrected, estimate_visit_probs,
+                              n_distinct_exact, simulate_mean_distinct)
 
 GROWTH_CONFIG = {
     "seed": 5,

@@ -114,6 +114,8 @@ BAD_VALUES = [
      "graph: node count must be below 2**31"),
     ({"graph": {"type": "erdos_renyi", "n": 2 ** 31, "mean_degree": 1}},
      "graph: node count must be below 2**31"),
+    ({"theory": {"n_grid": {"min": 1, "max": 10, "points": 10 ** 12}}},
+     "theory.n_grid.points must be <= 10000"),
 ]
 
 

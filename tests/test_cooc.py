@@ -7,6 +7,7 @@ from scipy.sparse import csr_matrix
 from conftest import focus_graph
 from naive_reference import (adjacency_dict, build_from_traces, merge,
                              naive_cooc_weights)
+import tagwalk.cooc as cooc
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.substrate import generate_watts_strogatz
@@ -205,6 +206,30 @@ def test_adjacency_is_the_canonical_csr_and_shared():
     for derived in (g.degrees(), g.strengths(), indptr, neighbors, weights, eu, ev):
         assert not derived.flags.writeable
     assert g.degrees() is g.degrees() and g.adjacency() is g.adjacency()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("table_bytes", [0, 1, 8])
+@pytest.mark.parametrize("seed", range(3))
+def test_find_edges_matches_the_edge_set(seed, table_bytes, dtype, monkeypatch):
+    # 0 bytes per entry leaves one slot shared by every key, 1 byte fewer
+    # slots than keys.  Probes name node positions; the node ids are sparse.
+    monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
+    rng = np.random.default_rng(seed)
+    traces = [rng.choice(3 * 40, size=int(rng.integers(1, 7)), replace=False).tolist()
+              for _ in range(50)]
+    g = build_from_traces(traces)
+    n = g.node_count
+    edges = set(zip(*g.compact_edges()))
+    indptr, neighbors, _ = g.adjacency()
+    rows, cols = rng.integers(0, n, (2, 4000)).astype(dtype)
+    hit, entries = g.find_edges(rows, cols)
+    assert hit.tolist() == [p for p, (r, c) in enumerate(zip(rows, cols))
+                            if (min(r, c), max(r, c)) in edges]
+    assert np.array_equal(neighbors[entries], cols[hit])
+    assert np.all((indptr[rows[hit]] <= entries) & (entries < indptr[rows[hit] + 1]))
+    assert g._edge_table().bytes_per_entry == table_bytes
+    assert g._edge_table() is g._edge_table()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import tagwalk
+import tagwalk.cooc as cooc
 import tagwalk.observables as obs
 from naive_reference import (adjacency_dict, build_from_traces, log_binned,
                              low_sample, naive_class_means, naive_clustering,
@@ -259,6 +260,44 @@ def test_clustering_blocks_stay_within_budget(budget, monkeypatch):
     assert sum(sizes) == 297 * 1 + 3
 
 
+@pytest.mark.parametrize("table_bytes", [0, 1])
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_clustering_matches_spgemm_oracle_through_a_colliding_table(name, table_bytes,
+                                                                     monkeypatch):
+    # 0 bytes leaves one slot, which every key shares; 1 byte leaves one
+    # slot per one or two entries
+    graph = ORACLE_GRAPHS[name]
+    monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
+    if graph.edge_count:
+        assert graph._edge_table().mask + 1 < graph.adjacency()[1].size
+    assert_matches_oracle(graph)
+
+
+def test_projection_and_clustering_keep_nothing_after_they_return():
+    # A group of 1237 members and an out-degree of 211 occur in no other
+    # test, so no cache of pair indices can already hold them.
+    def held_after(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    g, held = held_after(lambda: cooc.project(np.zeros(1237, dtype=np.int64),
+                                              np.arange(1237)))
+    assert g.edge_count == 1237 * 1236 // 2
+    assert held < sum(a.nbytes for a in (g.node_ids, g.src, g.dst, g.weights)) + 10_000
+    # K_211,211: all degrees tie, so each node of the first side points to
+    # all 211 of the second, and the second side points nowhere
+    m = 211
+    g = cooc_graph(range(2 * m), [(i, j) for i in range(m) for j in range(m, 2 * m)])
+    g.adjacency(), g.degrees(), g.strengths(), g._edge_table()
+    (plain, weighted), held = held_after(lambda: clustering_of_k(g))
+    assert plain.x.tolist() == [m] and plain.y.tolist() == [0.0] == weighted.y.tolist()
+    assert held < 10_000
+
+
 @st.composite
 def weighted_graphs(draw):
     n = draw(st.integers(0, 16))
@@ -469,9 +508,9 @@ def test_sampled_similarities_survive_a_colliding_table(name, table_bytes, monke
     graph = COSINE_GRAPHS[name]
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
     want = scipy_similarities(graph, pair_budget=3000, seed=6)
-    monkeypatch.setattr(obs, "SIMILARITY_TABLE_BYTES", table_bytes)
-    rows = obs._RowIntersector(graph)
-    assert rows.mask + 1 < rows.neighbors.size         # fewer slots than keys
+    monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
+    rows = graph._edge_table()
+    assert rows.mask + 1 < graph.adjacency()[1].size   # fewer slots than keys
     assert rows.shared_ids.size > 1
     assert same_bits(sampled_similarities(graph, 3000, 6), want)
 
@@ -480,10 +519,10 @@ def test_sampled_similarities_with_a_row_past_int16(monkeypatch):
     # a hub of 2^15 + 2 leaves needs 4-byte row offsets
     n = 2 ** 15 + 3
     graph = cooc_graph(range(n), [(0, i) for i in range(1, n)] + [(1, 2), (2, 3)])
-    assert obs._RowIntersector(graph).table.dtype == np.int32
+    assert graph._edge_table().table.dtype == np.int32
     want = scipy_similarities(graph, pair_budget=4000, seed=2)
     assert same_bits(sampled_similarities(graph, 4000, 2), want)
-    monkeypatch.setattr(obs, "SIMILARITY_TABLE_BYTES", 0)
+    monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", 0)
     assert same_bits(sampled_similarities(graph, 4000, 2), want)
 
 
@@ -511,8 +550,8 @@ def test_cosine_matches_scipy_oracle_on_any_graph(graph):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
         want = scipy_similarities(graph, pair_budget=600, seed=4)
-        for table_bytes in (0, obs.SIMILARITY_TABLE_BYTES):
-            mp.setattr(obs, "SIMILARITY_TABLE_BYTES", table_bytes)
+        for table_bytes in (0, cooc.EDGE_TABLE_BYTES):
+            mp.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
             assert same_bits(sampled_similarities(graph, 600, 4), want)
 
 

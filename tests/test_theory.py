@@ -7,12 +7,12 @@ from tagwalk.observables import fit_power_law
 from tagwalk.substrate import (bfs_rings, generate_regular_tree,
                                generate_watts_strogatz)
 from tagwalk.theory import (ExponentialRings, PowerLawRings, RingModelSpec,
-                            VisitProbabilities, asymptotic_exponent,
-                            asymptotic_log_corrected, estimate_visit_probs,
-                            n_distinct_exact, n_distinct_fixed_length,
-                            n_distinct_random_length, ring_sizes,
-                            simulate_mean_distinct)
+                            n_distinct_random_length, ring_sizes)
 from tagwalk.walker import FixedLength, PowerLawLength
+from theory_reference import (VisitProbabilities, asymptotic_exponent,
+                              asymptotic_log_corrected, estimate_visit_probs,
+                              n_distinct_exact, n_distinct_fixed_length,
+                              simulate_mean_distinct)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ from tagwalk.errors import ContractError, ParameterError
 from tagwalk.observables import fit_power_law
 from tagwalk.rng import stream_uniforms, walk_seeds
 from tagwalk.substrate import generate_regular_tree, generate_watts_strogatz
-from tagwalk.theory import estimate_visit_probs
 from tagwalk.walker import (BLOCK_SIZE, FixedLength, PowerLawLength,
                             WalkConfig, WalkEnsemble, heaps_checkpoints,
                             heaps_curve, length_pmf, node_frequencies,
                             run_ensemble, sample_lengths, simulate_walks)
+from theory_reference import estimate_visit_probs
 
 
 # ---------------------------------------------------------------------------

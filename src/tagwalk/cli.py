@@ -10,6 +10,7 @@ runtime failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, ParameterError, TagwalkError
@@ -25,14 +26,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Each worker is an OS thread, and numpy work that takes turns at the GIL
+# gains nothing from many more threads than cores.
+MAX_THREADS = 256
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, at most ``MAX_THREADS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_THREADS)
+
+
+def _thread_count(text: str) -> int:
+    """``--threads``: an integer in [1, MAX_THREADS], checked before anything runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value > MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_THREADS}, got {value}")
+    return value
+
+
 def _add_common(sub, threads: bool = False) -> None:
     sub.add_argument("--config", required=True, help="JSON config file")
     sub.add_argument("--out", required=True, help="artifact directory")
     sub.add_argument("--seed", type=int, default=None,
                      help="master seed override")
     if threads:
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads (results are thread-count invariant)")
+        sub.add_argument("--threads", type=_thread_count, default=_usable_cpus(),
+                         help="worker threads, by default the usable CPUs "
+                              "(results are thread-count invariant)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,13 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
             ("generate", False, "write the substrate graph"),
             ("walk", True, "simulate the walk ensemble"),
             ("cooc", False, "project traces into a co-occurrence network"),
-            ("stats", False, "compute observables and fits"),
+            ("stats", True, "compute observables and fits"),
             ("theory", False, "ring-model prediction for the vocabulary curve")]:
         p = sub.add_parser(name, help=doc)
         _add_common(p, threads=threads)
 
     p = sub.add_parser("ingest", help="clean and analyze an annotation log")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--strict", action="store_true",
                    help="abort on the first malformed input line")
 
@@ -74,7 +103,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"'{args.command}' needs a config "
                                   f"{'with' if ingest else 'without'} an ingest section")
             if ingest:
-                out = run_ingest(cfg, args.out, strict=args.strict)
+                out = run_ingest(cfg, args.out, strict=args.strict, threads=args.threads)
             elif args.command == "run":
                 out = run_experiment(cfg, args.out, threads=args.threads)
             else:

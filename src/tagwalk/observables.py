@@ -23,6 +23,7 @@ import numpy as np
 
 from .cooc import CoocGraph, _pair_blocks
 from .errors import ContractError, FitError, ParameterError
+from .parallel import map_blocks
 
 __all__ = [
     "Distribution",
@@ -48,7 +49,8 @@ EXACT_SIMILARITY_LIMIT = 2000
 # Sampled pairs are drawn 65,536 at a time (the draws fix the sample) and
 # intersected at most SIMILARITY_BLOCK_PAIRS at a time.  A pair probes
 # min(k_a, k_b) entries; a block also ends once its probes pass
-# SIMILARITY_BLOCK_PROBES, which bounds the probe arrays on hub-heavy graphs.
+# SIMILARITY_BLOCK_PROBES, shared among the worker threads, which bounds
+# the probe arrays on hub-heavy graphs.
 SIMILARITY_BLOCK_PAIRS = 4096
 SIMILARITY_BLOCK_PROBES = 1 << 17
 # The exact path adds wedge products about this many at a time.
@@ -282,18 +284,25 @@ def _cosines(g: CoocGraph, inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return sims
 
 
-def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int):
+def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int, threads: int = 1):
     """Cosine similarities of ``pair_budget`` seeded pairs of distinct live nodes.
 
-    Yields one array per draw of at most 65,536 pairs, which are
-    intersected in blocks of at most ``SIMILARITY_BLOCK_PAIRS`` pairs and
-    about ``SIMILARITY_BLOCK_PROBES`` probes.
+    Yields one array per draw of at most 65,536 pairs, drawn on the calling
+    thread.  A draw is cut into blocks of at most ``SIMILARITY_BLOCK_PAIRS``
+    pairs and about ``SIMILARITY_BLOCK_PROBES // threads`` probes, which
+    :func:`map_blocks` spreads over ``threads`` threads, each block into
+    its own slice of the draw.  A pair's bits do not depend on its block,
+    so the draws are the same for any ``threads``.  The probes in flight,
+    most of a block's memory, stay those of one single-thread block; the
+    pair cap is not shared, since smaller blocks of short rows cost more
+    in per-call overhead than the threads save.
     """
     k = g.degrees()
     inv = _inverse_norms(g)
-    g._edge_table()     # built before any block's probe arrays are held
+    g._edge_table()     # like the CSR and degrees, cached before any worker reads it
     live = np.flatnonzero(k)
     rng = np.random.default_rng(seed)
+    block_probes = max(1, SIMILARITY_BLOCK_PROBES // threads)
     remaining = pair_budget
     while remaining > 0:
         take = min(remaining, 65536)
@@ -303,12 +312,17 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int):
         i, j = live[i[ok][:take]], live[j[ok][:take]]
         sims = np.empty(i.size)
         ends = np.cumsum(np.minimum(k[i], k[j]))   # probes up to each pair
-        lo = 0
-        while lo < i.size:
-            hi = np.searchsorted(ends, ends[lo] + SIMILARITY_BLOCK_PROBES, side="right")
-            hi = min(int(hi), lo + SIMILARITY_BLOCK_PAIRS)
+        cuts = [0]
+        while cuts[-1] < i.size:
+            lo = cuts[-1]
+            hi = np.searchsorted(ends, ends[lo] + block_probes, side="right")
+            cuts.append(min(int(hi), lo + SIMILARITY_BLOCK_PAIRS))
+
+        def block(cut: tuple[int, int]) -> None:
+            lo, hi = cut
             sims[lo:hi] = _cosines(g, inv, i[lo:hi], j[lo:hi])
-            lo = hi
+
+        map_blocks(block, list(zip(cuts[:-1], cuts[1:])), threads)
         remaining -= i.size
         del i, j, ok, ends      # the next draw need not meet this one's arrays
         yield sims
@@ -316,16 +330,20 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int):
 
 
 def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
-                                   seed: int = 0, bin_width: float = 0.05) -> Histogram:
+                                   seed: int = 0, bin_width: float = 0.05,
+                                   threads: int = 1) -> Histogram:
     """Histogram of cosine similarity between node weight vectors.
 
     All unordered pairs are evaluated when the graph has at most
     ``EXACT_SIMILARITY_LIMIT`` nodes, otherwise ``pair_budget`` uniformly
-    drawn pairs of distinct nodes.  Nodes with zero strength carry no
-    weight vector and are excluded.
+    drawn pairs of distinct nodes, intersected on ``threads`` worker
+    threads; the histogram is the same for any ``threads``.  Nodes with
+    zero strength carry no weight vector and are excluded.
     """
     if pair_budget < 1:
         raise ParameterError("pair_budget must be >= 1")
+    if threads < 1:
+        raise ParameterError("threads must be >= 1")
     edges = np.round(np.arange(0.0, 1.0 + bin_width / 2, bin_width), 10)
     m = np.count_nonzero(g.degrees())     # nodes of positive strength
     if m < 2:
@@ -338,7 +356,7 @@ def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
         sims = exact_similarities(g)[1]
         return Histogram(edges, histogram(sims), False, sims.size)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    for sims in _sampled_similarities(g, pair_budget, seed):   # each draw binned on its own
+    for sims in _sampled_similarities(g, pair_budget, seed, threads):   # binned per draw
         counts += histogram(sims)
         del sims
     return Histogram(edges, counts, True, pair_budget)

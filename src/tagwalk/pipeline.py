@@ -320,12 +320,14 @@ def _finite_or_none(value) -> float | None:
 # ---------------------------------------------------------------------------
 
 def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
-           heaps: tuple[np.ndarray, np.ndarray] | None, counts, n_max: int) -> None:
+           heaps: tuple[np.ndarray, np.ndarray] | None, counts, n_max: int,
+           threads: int) -> None:
     """Observables and ``fits.json`` of a co-occurrence graph.
 
     ``heaps`` is the vocabulary curve, fitted over ``[heaps_min, n_max]``;
     ``counts`` the frequencies behind the frequency-rank series.  Either
     may be None when it is not at hand, and its results are then left out.
+    ``threads`` workers share the sampled cosine similarities.
     """
     flags, fitw = cfg.observables, cfg.fits
     fits: dict = {"heaps": None if heaps is None else
@@ -369,7 +371,7 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
     if flags.similarity:
         hist = observables.cosine_similarity_distribution(
             g, pair_budget=flags.similarity_pair_budget,
-            seed=derive_seed(cfg.seed, _SIM_SALT))
+            seed=derive_seed(cfg.seed, _SIM_SALT), threads=threads)
         write_csv(obs_dir / "similarity_hist.csv", ["bin_lo", "bin_hi", "count"],
                   zip(hist.edges[:-1], hist.edges[1:], hist.counts))
         fits["similarity_mode"] = (float(hist.mode_center())
@@ -494,7 +496,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> Path:
     pairs, heaps, freqs = _walk(cfg, out, graph, threads, cfg.emit_traces)
     g = _cooc(out, pairs)
     del pairs  # only the projection needs them
-    _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw)
+    _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw, threads)
     _theory(cfg, out, graph, heaps)
     _write_manifest(out, cfg.resolved())
     return out
@@ -545,7 +547,7 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
                                            cfg.walk.origin)
             freqs = walker.node_frequencies(
                 ens.walk_node_pairs(count_origin=count_origin)[1], ens.node_count)
-        _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw)
+        _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw, threads)
     elif stage == "theory":
         graph = _substrate(cfg, out)
         reads_heaps = cfg.theory.ring_prediction and cfg.theory.n_grid is None
@@ -561,7 +563,7 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
 # Empirical pipeline
 # ---------------------------------------------------------------------------
 
-def run_ingest(cfg: IngestConfig, out_dir, strict: bool = False) -> Path:
+def run_ingest(cfg: IngestConfig, out_dir, strict: bool = False, threads: int = 1) -> Path:
     """Parse, clean, and analyze an annotation log around one focus tag."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -581,7 +583,7 @@ def run_ingest(cfg: IngestConfig, out_dir, strict: bool = False) -> Path:
     g.write_labels(out / "cooc_labels.tsv")
     counts = walker.node_frequencies(pairs[1], len(stream.vocabulary)) \
         if cfg.observables.frequency_rank else None
-    _stats(cfg, out, g, heaps, counts, n)
+    _stats(cfg, out, g, heaps, counts, n, threads)
     provenance["input_sha256"] = sha256_of(source.input)
     provenance["accepted"] = report.accepted
     provenance["focus_posts"] = len(stream)

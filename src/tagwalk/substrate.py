@@ -76,6 +76,14 @@ class SubstrateGraph:
 
     def validate(self) -> None:
         """Check structural invariants; raises ContractError on violation."""
+        rows, cols = self._check_rows()
+        # symmetry: the forward keys ascend already and equal the transpose's
+        n = self.node_count
+        if not np.array_equal(rows * n + cols, np.sort(cols * n + rows)):
+            raise ContractError("adjacency not symmetric")
+
+    def _check_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every invariant but symmetry; returns each entry's row and column."""
         n = self.node_count
         if self.indptr.shape != (n + 1,) or self.indptr[0] != 0:
             raise ContractError("malformed indptr")
@@ -83,12 +91,12 @@ class SubstrateGraph:
             raise ContractError("indptr not non-decreasing")
         if self.indices.size != self.indptr[-1]:
             raise ContractError("indices size disagrees with indptr")
-        if self.indices.size == 0:
-            return
-        if self.indices.min() < 0 or self.indices.max() >= n:
+        cols = self.indices.astype(np.int64)
+        if cols.size == 0:
+            return cols, cols
+        if cols.min() < 0 or cols.max() >= n:
             raise ContractError("neighbor id out of range")
         rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
-        cols = self.indices.astype(np.int64)
         if np.any(rows == cols):
             raise ContractError("self-loop present")
         # within a row, neighbor ids must be strictly increasing
@@ -96,9 +104,7 @@ class SubstrateGraph:
             same_row = rows[1:] == rows[:-1]
             if np.any(same_row & (np.diff(cols) <= 0)):
                 raise ContractError("neighbor list not strictly increasing")
-        # symmetry: the forward keys ascend already and equal the transpose's
-        if not np.array_equal(rows * n + cols, np.sort(cols * n + rows)):
-            raise ContractError("adjacency not symmetric")
+        return rows, cols
 
     # -- file format: "# nodes=<n>" header, then "i<TAB>j" per edge, i < j --
 
@@ -128,7 +134,12 @@ class SubstrateGraph:
 
 
 def from_edge_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> SubstrateGraph:
-    """Build a validated graph from undirected int64 edge pairs (any orientation)."""
+    """Build a validated graph from undirected int64 edge pairs (any orientation).
+
+    Both orientations of every pair go in, so the graph is symmetric by
+    construction; a repeated pair, in either orientation, shows as a row
+    that is not strictly increasing.
+    """
     if src.size and (n == 0 or min(src.min(), dst.min()) < 0
                      or max(src.max(), dst.max()) >= n):
         raise ContractError("edge endpoint out of range")
@@ -136,7 +147,7 @@ def from_edge_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> SubstrateGraph:
     keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     g = SubstrateGraph(n, indptr.astype(np.int64), (keys % n).astype(np.int32))
-    g.validate()
+    g._check_rows()
     return g
 
 

@@ -13,7 +13,6 @@ suite's ``naive_reference.run_walk`` does).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from .formats import read_int_rows, write_int_rows
+from .parallel import map_blocks
 from .rng import stream_uniforms, walk_seeds
 from .substrate import SubstrateGraph, sorted_unique
 
@@ -280,11 +280,7 @@ def simulate_walks(graph: SubstrateGraph, origin: int, n_walks: int,
         block_lengths = sample_lengths(lengths, stream_uniforms(seeds, 0))
         return _walk_block(graph, origin, seeds, block_lengths, non_backtracking)
 
-    if threads == 1 or len(starts) <= 1:
-        parts = [do_block(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(do_block, starts))
+    parts = map_blocks(do_block, starts, threads)
 
     if not parts:
         return WalkEnsemble(origin=origin, node_count=graph.node_count,

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import os
 import shutil
 import time
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagwalk.cli import main
+from tagwalk import observables
+from tagwalk.cli import build_parser, main
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ConfigError
 from tagwalk.formats import read_csv, sha256_of
@@ -71,51 +73,62 @@ def test_defaults_fill_in(tmp_path):
 
 # Values of the right shape that the config schema rejects, each with the
 # message that ends the command at load.
+def bad_value(number, mutate, message):
+    """BAD_VALUES case ``number``: its test ids come from its number, not its place."""
+    return pytest.param(mutate, message, id=f"mutate{number}-{message}")
+
+
+def shape_id(case):
+    """The id of a BAD_VALUES case in the shape test, after the 15 shape-only cases."""
+    return f"mutate{15 + int(case.id.removeprefix('mutate').split('-', 1)[0])}"
+
+
 BAD_VALUES = [
-    ({"theory": {"rings": {"type": "power_law", "a": "x"}}},
-     "theory.rings.a must be a number"),
-    ({"theory": {"rings": {"type": "exponential"}}},
-     "missing required key 'theory.rings.z'"),
-    ({"theory": {"rings": {"type": "exponential", "z": "2"}}},
-     "theory.rings.z must be a number"),
-    ({"theory": {"rings": {"type": "power_law", "a": 10 ** 400}}},
-     "theory.rings.a must be a finite number"),
-    ({"theory": {"n_grid": {"min": "a", "max": 10, "points": 5}}},
-     "theory.n_grid.min must be a number"),
-    ({"theory": {"n_grid": {"min": 1, "max": 10, "points": -3}}},
-     "theory.n_grid.points must be >= 1"),
-    ({"theory": {"n_grid": {"min": 1, "max": 10, "points": 5.5}}},
-     "theory.n_grid.points must be an integer"),
-    ({"theory": {"n_grid": {"min": 0, "max": 10, "points": 5}}},
-     "theory.n_grid.min must be > 0"),
-    ({"theory": 3}, "theory must be an object"),
-    ({"observables": [1]}, "observables must be an object"),
-    ({"walk": {"n_rw": 10, "lengths": 3}}, "walk.lengths must be an object"),
-    ({"fits": "x"}, "fits must be an object"),
-    ({"fits": {"zipf_max_rank": 0}}, "fits.zipf_max_rank must be >= 1"),
-    ({"fits": {"heaps_min": 0}}, "fits.heaps_min must be > 0"),
-    ({"fits": {"heaps_min": float("nan")}}, "fits.heaps_min must be a finite number"),
-    ({"fits": {"tail_decades": 0}}, "fits.tail_decades must be in (0, 308]"),
-    ({"fits": {"tail_decades": 400}}, "fits.tail_decades must be in (0, 308]"),
-    ({"observables": {"similarity_pair_budget": 0}},
-     "observables.similarity_pair_budget must be >= 1"),
-    ({"graph": {"type": "watts_strogatz", "n": 60, "k": 3, "p_rewire": 0.1}},
-     "graph.k must be even"),
-    ({"walk": {"n_rw": 10, "origin": -1}}, "walk.origin must be >= 0"),
-    ({"walk": {"n_rw": 10, "origin": 100}},
-     "walk.origin must be < 60, the graph's node count"),
-    ({"walk": {"n_rw": 10, "origin": 60}},
-     "walk.origin must be < 60, the graph's node count"),
-    ({"graph": {"type": "regular_tree", "z": 10, "depth": 40}},
-     "graph: node count must be below 2**31"),
-    ({"graph": {"type": "regular_tree", "z": 1, "depth": 2 ** 30}},
-     "graph: node count must be below 2**31"),
-    ({"graph": {"type": "regular_tree", "z": 3, "depth": 10 ** 18}},
-     "graph: node count must be below 2**31"),
-    ({"graph": {"type": "erdos_renyi", "n": 2 ** 31, "mean_degree": 1}},
-     "graph: node count must be below 2**31"),
-    ({"theory": {"n_grid": {"min": 1, "max": 10, "points": 10 ** 12}}},
-     "theory.n_grid.points must be <= 10000"),
+    bad_value(0, {"theory": {"rings": {"type": "power_law", "a": "x"}}},
+              "theory.rings.a must be a number"),
+    bad_value(1, {"theory": {"rings": {"type": "exponential"}}},
+              "missing required key 'theory.rings.z'"),
+    bad_value(2, {"theory": {"rings": {"type": "exponential", "z": "2"}}},
+              "theory.rings.z must be a number"),
+    bad_value(3, {"theory": {"rings": {"type": "power_law", "a": 10 ** 400}}},
+              "theory.rings.a must be a finite number"),
+    bad_value(4, {"theory": {"n_grid": {"min": "a", "max": 10, "points": 5}}},
+              "theory.n_grid.min must be a number"),
+    bad_value(5, {"theory": {"n_grid": {"min": 1, "max": 10, "points": -3}}},
+              "theory.n_grid.points must be >= 1"),
+    bad_value(6, {"theory": {"n_grid": {"min": 1, "max": 10, "points": 5.5}}},
+              "theory.n_grid.points must be an integer"),
+    bad_value(7, {"theory": {"n_grid": {"min": 0, "max": 10, "points": 5}}},
+              "theory.n_grid.min must be > 0"),
+    bad_value(8, {"theory": 3}, "theory must be an object"),
+    bad_value(9, {"observables": [1]}, "observables must be an object"),
+    bad_value(10, {"walk": {"n_rw": 10, "lengths": 3}}, "walk.lengths must be an object"),
+    bad_value(11, {"fits": "x"}, "fits must be an object"),
+    bad_value(12, {"fits": {"zipf_max_rank": 0}}, "fits.zipf_max_rank must be >= 1"),
+    bad_value(13, {"fits": {"heaps_min": 0}}, "fits.heaps_min must be > 0"),
+    bad_value(14, {"fits": {"heaps_min": float("nan")}},
+              "fits.heaps_min must be a finite number"),
+    bad_value(15, {"fits": {"tail_decades": 0}}, "fits.tail_decades must be in (0, 308]"),
+    bad_value(16, {"fits": {"tail_decades": 400}}, "fits.tail_decades must be in (0, 308]"),
+    bad_value(17, {"observables": {"similarity_pair_budget": 0}},
+              "observables.similarity_pair_budget must be >= 1"),
+    bad_value(18, {"graph": {"type": "watts_strogatz", "n": 60, "k": 3, "p_rewire": 0.1}},
+              "graph.k must be even"),
+    bad_value(19, {"walk": {"n_rw": 10, "origin": -1}}, "walk.origin must be >= 0"),
+    bad_value(20, {"walk": {"n_rw": 10, "origin": 100}},
+              "walk.origin must be < 60, the graph's node count"),
+    bad_value(21, {"walk": {"n_rw": 10, "origin": 60}},
+              "walk.origin must be < 60, the graph's node count"),
+    bad_value(22, {"graph": {"type": "regular_tree", "z": 10, "depth": 40}},
+              "graph: node count must be below 2**31"),
+    bad_value(23, {"graph": {"type": "regular_tree", "z": 1, "depth": 2 ** 30}},
+              "graph: node count must be below 2**31"),
+    bad_value(24, {"graph": {"type": "regular_tree", "z": 3, "depth": 10 ** 18}},
+              "graph: node count must be below 2**31"),
+    bad_value(25, {"graph": {"type": "erdos_renyi", "n": 2 ** 31, "mean_degree": 1}},
+              "graph: node count must be below 2**31"),
+    bad_value(26, {"theory": {"n_grid": {"min": 1, "max": 10, "points": 10 ** 12}}},
+              "theory.n_grid.points must be <= 10000"),
 ]
 
 
@@ -136,7 +149,7 @@ BAD_VALUES = [
     {"walk": {"n_rw": 10, "count_origin": 1}},
     {"walk": {"n_rw": 10, "lengths": {"type": "gaussian"}}},
     {"graph": {"type": "hypercube", "n": 8}},
-    *[mutate for mutate, _ in BAD_VALUES],
+    *[pytest.param(case.values[0], id=shape_id(case)) for case in BAD_VALUES],
 ])
 def test_config_rejects_bad_shapes(tmp_path, mutate):
     with pytest.raises(ConfigError):
@@ -450,6 +463,64 @@ def test_rerun_and_threads_are_byte_identical(tmp_path):
                  "--threads", "3"]) == 0
     hashes = {tree_hash(o) for o in outs}
     assert len(hashes) == 1
+
+
+def sampled_similarity_count(out):
+    _, rows = read_csv(out / "observables" / "similarity_hist.csv")
+    return sum(int(row[2]) for row in rows)
+
+
+@pytest.mark.parametrize("command", ["stats", "ingest"])
+def test_stats_and_ingest_are_byte_identical_on_any_thread_count(tmp_path, monkeypatch,
+                                                                   command):
+    # cosine similarity takes its sampled path, the one that runs on threads
+    monkeypatch.setattr(observables, "EXACT_SIMILARITY_LIMIT", 1)
+    budget = {"observables": {"similarity_pair_budget": 150_000}}   # three draws
+    if command == "stats":
+        cfg = write_config(tmp_path, emit_traces=True, **budget)
+        staged = tmp_path / "staged"
+        for stage in ("generate", "walk", "cooc"):
+            assert main([stage, "--config", str(cfg), "--out", str(staged)]) == 0
+    else:
+        _, ingest_cfg, _ = make_log(tmp_path)
+        cfg = tmp_path / "sampled.json"
+        cfg.write_text(json.dumps(json.loads(ingest_cfg.read_text()) | budget))
+    hashes = set()
+    for number, threads in enumerate([["--threads", "1"], ["--threads", "3"], []]):
+        out = tmp_path / f"out{number}"
+        if command == "stats":
+            shutil.copytree(staged, out)
+        assert main([command, "--config", str(cfg), "--out", str(out), *threads]) == 0
+        assert sampled_similarity_count(out) == 150_000
+        hashes.add(tree_hash(out))
+    assert len(hashes) == 1
+
+
+def test_threads_default_to_the_usable_cpus(monkeypatch):
+    argv = ["--config", "cfg.json", "--out", "out"]
+    for command in ("run", "walk", "stats", "ingest"):
+        args = build_parser().parse_args([command, *argv])
+        assert args.threads == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)))
+    assert build_parser().parse_args(["stats", *argv]).threads == 256
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert build_parser().parse_args(["stats", *argv]).threads == 5
+
+
+@pytest.mark.parametrize("threads, bound", [("0", ">= 1"), ("-1", ">= 1"), ("257", "<= 256")])
+@pytest.mark.parametrize("command", ["run", "walk", "stats", "ingest"])
+def test_bad_thread_count_exits_1_before_any_output(tmp_path, capsys, command, threads,
+                                                    bound):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(write_config(tmp_path)), "--out", str(out),
+              "--threads", threads])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith(f"usage: tagwalk {command} ")
+    assert message.endswith(f"argument --threads: must be {bound}, got {threads}\n")
+    assert not out.exists()
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -404,7 +404,7 @@ def test_similarity_sample_does_not_depend_on_block_size(monkeypatch):
     assert all(np.array_equal(counts[0], c) for c in counts[1:])
 
 
-def test_similarity_sample_memory_does_not_grow_with_budget():
+def test_similarity_sample_memory_does_not_grow_with_budget(threads=1):
     # a ring just above the exact limit: its weight rows are tiny, so the
     # peak is that of the sampling itself
     n = obs.EXACT_SIMILARITY_LIMIT + 100
@@ -414,7 +414,8 @@ def test_similarity_sample_memory_does_not_grow_with_budget():
     def peak(pair_budget):
         tracemalloc.start()
         try:
-            hist = cosine_similarity_distribution(g, pair_budget=pair_budget, seed=2)
+            hist = cosine_similarity_distribution(g, pair_budget=pair_budget, seed=2,
+                                                  threads=threads)
             assert hist.sampled and hist.pair_count == pair_budget
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -423,6 +424,10 @@ def test_similarity_sample_memory_does_not_grow_with_budget():
     # 10**6 similarities held at once take 8 MB per copy; one draw of
     # 65,536 pairs holds about 3.5 MB of index arrays and similarities
     assert peak(10 ** 6) < 1.5 * peak(65_536)
+
+
+def test_similarity_sample_memory_does_not_grow_with_budget_on_two_threads():
+    test_similarity_sample_memory_does_not_grow_with_budget(threads=2)
 
 
 def test_similarity_excludes_isolated_nodes():
@@ -461,8 +466,9 @@ def same_bits(got, want):
                                                       want.view(np.int64))
 
 
-def sampled_similarities(graph, pair_budget, seed):
-    return np.concatenate([np.empty(0), *obs._sampled_similarities(graph, pair_budget, seed)])
+def sampled_similarities(graph, pair_budget, seed, threads=1):
+    return np.concatenate([np.empty(0), *obs._sampled_similarities(graph, pair_budget, seed,
+                                                                    threads)])
 
 
 @pytest.mark.parametrize("batch", [obs.SIMILARITY_BATCH_WEDGES, 1, 7])
@@ -491,13 +497,35 @@ def test_sampled_similarities_match_scipy_oracle(name, block, probes, monkeypatc
     assert same_bits(sampled_similarities(graph, 3000, 5), want)
 
 
-def test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch):
+def test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch, threads=1):
     graph = random_cooc(8)
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
     want = scipy_similarities(graph, pair_budget=140_000, seed=9)   # three draws
-    draws = list(obs._sampled_similarities(graph, 140_000, 9))
+    draws = list(obs._sampled_similarities(graph, 140_000, 9, threads))
     assert [d.size for d in draws] == [65536, 65536, 8928]
     assert same_bits(np.concatenate(draws), want)
+
+
+# Worker w of t takes blocks w, w + t, ... of each draw; every pair keeps its bits.
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("name", COSINE_GRAPHS)
+def test_sampled_similarities_match_scipy_oracle_on_threads(name, threads, monkeypatch):
+    graph = COSINE_GRAPHS[name]
+    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+    monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PAIRS", 999)     # several blocks per worker
+    want = scipy_similarities(graph, pair_budget=3000, seed=5)
+    assert same_bits(sampled_similarities(graph, 3000, 5, threads), want)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_sampled_similarities_match_scipy_oracle_across_draws_on_threads(threads,
+                                                                          monkeypatch):
+    test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch, threads)
+
+
+def test_similarity_rejects_no_threads():
+    with pytest.raises(ParameterError, match="threads must be >= 1"):
+        cosine_similarity_distribution(hand_cooc(), threads=0)
 
 
 @pytest.mark.parametrize("table_bytes", [0, 1])
@@ -562,8 +590,11 @@ def ring_of_hubs(n, hubs):
                       + ring)
 
 
-@pytest.mark.parametrize("n, hubs, pair_budget", [(50_000, 4, 10 ** 6), (2_200, 100, 200_000)])
-def test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budget):
+MEMORY_CASES = [(50_000, 4, 10 ** 6), (2_200, 100, 200_000)]
+
+
+@pytest.mark.parametrize("n, hubs, pair_budget", MEMORY_CASES)
+def test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budget, threads=1):
     # Most drawn pairs touch a hub row.  With 100 hubs every pair probes
     # about 100 entries, so blocks are cut by probe count, not pair count.
     # The ring of the same size holds the same draws and blocks over rows
@@ -576,7 +607,8 @@ def test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budg
         g.degrees()
         tracemalloc.start()
         try:
-            hist = cosine_similarity_distribution(g, pair_budget=pair_budget, seed=2)
+            hist = cosine_similarity_distribution(g, pair_budget=pair_budget, seed=2,
+                                                  threads=threads)
             assert hist.sampled
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -584,6 +616,13 @@ def test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budg
 
     adjacency = sum(a.nbytes for a in graph.adjacency())
     assert peak(graph) <= 2 * adjacency + peak(ring)
+
+
+@pytest.mark.parametrize("n, hubs, pair_budget", MEMORY_CASES)
+def test_similarity_sample_memory_is_the_graph_plus_one_block_on_two_threads(n, hubs,
+                                                                               pair_budget):
+    # two workers hold two blocks, each of at most half the probes of one
+    test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budget, threads=2)
 
 
 NO_SCIPY = """

@@ -295,6 +295,21 @@ def test_validate_rejects_asymmetry():
         g.validate()
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0\t1\n1\t2\n0\t1\n", "neighbor list not strictly increasing"),
+    ("0\t1\n1\t2\n1\t0\n", "neighbor list not strictly increasing"),
+    ("0\t1\n2\t2\n", "self-loop present"),
+], ids=["duplicate", "duplicate_reversed", "self_loop"])
+def test_read_edge_list_rejects_duplicates_and_self_loops(tmp_path, body, message):
+    # from_edge_pairs inserts both orientations of each pair and skips the
+    # symmetry check, so these rows must still fail the row checks
+    path = tmp_path / "g.edges"
+    path.write_text("# nodes=4\n" + body)
+    with pytest.raises(ContractError) as err:
+        SubstrateGraph.read_edge_list(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_edge_list_round_trip(tmp_path, triangle):
     path = tmp_path / "g.edges"
     triangle.write_edge_list(path)

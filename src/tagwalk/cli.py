@@ -115,6 +115,9 @@ def main(argv=None) -> int:
     except (TagwalkError, OSError) as exc:
         print(f"tagwalk: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"tagwalk: error: out of memory in {args.command}", file=sys.stderr)
+        return 2
     print(out)
     return 0
 

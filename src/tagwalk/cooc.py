@@ -198,8 +198,7 @@ class CoocGraph:
         s, d = self.src, self.dst
         if np.any((s[1:] < s[:-1]) | ((s[1:] == s[:-1]) & (d[1:] <= d[:-1]))):
             raise ContractError("edges must be sorted and unique")
-        present = np.isin(np.concatenate([self.src, self.dst]), self.node_ids)
-        if not present.all():
+        if not (np.isin(self.src, self.node_ids).all() and np.isin(self.dst, self.node_ids).all()):
             raise ContractError("edge endpoint outside node set")
 
     # -- file format: "# nodes=<n> edges=<m> total_weight=<W>", then "i<TAB>j<TAB>w" --
@@ -223,10 +222,10 @@ class CoocGraph:
     @classmethod
     def read_edge_list(cls, path) -> "CoocGraph":
         headers, table = read_int_table(path, 3)
-        src, dst, weights = table.T.copy()
+        src, dst, weights = table.T             # contiguous columns of one array
         # isolated vocabulary members are not recoverable from an edge list;
         # the node set is the set of edge endpoints
-        node_ids = sorted_unique(np.concatenate([src, dst]))
+        node_ids = np.union1d(sorted_unique(src), sorted_unique(dst))
         g = cls(node_ids=node_ids, src=src, dst=dst, weights=weights)
         try:
             g.validate()
@@ -251,18 +250,29 @@ def _pair_blocks(counts: np.ndarray, budget: int = sys.maxsize):
     Groups of one size m >= 2 are taken together: each yielded ``(pos, iu,
     ju)`` has one group's member positions per row of ``pos`` and its pairs
     at ``pos[:, iu]``, ``pos[:, ju]``, at most ``budget`` pairs per block.
+    The slices of a size's pairs concatenate to ``np.triu_indices(m, 1)``.
     """
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
     for m in sorted_unique(counts).tolist():
         if m < 2:
             continue
         sel = starts[counts == m]
-        iu, ju = np.triu_indices(m, k=1)
-        rows, cols = max(1, budget // iu.size), min(iu.size, budget)
+        pairs = m * (m - 1) // 2
+        rows, cols = max(1, budget // pairs), min(pairs, budget)
         for lo in range(0, sel.size, rows):
             pos = sel[lo:lo + rows, None] + np.arange(m)
-            for c in range(0, iu.size, cols):
-                yield pos, iu[c:c + cols], ju[c:c + cols]
+            for c in range(0, pairs, cols):
+                yield pos, *_triu_slice(m, c, min(c + cols, pairs))
+
+
+def _triu_slice(m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``lo:hi`` of ``np.triu_indices(m, 1)``, built without the others."""
+    rows = np.arange(m - 1, dtype=np.int64)
+    first = rows * (2 * m - 1 - rows) // 2     # row i holds pairs first[i]..first[i]+m-2-i
+    span = slice(np.searchsorted(first, lo, "right") - 1, np.searchsorted(first, hi))
+    rows, first = rows[span], first[span]
+    counts = np.minimum(first + m - 1 - rows, hi) - np.maximum(first, lo)
+    return np.repeat(rows, counts), np.arange(lo, hi) - np.repeat(first - rows - 1, counts)
 
 
 def project(group_ids: np.ndarray, members: np.ndarray,

@@ -23,9 +23,13 @@ __all__ = ["format_cell", "write_csv", "read_csv", "sha256_of", "write_json",
 # that keeps every accepted field clear of int64 overflow.
 _DATA_BYTES = b"0123456789+- \t\r\n"
 _INT_LIMIT = 10 ** 18
-_FIELD = re.compile(r"[^ \t\r]+")
+_FIELD = re.compile(r"[^ \t\r\n]+")
 _INT = re.compile(r"[+-]?[0-9]+")
+_NO_INTS = np.empty(0, dtype=np.int64)
 
+# The readers parse this many bytes at a time, cut back to the last line
+# end, so their scratch memory scales with one block, not with the file.
+READ_BLOCK_BYTES = 1 << 18
 # write_int_rows renders this many fields at a time, which bounds its
 # scratch memory whatever the size of the file.
 WRITE_BLOCK_FIELDS = 1 << 17
@@ -101,7 +105,7 @@ def write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def read_int_rows(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Read a text file of integer rows in one vectorised pass.
+    """Read a text file of integer rows, vectorised over blocks of whole lines.
 
     The file is ASCII.  A line whose first byte is ``#`` is a header and a
     line of blanks is skipped.  Every other line is a data row of fields
@@ -111,7 +115,50 @@ def read_int_rows(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     number of each data row; blank and header lines count as lines.  A
     bad line raises ``ContractError`` at ``path:line``.
     """
-    data = Path(path).read_bytes()
+    blocks = list(_row_blocks(path))
+    return ([h for block in blocks for h in block[0]],
+            *(np.concatenate([block[k] for block in blocks] + [_NO_INTS]) for k in (1, 2, 3)))
+
+
+def read_int_table(path, columns: int) -> tuple[list[str], np.ndarray]:
+    """Header lines and ``(rows, columns)`` int64 table of a :func:`read_int_rows` file.
+
+    The table is column-major, so each column is one contiguous array.  A
+    row of another width raises ``ContractError`` at its line, unless a
+    later line is malformed, which :func:`read_int_rows` reports first.
+    """
+    headers, blocks, error = [], [_NO_INTS.reshape(0, columns)], None
+    for block_headers, values, counts, lines in _row_blocks(path):
+        headers += block_headers
+        bad = np.flatnonzero(counts != columns)
+        if bad.size and error is None:
+            error = ContractError(f"{path}:{lines[bad[0]]}: expected {columns} "
+                                  f"fields, got {counts[bad[0]]}")
+        elif error is None:
+            blocks.append(values.reshape(-1, columns))
+    if error is not None:
+        raise error
+    table = np.empty((sum(map(len, blocks)), columns), dtype=np.int64, order="F")
+    return headers, np.concatenate(blocks, out=table)
+
+
+def _row_blocks(path):
+    """Per block of whole lines: its headers, fields, and each data row's count and line."""
+    number, pending = 1, []
+    with open(path, "rb") as fh:
+        while chunk := fh.read(READ_BLOCK_BYTES):
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                block, pending = b"".join(pending + [chunk[:cut]]), [chunk[cut:]]
+                yield _parse_block(path, block, number)
+                number += block.count(b"\n")
+            else:
+                pending.append(chunk)
+    if any(pending):
+        yield _parse_block(path, b"".join(pending), number)
+
+
+def _parse_block(path, data: bytes, number: int):
     raw = np.frombuffer(data, dtype=np.uint8)
     heads = np.flatnonzero(raw == ord("#"))
     heads = heads[(heads == 0) | (raw[heads - 1] == ord("\n"))].tolist()
@@ -123,7 +170,7 @@ def read_int_rows(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
         blanked[head:end] = b" " * (end - head)
     text = bytes(blanked)
     if not data.isascii() or text.translate(None, _DATA_BYTES):
-        raise _first_bad_line(path, data)
+        raise _first_bad_line(path)
     buf = np.frombuffer(text, dtype=np.uint8)
     field = buf > ord(" ")          # in this alphabet: digits and signs
     start = field.copy()
@@ -132,43 +179,33 @@ def read_int_rows(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
         # a sign must open its field and be followed by a digit
         sign = (buf == ord("+")) | (buf == ord("-"))
         if np.any(sign & ~(start & np.append(buf[1:] >= ord("0"), False))):
-            raise _first_bad_line(path, data)
+            raise _first_bad_line(path)
     events = np.flatnonzero(start | (buf == ord("\n")))
     ends = np.flatnonzero(buf[events] == ord("\n"))
     per_line = np.diff(ends, prepend=-1, append=events.size) - 1
     rows = np.flatnonzero(per_line)
-    values = np.fromstring(text, dtype=np.int64, sep=" ") if rows.size \
-        else np.empty(0, dtype=np.int64)
+    values = np.fromstring(text, dtype=np.int64, sep=" ") if rows.size else _NO_INTS
     if np.any((values >= _INT_LIMIT) | (values <= -_INT_LIMIT)):
-        raise _first_bad_line(path, data)
-    return headers, values, per_line[rows], rows + 1
+        raise _first_bad_line(path)
+    return headers, values, per_line[rows], rows + number
 
 
-def _first_bad_line(path, data: bytes) -> ContractError:
-    """The error for the first line of ``data`` that :func:`read_int_rows` rejects."""
-    for number, line in enumerate(data.split(b"\n"), start=1):
-        if line.startswith(b"#"):
-            if not line.isascii():
-                return ContractError(f"{path}:{number}: non-ASCII byte in header")
-            continue
-        # non-ASCII bytes decode to lone surrogates, which no field matches
-        for field in _FIELD.findall(line.decode("ascii", "surrogateescape")):
-            if not _INT.fullmatch(field):
-                return ContractError(f"{path}:{number}: invalid literal for int() "
-                                     f"with base 10: {field!r}")
-            if abs(int(field)) >= _INT_LIMIT:
-                return ContractError(f"{path}:{number}: integer {field} out of range")
+def _first_bad_line(path) -> ContractError:
+    """The error for the first line of ``path`` that :func:`read_int_rows` rejects."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line.startswith(b"#"):
+                if not line.isascii():
+                    return ContractError(f"{path}:{number}: non-ASCII byte in header")
+                continue
+            # non-ASCII bytes decode to lone surrogates, which no field matches
+            for field in _FIELD.findall(line.decode("ascii", "surrogateescape")):
+                if not _INT.fullmatch(field):
+                    return ContractError(f"{path}:{number}: invalid literal for int() "
+                                         f"with base 10: {field!r}")
+                if abs(int(field)) >= _INT_LIMIT:
+                    return ContractError(f"{path}:{number}: integer {field} out of range")
     return ContractError(f"{path}: malformed integer table")
-
-
-def read_int_table(path, columns: int) -> tuple[list[str], np.ndarray]:
-    """Header lines and ``(rows, columns)`` int64 table of a :func:`read_int_rows` file."""
-    headers, values, counts, lines = read_int_rows(path)
-    bad = np.flatnonzero(counts != columns)
-    if bad.size:
-        raise ContractError(f"{path}:{lines[bad[0]]}: expected {columns} fields, "
-                            f"got {counts[bad[0]]}")
-    return headers, values.reshape(-1, columns)
 
 
 def write_int_rows(fh, values: np.ndarray, seps) -> None:

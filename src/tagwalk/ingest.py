@@ -145,8 +145,10 @@ class Corpus:
 def _clean_line(line: str, lo: int, hi: int) -> tuple[str, str, int, set[str]] | str:
     """Parse one input line into ``(user, resource, ts, tags)`` or a rejection reason."""
     try:
+        if not line.isascii():
+            line.encode()   # fails on the lone surrogate that a byte not in UTF-8 reads as
         obj = json.loads(line)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):    # also: an int of over 4300 digits, deep nesting
         return "malformed"
     if not isinstance(obj, dict):
         return "malformed"
@@ -204,7 +206,7 @@ def parse_posts(source, window: ValidityWindow | None = None,
 
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         name = source_name or str(source)
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             consume(fh, name)
     else:
         name = source_name

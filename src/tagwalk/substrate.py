@@ -68,43 +68,10 @@ class SubstrateGraph:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """All edges as parallel arrays (i, j) with i < j, sorted lexicographically."""
-        rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees())
-        cols = self.indices.astype(np.int64)
-        keep = rows < cols
-        return rows[keep], cols[keep]
-
-    def validate(self) -> None:
-        """Check structural invariants; raises ContractError on violation."""
-        rows, cols = self._check_rows()
-        # symmetry: the forward keys ascend already and equal the transpose's
-        n = self.node_count
-        if not np.array_equal(rows * n + cols, np.sort(cols * n + rows)):
-            raise ContractError("adjacency not symmetric")
-
-    def _check_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every invariant but symmetry; returns each entry's row and column."""
-        n = self.node_count
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0:
-            raise ContractError("malformed indptr")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ContractError("indptr not non-decreasing")
-        if self.indices.size != self.indptr[-1]:
-            raise ContractError("indices size disagrees with indptr")
-        cols = self.indices.astype(np.int64)
-        if cols.size == 0:
-            return cols, cols
-        if cols.min() < 0 or cols.max() >= n:
-            raise ContractError("neighbor id out of range")
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
-        if np.any(rows == cols):
-            raise ContractError("self-loop present")
-        # within a row, neighbor ids must be strictly increasing
-        if cols.size > 1:
-            same_row = rows[1:] == rows[:-1]
-            if np.any(same_row & (np.diff(cols) <= 0)):
-                raise ContractError("neighbor list not strictly increasing")
-        return rows, cols
+        """All edges as parallel int32 arrays (i, j) with i < j, sorted lexicographically."""
+        rows = np.repeat(np.arange(self.node_count, dtype=np.int32), self.degrees())
+        keep = rows < self.indices
+        return rows[keep], self.indices[keep]
 
     # -- file format: "# nodes=<n>" header, then "i<TAB>j" per edge, i < j --
 
@@ -120,35 +87,44 @@ class SubstrateGraph:
         if n is None:
             raise ContractError(f"{path}: missing '# nodes=' header")
         try:
-            return from_edge_pairs(n, edges[:, 0], edges[:, 1])
+            return from_edge_pairs(n, edges)
         except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from None
 
     def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Whether each ``(a[i], b[i])`` is an edge; int64 ids in ``[0, node_count)``."""
         n = self.node_count
-        keys = np.repeat(np.arange(n, dtype=np.int64), self.degrees()) * n + self.indices
-        keys = np.append(keys, n * n)           # sentinel above every query
+        # the row-major keys of every entry, then a sentinel above every query
+        keys = np.repeat(np.arange(n + 1, dtype=np.int64) * n, np.append(self.degrees(), 1))
+        keys[:-1] += self.indices
         query = a * n + b
         return keys[np.searchsorted(keys, query)] == query
 
 
-def from_edge_pairs(n: int, src: np.ndarray, dst: np.ndarray) -> SubstrateGraph:
-    """Build a validated graph from undirected int64 edge pairs (any orientation).
+def from_edge_pairs(n: int, edges: np.ndarray) -> SubstrateGraph:
+    """Build a validated graph from an ``(m, 2)`` int64 array of undirected edges.
 
     Both orientations of every pair go in, so the graph is symmetric by
     construction; a repeated pair, in either orientation, shows as a row
-    that is not strictly increasing.
+    that is not strictly increasing.  The array is handed over: a
+    column-major one becomes the sorted row-major keys of both
+    orientations, in place, so no copy of the edges is made.
     """
-    if src.size and (n == 0 or min(src.min(), dst.min()) < 0
-                     or max(src.max(), dst.max()) >= n):
+    src, dst = keys = np.asfortranarray(edges, dtype=np.int64).T
+    if src.size and (n == 0 or keys.min() < 0 or keys.max() >= n):
         raise ContractError("edge endpoint out of range")
-    # both orientations as row-major keys, each below n**2 after the range check
-    keys = np.sort(np.concatenate([src * n + dst, dst * n + src]))
+    if np.any(src == dst):
+        raise ContractError("self-loop present")
+    for lo in range(0, src.size, _KEY_BLOCK):
+        i, j = keys[:, lo:lo + _KEY_BLOCK]
+        i[:], j[:] = i * n + j, j * n + i
+    keys = keys.reshape(-1)
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
+        raise ContractError("neighbor list not strictly increasing")
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    g = SubstrateGraph(n, indptr.astype(np.int64), (keys % n).astype(np.int32))
-    g._check_rows()
-    return g
+    np.remainder(keys, n, out=keys)
+    return SubstrateGraph(n, indptr, keys.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +224,7 @@ def build_graph(spec: GraphSpec) -> SubstrateGraph:
 # _VECTOR_MIN coins a numpy pass costs more than the scalar rule.
 _BLOCK = 4096
 _VECTOR_MIN = 64
+_KEY_BLOCK = 1 << 16    # edges that from_edge_pairs turns into keys at a time
 
 
 def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> SubstrateGraph:
@@ -276,7 +253,9 @@ def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> Subst
     half = k // 2
     # lattice edge (i, i+j) lives in slot (j-1)*n + i, which holds the node
     # that coin i of round j rewired it to, or -1 while the edge is kept
-    partner = np.full(half * n, -1, dtype=np.int64)
+    edges = np.empty((half * n, 2), dtype=np.int64, order="F")
+    partner = edges[:, 1]
+    partner.fill(-1)
     degree = np.full(n, k, dtype=np.int64)
     pv, dv = memoryview(partner), memoryview(degree)   # scalar access, same memory
 
@@ -318,9 +297,11 @@ def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> Subst
         if used < draws.size:  # rewind to where scalar draws would have left it
             rng.bit_generator.state = before
             rng.integers(n, size=used)
-    src = np.tile(np.arange(n, dtype=np.int64), half)
-    dst = (src + np.repeat(np.arange(1, half + 1, dtype=np.int64), n)) % n
-    return from_edge_pairs(n, src, np.where(partner < 0, dst, partner))
+    rows, partners = edges.T.reshape(2, half, n)
+    rows[:] = np.arange(n)
+    for j in range(1, half + 1):        # kept lattice edges (i, i+j)
+        np.copyto(partners[j - 1], (rows[0] + j) % n, where=partners[j - 1] < 0)
+    return from_edge_pairs(n, edges)
 
 
 def _settle_slice(c: np.ndarray, m: np.ndarray, j: int, partner: np.ndarray,
@@ -367,7 +348,7 @@ def generate_regular_tree(z: int, depth: int, seed: int = 0) -> SubstrateGraph:
     # node v >= 1 has children z+2+(v-1)*z .. z+1+v*z
     child = np.arange(1, total, dtype=np.int64)
     parent = np.where(child <= z + 1, 0, (child - z - 2) // z + 1)
-    return from_edge_pairs(total, parent, child)
+    return from_edge_pairs(total, np.stack([parent, child]).T)
 
 
 def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> SubstrateGraph:
@@ -376,7 +357,7 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> SubstrateGrap
     p = mean_degree / (n - 1) if n > 1 else 0.0
     total_pairs = n * (n - 1) // 2
     if p <= 0.0 or total_pairs == 0:
-        return from_edge_pairs(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return from_edge_pairs(n, np.empty((0, 2), dtype=np.int64))
     rng = np.random.default_rng(seed)
     positions: list[np.ndarray] = []
     cursor = -1
@@ -396,7 +377,7 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> SubstrateGrap
     i = np.searchsorted(row_ends, linear, side="right")
     row_start = row_ends[i] - (n - 1 - i)
     j = linear - row_start + i + 1
-    return from_edge_pairs(n, i.astype(np.int64), j.astype(np.int64))
+    return from_edge_pairs(n, np.stack([i, j]).T)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,7 @@ from tagwalk.substrate import SubstrateGraph, from_edge_pairs
 
 
 def graph_from_pairs(n, pairs) -> SubstrateGraph:
-    if not pairs:
-        return from_edge_pairs(n, np.empty(0, dtype=np.int64),
-                               np.empty(0, dtype=np.int64))
-    src, dst = zip(*pairs)
-    return from_edge_pairs(n, np.asarray(src), np.asarray(dst))
+    return from_edge_pairs(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def focus_stream(tagsets, focus_tag="t") -> Corpus:

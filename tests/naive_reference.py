@@ -190,6 +190,29 @@ def run_walk(graph, origin, master_seed, walk_index, lengths, non_backtracking=F
 # Set-based Watts-Strogatz generator
 # ---------------------------------------------------------------------------
 
+def validate_substrate(graph: SubstrateGraph) -> None:
+    """Check the CSR invariants of a substrate graph; raises ContractError on violation."""
+    n = graph.node_count
+    if graph.indptr.shape != (n + 1,) or graph.indptr[0] != 0:
+        raise ContractError("malformed indptr")
+    if np.any(np.diff(graph.indptr) < 0):
+        raise ContractError("indptr not non-decreasing")
+    if graph.indices.size != graph.indptr[-1]:
+        raise ContractError("indices size disagrees with indptr")
+    cols = graph.indices.astype(np.int64)
+    if cols.size and (cols.min() < 0 or cols.max() >= n):
+        raise ContractError("neighbor id out of range")
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    if np.any(rows == cols):
+        raise ContractError("self-loop present")
+    # within a row, neighbor ids must be strictly increasing
+    if np.any((rows[1:] == rows[:-1]) & (np.diff(cols) <= 0)):
+        raise ContractError("neighbor list not strictly increasing")
+    # symmetry: the forward keys ascend already and equal the transpose's
+    if not np.array_equal(rows * n + cols, np.sort(cols * n + rows)):
+        raise ContractError("adjacency not symmetric")
+
+
 def _graph_from_sets(adj: list[set[int]]) -> SubstrateGraph:
     n = len(adj)
     degrees = np.fromiter((len(s) for s in adj), dtype=np.int64, count=n)
@@ -201,7 +224,7 @@ def _graph_from_sets(adj: list[set[int]]) -> SubstrateGraph:
         indices[pos:pos + len(nbrs)] = nbrs
         pos += len(nbrs)
     g = SubstrateGraph(n, indptr, indices)
-    g.validate()
+    validate_substrate(g)
     return g
 
 

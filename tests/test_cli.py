@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagwalk import observables
+from tagwalk import observables, pipeline
 from tagwalk.cli import build_parser, main
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ConfigError
@@ -706,6 +706,42 @@ def test_ingest_strict_aborts(tmp_path):
     out = tmp_path / "out"
     assert main(["ingest", "--config", str(cfg), "--out", str(out),
                  "--strict"]) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    b"[" * 200_000,
+    b'{"user": "u\xff"}',
+    b'{"ts": ' + b"1" * 5000 + b"}",
+], ids=["nesting_too_deep", "byte_0xff", "int_of_5000_digits"])
+def test_ingest_counts_an_unparsable_line_as_malformed(tmp_path, capsys, bad):
+    post = json.dumps({"user": "u", "resource": "r", "ts": 1_000_000_000,
+                       "tags": ["walks", "a"]}).encode("ascii")
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(post + b"\n" + bad + b"\n" + post + b"\n")
+    cfg = tmp_path / "ingest.json"
+    cfg.write_text(json.dumps({"seed": 4, "ingest": {
+        "input": str(log), "focus_tag": "walks", "ts_max": 2_000_000_000}}))
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "rejects.csv").read_text() == (
+        "reason,count\nbad_timestamp,0\nmalformed,1\nno_tags,0\n")
+    assert json.loads((out / "manifest.json").read_text())["provenance"]["accepted"] == 2
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "strict"),
+                 "--strict"]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: malformed post at {log}:2\n"
+
+
+@pytest.mark.parametrize("command", ["run", "walk"])
+def test_out_of_memory_in_a_stage_exits_2(tmp_path, capsys, monkeypatch, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(pipeline, "_walk", exhausted)
+    cfg = write_config(tmp_path)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"tagwalk: error: out of memory in {command}\n"
+    assert captured.out == ""
 
 
 def test_ingest_open_window_ignores_the_clock(tmp_path, monkeypatch):

@@ -290,3 +290,21 @@ def test_read_edge_list_names_bad_line(tmp_path, bad, message):
     with pytest.raises(ContractError) as err:
         CoocGraph.read_edge_list(path)
     assert str(err.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7, 64, 1000, 2 ** 20])
+def test_pair_slices_concatenate_to_triu_indices(budget):
+    # one group of every size 0..60, then a second of each size 2..11
+    counts = np.concatenate([np.arange(0, 61), np.arange(2, 12)])
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    pieces = {start: [] for start in starts[counts >= 2].tolist()}
+    for pos, iu, ju in cooc._pair_blocks(counts, budget):
+        assert pos.shape[0] * iu.size <= budget
+        for row in pos:
+            assert np.array_equal(row, row[0] + np.arange(pos.shape[1]))
+            pieces[int(row[0])].append((iu, ju))
+    for start, m in zip(starts.tolist(), counts.tolist()):
+        if m >= 2:
+            want = np.triu_indices(m, k=1)
+            for got, axis in zip(want, (0, 1)):
+                assert np.array_equal(np.concatenate([p[axis] for p in pieces[start]]), got)

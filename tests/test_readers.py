@@ -5,7 +5,10 @@ Hostile input (arbitrary bytes, truncated and mutated files) must end in
 ``ContractError`` or a successful read, never another exception or a warning.
 """
 
+import contextlib
+import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,13 +18,26 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
 from naive_reference import build_from_traces
+from tagwalk import formats
+from tagwalk.cli import main
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ContractError
-from tagwalk.formats import read_int_rows
+from tagwalk.formats import read_int_rows, read_int_table
 from tagwalk.substrate import SubstrateGraph, generate_watts_strogatz
 from tagwalk.walker import PowerLawLength, WalkEnsemble, simulate_walks
 
 FUZZ = settings(max_examples=150, deadline=None)
+
+# The readers' own block size, or blocks of a few bytes, which cut lines,
+# CRLF pairs and headers at every place.
+blocks = st.sampled_from([formats.READ_BLOCK_BYTES]) | st.integers(1, 8)
+
+
+@contextlib.contextmanager
+def blocks_of(size: int):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "READ_BLOCK_BYTES", size)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -53,24 +69,26 @@ def ensemble_of(walks) -> WalkEnsemble:
 # Round trips
 # ---------------------------------------------------------------------------
 
-@given(graphs())
+@given(graphs(), blocks)
 @FUZZ
-def test_substrate_round_trip(workdir, g):
+def test_substrate_round_trip(workdir, g, block):
     path = workdir / "substrate.edges"
     g.write_edge_list(path)
-    back = SubstrateGraph.read_edge_list(path)
+    with blocks_of(block):
+        back = SubstrateGraph.read_edge_list(path)
     assert back.node_count == g.node_count
     assert np.array_equal(back.indptr, g.indptr)
     assert np.array_equal(back.indices, g.indices)
 
 
-@given(walk_lists)
+@given(walk_lists, blocks)
 @FUZZ
-def test_traces_round_trip(workdir, walks):
+def test_traces_round_trip(workdir, walks, block):
     ens = ensemble_of(walks)
     path = workdir / "traces.txt"
     ens.write_traces(path)
-    back = WalkEnsemble.read_traces(path)
+    with blocks_of(block):
+        back = WalkEnsemble.read_traces(path)
     assert (back.origin, back.node_count) == (ens.origin, ens.node_count)
     assert np.array_equal(back.offsets, ens.offsets)
     assert np.array_equal(back.nodes, ens.nodes)
@@ -105,13 +123,14 @@ def test_simulated_traces_pass_the_substrate_checks(workdir, seed, origin):
     assert np.array_equal(back.nodes, ens.nodes)
 
 
-@given(walk_lists)
+@given(walk_lists, blocks)
 @FUZZ
-def test_cooc_round_trip(workdir, walks):
+def test_cooc_round_trip(workdir, walks, block):
     g = build_from_traces(walks)
     path = workdir / "cooc.edges"
     g.write_edge_list(path)
-    back = CoocGraph.read_edge_list(path)
+    with blocks_of(block):
+        back = CoocGraph.read_edge_list(path)
     endpoints = np.unique(np.concatenate([g.src, g.dst]))
     assert np.array_equal(back.node_ids, endpoints)
     for name in ("src", "dst", "weights"):
@@ -160,9 +179,9 @@ def valid_bytes(kind, walks, workdir) -> bytes:
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
-@given(walks=walk_lists, data=st.data())
+@given(walks=walk_lists, data=st.data(), block=blocks)
 @FUZZ
-def test_truncated_and_mutated_files(workdir, kind, walks, data):
+def test_truncated_and_mutated_files(workdir, kind, walks, data, block):
     good = valid_bytes(kind, walks, workdir)
     cut = data.draw(st.integers(0, len(good)))
     spot = data.draw(st.integers(0, cut))
@@ -170,7 +189,8 @@ def test_truncated_and_mutated_files(workdir, kind, walks, data):
                                        b"\n", b"\r\n", b"99999999999999999999"]))
     path = workdir / f"mutated.{kind}"
     path.write_bytes(good[:spot] + extra + good[spot:cut])
-    read_or_contract_error(READERS[kind], path)
+    with blocks_of(block):
+        read_or_contract_error(READERS[kind], path)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +219,30 @@ pieces = st.sampled_from([b"0", b"7", b"12", b"-3", b"+", b"-", b" ", b"\t", b"\
                           b"\n", b"\n", b"#", b"x", b"\xe9", b"99999999999999999999"])
 
 
-@given(st.lists(pieces, max_size=40).map(b"".join))
+@given(st.lists(pieces, max_size=40).map(b"".join), blocks)
 @settings(max_examples=400, deadline=None)
-def test_row_reader_matches_line_by_line_reference(workdir, data):
-    path = workdir / "rows.txt"
+def test_row_reader_matches_line_by_line_reference(workdir, data, block):
+    with blocks_of(block):
+        assert_rows_match_reference(workdir / "rows.txt", data)
+
+
+@pytest.mark.parametrize("data", [
+    b"",
+    b"# nodes=3\n0 1\n# second header\n1 2\n",
+    b"1\t2\r\n3 4\r\n\r\n-5 +6\r\n",
+    b"# h\r\n7 8\n9",
+    b"# last line is a header",
+    b"1 2\n3 x\n4 5\n",
+    b"1 2\n# \xe9\n",
+], ids=["empty", "headers", "crlf", "no_final_newline", "header_only", "bad_field",
+        "non_ascii_header"])
+def test_row_reader_at_every_block_size(workdir, data):
+    for block in range(1, len(data) + 2):
+        with blocks_of(block):
+            assert_rows_match_reference(workdir / "cut.txt", data)
+
+
+def assert_rows_match_reference(path, data: bytes):
     path.write_bytes(data)
     expected = reference_rows(data)
     if isinstance(expected, int):
@@ -214,3 +254,65 @@ def test_row_reader_matches_line_by_line_reference(workdir, data):
     assert lines.tolist() == [number for number, _ in expected[1]]
     assert counts.tolist() == [len(row) for _, row in expected[1]]
     assert values.tolist() == [v for _, row in expected[1] for v in row]
+
+
+def test_a_later_malformed_line_outranks_an_earlier_short_row(workdir):
+    path = workdir / "precedence.edges"
+    path.write_bytes(b"0\t1\n2\n" + b"3\t4\n" * 10 + b"5\tx\n")
+    for block in (4, formats.READ_BLOCK_BYTES):
+        with blocks_of(block), pytest.raises(ContractError) as err:
+            read_int_table(path, 2)
+        assert str(err.value) == f"{path}:13: invalid literal for int() with base 10: 'x'"
+
+
+# ---------------------------------------------------------------------------
+# Memory: the output plus one block
+# ---------------------------------------------------------------------------
+
+def traced_peak(read):
+    tracemalloc.start()
+    try:
+        return read(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_reader_peak_is_twice_its_output_plus_one_block(workdir):
+    path = workdir / "big.edges"
+    table = np.random.default_rng(2).integers(0, 10 ** 6, size=(400_000, 2))
+    with open(path, "wb") as fh:
+        fh.write(b"# nodes=1000000\n")
+        formats.write_int_rows(fh, table, b"\t\n")
+    assert path.stat().st_size >= 20 * formats.READ_BLOCK_BYTES
+    (headers, back), peak = traced_peak(lambda: read_int_table(path, 2))
+    assert headers == ["# nodes=1000000"] and np.array_equal(back, table)
+    assert peak <= 2 * back.nbytes + formats.READ_BLOCK_BYTES
+
+
+@pytest.fixture(scope="module")
+def staged_artifacts(tmp_path_factory):
+    """The substrate, traces and cooc.edges of the benchmark's staged input 1000."""
+    work = tmp_path_factory.mktemp("staged")
+    config = work / "config.json"
+    config.write_text(json.dumps({
+        "seed": 1000,
+        "graph": {"type": "watts_strogatz", "n": 100_000, "k": 8, "p_rewire": 0.1},
+        "walk": {"origin": 0, "n_rw": 80_000,
+                 "lengths": {"type": "power_law", "exponent": 2.5,
+                             "l_min": 1, "l_max": 100}},
+        "observables": {"clustering": False}}))
+    for stage in ("generate", "walk", "cooc"):
+        args = [stage, "--config", str(config), "--out", str(work)]
+        assert main(args + (["--threads", "1"] if stage == "walk" else [])) == 0
+    return work
+
+
+@pytest.mark.parametrize("read, name, limit_mib", [
+    (SubstrateGraph.read_edge_list, "substrate.edges", 20),
+    (CoocGraph.read_edge_list, "cooc.edges", 12),
+], ids=["substrate", "cooc"])
+def test_graph_reader_peaks_on_the_staged_benchmark_input(staged_artifacts, read, name,
+                                                          limit_mib):
+    # 400k substrate edges (a 3.8 MiB graph) and 140k cooc edges (3.3 MiB)
+    _, peak = traced_peak(lambda: read(staged_artifacts / name))
+    assert peak <= limit_mib * 2 ** 20

@@ -35,7 +35,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _EdgeTable(NamedTuple):
-    bytes_per_entry: int     # the EDGE_TABLE_BYTES it was built for
     mask: int                # slot count - 1
     table: np.ndarray        # per slot: a row offset, -1 (no key) or -2 (shared)
     shared_keys: np.ndarray  # keys of the shared slots, ascending, then a sentinel
@@ -109,7 +108,7 @@ class CoocGraph:
         shrink to the candidates as soon as those are known.
         """
         indptr, neighbors, _ = self._csr
-        lookup = self._edge_table()
+        lookup = self._edge_table
         stride = self.node_count | 1
         slot = np.multiply(rows, stride, dtype=np.int64)
         slot += cols
@@ -131,11 +130,8 @@ class CoocGraph:
         del rows, cols, offset
         return probe[found], entry[found]
 
+    @cached_property
     def _edge_table(self) -> _EdgeTable:
-        # Cached on the instance like ``_csr``, and rebuilt if EDGE_TABLE_BYTES changed.
-        cached = self.__dict__.get("_table")
-        if cached is not None and cached.bytes_per_entry == EDGE_TABLE_BYTES:
-            return cached
         indptr, neighbors, _ = self._csr
         k = self.degrees()
         stride = self.node_count | 1        # odd, so rows start at distinct slots
@@ -155,9 +151,7 @@ class CoocGraph:
         shared = np.flatnonzero(table[slot] == -2)     # entries, ascending
         rows = np.searchsorted(indptr, shared, side="right") - 1
         shared_keys = np.append(rows * stride + neighbors[shared], np.iinfo(np.int64).max)
-        self.__dict__["_table"] = cached = _EdgeTable(
-            EDGE_TABLE_BYTES, mask, *_read_only(table, shared_keys, np.append(shared, -1)))
-        return cached
+        return _EdgeTable(mask, *_read_only(table, shared_keys, np.append(shared, -1)))
 
     @cached_property
     def _ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -289,14 +283,12 @@ def project(group_ids: np.ndarray, members: np.ndarray,
     members = np.asarray(members, dtype=np.int64)   # pair keys need 64 bits
     node_ids = sorted_unique(members)
     scale = int(node_ids[-1]) + 1 if node_ids.size else 1
-    src = dst = weights = _EMPTY
-    key_chunks: list[np.ndarray] = []
+    key_chunks = [_EMPTY]
     for pos, iu, ju in _pair_blocks(np.unique(group_ids, return_counts=True)[1]):
         rows = members[pos]
         key_chunks.append((rows[:, iu] * scale + rows[:, ju]).ravel())
-    if key_chunks:
-        keys, weights = np.unique(np.concatenate(key_chunks), return_counts=True)
-        src, dst, weights = keys // scale, keys % scale, weights.astype(np.int64)
+    keys, weights = np.unique(np.concatenate(key_chunks), return_counts=True)
+    src, dst, weights = keys // scale, keys % scale, weights.astype(np.int64)
     g = CoocGraph(node_ids=node_ids, src=src, dst=dst, weights=weights, labels=labels)
     g.validate()
     return g

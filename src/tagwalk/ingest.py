@@ -19,10 +19,10 @@ projection unchanged.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,10 @@ WRITE_BLOCK_POSTS = 4096
 _quote = json.encoder.encode_basestring_ascii
 
 _INT64 = np.iinfo(np.int64)
+
+# What a tag must not hold, since a label is one line of UTF-8: a line
+# break, or a lone surrogate, which only a JSON escape can give.
+_NOT_A_LABEL = re.compile("[\n\r\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,6 @@ class Corpus:
     users: tuple[str, ...]
     resources: tuple[str, ...]
     vocabulary: tuple[str, ...]  # sorted
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.ts.size
@@ -162,6 +165,8 @@ def _clean_line(line: str, lo: int, hi: int) -> tuple[str, str, int, set[str]] |
         return "malformed"
     if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
         return "malformed"
+    if "\\" in line and any(map(_NOT_A_LABEL.search, tags)):
+        return "malformed"
     folded = {t.lower() for t in tags if t}
     if not folded:
         return "no_tags"
@@ -171,12 +176,11 @@ def _clean_line(line: str, lo: int, hi: int) -> tuple[str, str, int, set[str]] |
 
 
 def parse_posts(source, window: ValidityWindow | None = None,
-                strict: bool = False,
-                source_name: str | None = None) -> tuple[Corpus, RejectionReport]:
-    """Read, clean, and time-order a JSON-Lines post log.
+                strict: bool = False) -> tuple[Corpus, RejectionReport]:
+    """Read, clean, and time-order the JSON-Lines post log at path ``source``.
 
-    ``source`` is a path or an iterable of lines.  Malformed lines are
-    counted and skipped, or abort with line number when ``strict``.
+    Malformed lines are counted and skipped, or abort with ``source:line``
+    when ``strict``.
     """
     window = window or ValidityWindow()
     lo, hi = window.resolve()
@@ -186,14 +190,12 @@ def parse_posts(source, window: ValidityWindow | None = None,
     resources: dict[str, int] = {}
     tags: dict[str, int] = {}
     ts, user_ids, resource_ids, counts, tag_ids = (array("q") for _ in range(5))
-
-    def consume(lines: Iterable[str], name: str | None) -> None:
-        for lineno, line in enumerate(lines, start=1):
+    with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
             outcome = _clean_line(line.strip(), lo, hi)
             if isinstance(outcome, str):
                 if outcome == "malformed" and strict:
-                    where = f"{name}:{lineno}" if name else f"line {lineno}"
-                    raise IngestError(f"malformed post at {where}")
+                    raise IngestError(f"malformed post at {source}:{lineno}")
                 setattr(report, outcome, getattr(report, outcome) + 1)
                 continue
             user, resource, stamp, folded = outcome
@@ -203,14 +205,6 @@ def parse_posts(source, window: ValidityWindow | None = None,
             resource_ids.append(resources.setdefault(resource, len(resources)))
             counts.append(len(folded))
             tag_ids.extend([tags.setdefault(t, len(tags)) for t in folded])
-
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        name = source_name or str(source)
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            consume(fh, name)
-    else:
-        name = source_name
-        consume(source, source_name)
 
     ts, user_ids, resource_ids, counts, tag_ids = (
         np.frombuffer(a, dtype=np.int64) for a in (ts, user_ids, resource_ids, counts, tag_ids))
@@ -226,13 +220,10 @@ def parse_posts(source, window: ValidityWindow | None = None,
     keys += rank[tag_ids]
     keys.sort()
     keys %= scale
-    provenance = {"source": name,
-                  "lines": report.total_lines,
-                  "ts_min": window.ts_min, "ts_max": window.ts_max}
     corpus = Corpus(ts=ts[order], user_ids=user_ids[order], resource_ids=resource_ids[order],
                     offsets=np.concatenate([[0], np.cumsum(counts[order])]), tag_ids=keys,
                     users=tuple(users), resources=tuple(resources),
-                    vocabulary=vocabulary, provenance=provenance)
+                    vocabulary=vocabulary)
     return corpus, report
 
 
@@ -256,5 +247,4 @@ def filter_by_tag(corpus: Corpus, focus_tag: str) -> Corpus:
                   offsets=np.concatenate([[0], np.cumsum(kept)]),
                   tag_ids=np.searchsorted(used, tag_ids[member]),
                   users=corpus.users, resources=corpus.resources,
-                  vocabulary=tuple(corpus.vocabulary[t] for t in used.tolist()),
-                  provenance=corpus.provenance)
+                  vocabulary=tuple(corpus.vocabulary[t] for t in used.tolist()))

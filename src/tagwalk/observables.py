@@ -46,12 +46,9 @@ __all__ = [
 # All-pairs cosine similarity is quadratic; above this node count a fixed
 # budget of sampled pairs is used instead.
 EXACT_SIMILARITY_LIMIT = 2000
-# Sampled pairs are drawn 65,536 at a time (the draws fix the sample) and
-# intersected at most SIMILARITY_BLOCK_PAIRS at a time.  A pair probes
-# min(k_a, k_b) entries; a block also ends once its probes pass
-# SIMILARITY_BLOCK_PROBES, shared among the worker threads, which bounds
-# the probe arrays on hub-heavy graphs.
-SIMILARITY_BLOCK_PAIRS = 4096
+# Sampled pairs are drawn 65,536 at a time (the draws fix the sample).  A
+# pair probes min(k_a, k_b) entries, and a draw is intersected in blocks of
+# about SIMILARITY_BLOCK_PROBES probes, shared among the worker threads.
 SIMILARITY_BLOCK_PROBES = 1 << 17
 # The exact path adds wedge products about this many at a time.
 SIMILARITY_BATCH_WEDGES = 1 << 18
@@ -118,14 +115,22 @@ def _log_edges(x_min: float, x_max: float, ratio: float) -> np.ndarray:
     return x_min * ratio ** np.arange(n_bins + 1)
 
 
+def _blocks(costs: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """The items, item i costing ``costs[i]``, cut into non-empty slices ``(lo, hi)``.
+
+    A slice ends before the item whose running cost passes the next multiple
+    of ``budget``, so a slice costs at most ``budget`` plus its first item.
+    """
+    ends = np.cumsum(costs)
+    cuts = np.searchsorted(ends, np.arange(budget, ends.max(initial=0), budget), side="right")
+    bounds = np.unique(np.concatenate([[0], cuts, [costs.size]])).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _class_means(k: np.ndarray, values: np.ndarray, keep: np.ndarray) -> BinnedSeries:
     """Average ``values`` over nodes grouped by exact degree, rows in ``keep``."""
-    kk = k[keep]
-    vv = values[keep]
-    if kk.size == 0:
-        return BinnedSeries(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
-    classes, inv, counts = np.unique(kk, return_inverse=True, return_counts=True)
-    sums = np.bincount(inv, weights=vv, minlength=classes.size)
+    classes, inv, counts = np.unique(k[keep], return_inverse=True, return_counts=True)
+    sums = np.bincount(inv, weights=values[keep], minlength=classes.size)
     return BinnedSeries(classes.astype(np.float64), sums / counts,
                         counts.astype(np.int64))
 
@@ -138,8 +143,6 @@ def degree_strength_weight_distributions(
         g: CoocGraph) -> tuple[Distribution, Distribution, Distribution]:
     """Raw histograms of node degrees, node strengths, and link weights."""
     def dist(vals: np.ndarray) -> Distribution:
-        if vals.size == 0:
-            return Distribution(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         v, c = np.unique(vals, return_counts=True)
         return Distribution(v.astype(np.int64), c.astype(np.int64))
     return dist(g.degrees()), dist(g.strengths()), dist(g.weights)
@@ -234,8 +237,6 @@ def exact_similarities(g: CoocGraph) -> tuple[np.ndarray, np.ndarray]:
     k = g.degrees()
     live = np.flatnonzero(k)
     m = live.size
-    if m < 2:
-        return live, np.empty(0)
     y = (np.cumsum(k > 0) - 1)[neighbors]           # live position of each entry's column
     unit = _inverse_norms(g)[neighbors] * weights   # entry e of row c is y_e's weight at c
     x = np.arange(m, dtype=np.int64)
@@ -243,10 +244,8 @@ def exact_similarities(g: CoocGraph) -> tuple[np.ndarray, np.ndarray]:
     later = np.repeat(indptr[1:], k) - np.arange(y.size) - 1   # entries after e in its row
     sims = np.zeros(m * (m - 1) // 2)
     entries = np.arange(y.size)[::-1]
-    ends = np.cumsum(later[entries])
-    cuts = np.searchsorted(ends, np.arange(SIMILARITY_BATCH_WEDGES, ends[-1],
-                                           SIMILARITY_BATCH_WEDGES), side="right")
-    for e in np.split(entries, np.unique(cuts)):
+    for lo, hi in _blocks(later[entries], SIMILARITY_BATCH_WEDGES):
+        e = entries[lo:hi]
         n = later[e]
         f = np.arange(n.sum()) + np.repeat(e + 1 - np.cumsum(n) + n, n)
         np.add.at(sims, np.repeat(base[e], n) + y[f], np.repeat(unit[e], n) * unit[f])
@@ -288,18 +287,16 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int, threads: in
     """Cosine similarities of ``pair_budget`` seeded pairs of distinct live nodes.
 
     Yields one array per draw of at most 65,536 pairs, drawn on the calling
-    thread.  A draw is cut into blocks of at most ``SIMILARITY_BLOCK_PAIRS``
-    pairs and about ``SIMILARITY_BLOCK_PROBES // threads`` probes, which
-    :func:`map_blocks` spreads over ``threads`` threads, each block into
-    its own slice of the draw.  A pair's bits do not depend on its block,
-    so the draws are the same for any ``threads``.  The probes in flight,
-    most of a block's memory, stay those of one single-thread block; the
-    pair cap is not shared, since smaller blocks of short rows cost more
-    in per-call overhead than the threads save.
+    thread.  A draw is cut into blocks of about ``SIMILARITY_BLOCK_PROBES //
+    threads`` probes, which :func:`map_blocks` spreads over ``threads``
+    threads, each block into its own slice of the draw.  A pair's bits do
+    not depend on its block, so the draws are the same for any ``threads``,
+    and the probes in flight, most of a block's memory, stay those of one
+    single-thread block.
     """
     k = g.degrees()
     inv = _inverse_norms(g)
-    g._edge_table()     # like the CSR and degrees, cached before any worker reads it
+    g._edge_table       # like the CSR and degrees, cached before any worker reads it
     live = np.flatnonzero(k)
     rng = np.random.default_rng(seed)
     block_probes = max(1, SIMILARITY_BLOCK_PROBES // threads)
@@ -311,20 +308,14 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int, threads: in
         ok = i != j
         i, j = live[i[ok][:take]], live[j[ok][:take]]
         sims = np.empty(i.size)
-        ends = np.cumsum(np.minimum(k[i], k[j]))   # probes up to each pair
-        cuts = [0]
-        while cuts[-1] < i.size:
-            lo = cuts[-1]
-            hi = np.searchsorted(ends, ends[lo] + block_probes, side="right")
-            cuts.append(min(int(hi), lo + SIMILARITY_BLOCK_PAIRS))
 
         def block(cut: tuple[int, int]) -> None:
             lo, hi = cut
             sims[lo:hi] = _cosines(g, inv, i[lo:hi], j[lo:hi])
 
-        map_blocks(block, list(zip(cuts[:-1], cuts[1:])), threads)
+        map_blocks(block, _blocks(np.minimum(k[i], k[j]), block_probes), threads)
         remaining -= i.size
-        del i, j, ok, ends      # the next draw need not meet this one's arrays
+        del i, j, ok        # the next draw need not meet this one's arrays
         yield sims
         del sims
 
@@ -345,14 +336,11 @@ def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     edges = np.round(np.arange(0.0, 1.0 + bin_width / 2, bin_width), 10)
-    m = np.count_nonzero(g.degrees())     # nodes of positive strength
-    if m < 2:
-        return Histogram(edges, np.zeros(edges.size - 1, dtype=np.int64), False, 0)
 
     def histogram(sims: np.ndarray) -> np.ndarray:
         return np.histogram(np.clip(sims, 0.0, 1.0), bins=edges)[0].astype(np.int64)
 
-    if m <= EXACT_SIMILARITY_LIMIT:
+    if np.count_nonzero(g.degrees()) <= EXACT_SIMILARITY_LIMIT:   # nodes of positive strength
         sims = exact_similarities(g)[1]
         return Histogram(edges, histogram(sims), False, sims.size)
     counts = np.zeros(edges.size - 1, dtype=np.int64)

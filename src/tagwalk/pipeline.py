@@ -334,8 +334,7 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
                   _fit_or_none(*heaps, (fitw.heaps_min, max(n_max, 1)))}
     obs_dir = out / "observables"
     obs_dir.mkdir(parents=True, exist_ok=True)
-    if g.edge_count:
-        observables.assert_accounting(g)
+    observables.assert_accounting(g)
     if flags.distributions:
         pk, ps, pw = observables.degree_strength_weight_distributions(g)
         for name, dist in [("degree_dist", pk), ("strength_dist", ps),
@@ -449,9 +448,12 @@ def _walk(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph, threads: int,
     return pairs, heaps, freqs
 
 
-def _cooc(out: Path, pairs: tuple[np.ndarray, np.ndarray]) -> cooc.CoocGraph:
-    g = cooc.project(*pairs)
+def _cooc(out: Path, pairs: tuple[np.ndarray, np.ndarray],
+          labels: tuple[str, ...] | None = None) -> cooc.CoocGraph:
+    g = cooc.project(*pairs, labels)
     g.write_edge_list(out / "cooc.edges")
+    if labels is not None:
+        g.write_labels(out / "cooc_labels.tsv")
     return g
 
 
@@ -572,21 +574,18 @@ def run_ingest(cfg: IngestConfig, out_dir, strict: bool = False, threads: int = 
     corpus.write_jsonl(out / "corpus.jsonl")
     report.write_csv(out / "rejects.csv")
     stream = ingest.filter_by_tag(corpus, source.focus_tag.lower())
-    provenance = dict(corpus.provenance)
     del corpus  # the analysis reads only the focus stream
     # the stream's (post, tag) pairs take the path of a walk ensemble's pairs
     pairs, n = stream.tag_pairs(), len(stream)
     heaps = walker.heaps_curve(*pairs, n, np.arange(1, n + 1))
     write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(*heaps))
-    g = cooc.project(*pairs, stream.vocabulary)
-    g.write_edge_list(out / "cooc.edges")
-    g.write_labels(out / "cooc_labels.tsv")
-    counts = walker.node_frequencies(pairs[1], len(stream.vocabulary)) \
-        if cfg.observables.frequency_rank else None
-    _stats(cfg, out, g, heaps, counts, n, threads)
-    provenance["input_sha256"] = sha256_of(source.input)
-    provenance["accepted"] = report.accepted
-    provenance["focus_posts"] = len(stream)
+    g = _cooc(out, pairs, stream.vocabulary)
+    _stats(cfg, out, g, heaps, walker.node_frequencies(pairs[1], len(stream.vocabulary)),
+           n, threads)
+    provenance = {"source": source.input, "lines": report.total_lines,
+                  "ts_min": source.ts_min, "ts_max": source.ts_max,
+                  "input_sha256": sha256_of(source.input), "accepted": report.accepted,
+                  "focus_posts": n}
     _write_manifest(out, cfg.resolved(), provenance=provenance)
     return out
 

@@ -168,18 +168,16 @@ class WalkEnsemble:
             write_int_rows(fh, self.nodes, seps)
 
     @classmethod
-    def read_traces(cls, path, graph: SubstrateGraph | None = None,
-                    origin: int | None = None) -> "WalkEnsemble":
-        """Load a trace file whose walks all start at ``origin`` (default: the first node).
+    def read_traces(cls, path, graph: SubstrateGraph, origin: int) -> "WalkEnsemble":
+        """Load a trace file of walks on ``graph`` that all start at ``origin``.
 
-        With a ``graph``, ids must lie in ``[0, graph.node_count)`` and each
-        step must follow an edge; without one, ``node_count`` is one more
-        than the largest id.  Violations raise ``ContractError`` at ``path:line``.
-        An empty file holds no walks from ``origin``, which must then be given.
+        Ids must lie in ``[0, graph.node_count)`` and each step must follow
+        an edge; violations raise ``ContractError`` at ``path:line``.  An
+        empty file holds no walks, and is read only if ``origin`` is a node.
         """
         _, nodes, lengths, lines = read_int_rows(path)
-        limit = np.iinfo(np.int32).max if graph is None else graph.node_count
-        if lengths.size == 0 and not (origin is not None and 0 <= origin < limit):
+        limit = graph.node_count
+        if lengths.size == 0 and not 0 <= origin < limit:
             raise ContractError(f"{path}: no walks found and no origin in [0, {limit}) given")
         offsets = np.concatenate([[0], np.cumsum(lengths)])
 
@@ -190,20 +188,17 @@ class WalkEnsemble:
         bad = np.flatnonzero((nodes < 0) | (nodes >= limit))
         if bad.size:
             raise fail(bad[0], f"node id {nodes[bad[0]]} outside [0, {limit})")
-        origin = nodes[0] if origin is None else origin
         bad = offsets[:-1][nodes[offsets[:-1]] != origin]
         if bad.size:
             raise fail(bad[0], f"walk starts at node {nodes[bad[0]]}, not at the origin {origin}")
-        if graph is not None and nodes.size:
-            steps = np.ones(nodes.size - 1, dtype=bool)
-            steps[offsets[1:-1] - 1] = False       # no step from one walk into the next
-            steps = np.flatnonzero(steps)
-            bad = steps[~graph.has_edges(nodes[steps], nodes[steps + 1])]
-            if bad.size:
-                raise fail(bad[0], f"step {nodes[bad[0]]} -> {nodes[bad[0] + 1]} "
-                                   "is not a substrate edge")
-        node_count = int(nodes.max(initial=origin)) + 1 if graph is None else graph.node_count
-        return cls(origin=int(origin), node_count=node_count, offsets=offsets,
+        steps = np.ones(nodes.size, dtype=bool)
+        steps[offsets[1:] - 1] = False      # no step from the last node of a walk
+        steps = np.flatnonzero(steps)
+        bad = steps[~graph.has_edges(nodes[steps], nodes[steps + 1])]
+        if bad.size:
+            raise fail(bad[0], f"step {nodes[bad[0]]} -> {nodes[bad[0] + 1]} "
+                               "is not a substrate edge")
+        return cls(origin=int(origin), node_count=limit, offsets=offsets,
                    nodes=nodes.astype(np.int32))
 
 
@@ -213,16 +208,16 @@ class WalkEnsemble:
 
 def _walk_block(graph: SubstrateGraph, origin: int, seeds: np.ndarray,
                 lengths: np.ndarray, non_backtracking: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one block of walks; returns (offsets, flat nodes) in walk order."""
+    """Simulate one block of walks; returns (trace lengths, flat nodes) in walk order."""
     n = seeds.size
     if graph.degree(origin) == 0:
         # stuck at an isolated origin: every trace collapses to one node
         if np.any(lengths > 0):
             log.warning("origin %d is isolated; walks truncated to [origin]", origin)
-        return (np.arange(n + 1, dtype=np.int64),
-                np.full(n, origin, dtype=np.int32))
+        return np.ones(n, dtype=np.int64), np.full(n, origin, dtype=np.int32)
+    spans = lengths + 1
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths + 1, out=offsets[1:])
+    np.cumsum(spans, out=offsets[1:])
     flat = np.empty(int(offsets[-1]), dtype=np.int32)
     flat[offsets[:-1]] = origin
 
@@ -254,7 +249,7 @@ def _walk_block(graph: SubstrateGraph, origin: int, seeds: np.ndarray,
         flat[base[:na] + (t + 1)] = nxt
         prev[:na] = cur
         pos[:na] = nxt
-    return offsets, flat
+    return spans, flat
 
 
 def simulate_walks(graph: SubstrateGraph, origin: int, n_walks: int,
@@ -281,18 +276,10 @@ def simulate_walks(graph: SubstrateGraph, origin: int, n_walks: int,
         return _walk_block(graph, origin, seeds, block_lengths, non_backtracking)
 
     parts = map_blocks(do_block, starts, threads)
-
-    if not parts:
-        return WalkEnsemble(origin=origin, node_count=graph.node_count,
-                            offsets=np.zeros(1, dtype=np.int64),
-                            nodes=np.empty(0, dtype=np.int32))
-    sizes = np.asarray([p[0][-1] for p in parts], dtype=np.int64)
-    shifts = np.concatenate([[0], np.cumsum(sizes)])
-    offsets = np.concatenate([parts[0][0]] +
-                             [p[0][1:] + shifts[i + 1] for i, p in enumerate(parts[1:], start=0)])
-    flat = np.concatenate([p[1] for p in parts])
-    return WalkEnsemble(origin=origin, node_count=graph.node_count,
-                        offsets=offsets.astype(np.int64), nodes=flat)
+    spans = np.concatenate([np.zeros(1, dtype=np.int64), *(p[0] for p in parts)])
+    return WalkEnsemble(origin=origin, node_count=graph.node_count, offsets=np.cumsum(spans),
+                        nodes=np.concatenate([np.empty(0, dtype=np.int32),
+                                              *(p[1] for p in parts)]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +292,6 @@ def heaps_checkpoints(n_walks: int) -> np.ndarray:
     Dense coverage up to 1000 walks, then about 50 points per decade, always
     including the final size.
     """
-    if n_walks <= 0:
-        return np.empty(0, dtype=np.int64)
     parts = [np.arange(1, min(n_walks, 1000) + 1, dtype=np.int64)]
     if n_walks > 1000:
         span = np.log10(n_walks) - 3.0

@@ -511,8 +511,8 @@ def scipy_similarities(g: CoocGraph, pair_budget: int = 10 ** 6,
 
     At most ``obs.EXACT_SIMILARITY_LIMIT`` live nodes: the condensed upper
     triangle of ``R @ R.T``.  Above it: the ``pair_budget`` drawn pairs in
-    draw order, ``R[a].multiply(R[b]).sum(axis=1)`` over blocks of
-    ``obs.SIMILARITY_BLOCK_PAIRS`` pairs.
+    draw order, ``R[a].multiply(R[b]).sum(axis=1)`` over blocks of 4,096
+    pairs, which bound the copies of rows ``R[a]`` and ``R[b]``.
     """
     live, R = _normalized_rows(g)
     m = live.size
@@ -529,8 +529,8 @@ def scipy_similarities(g: CoocGraph, pair_budget: int = 10 ** 6,
         j = rng.integers(m, size=i.size)
         ok = i != j
         i, j = i[ok][:take], j[ok][:take]
-        for lo in range(0, i.size, obs.SIMILARITY_BLOCK_PAIRS):
-            a, b = i[lo:lo + obs.SIMILARITY_BLOCK_PAIRS], j[lo:lo + obs.SIMILARITY_BLOCK_PAIRS]
+        for lo in range(0, i.size, 4096):
+            a, b = i[lo:lo + 4096], j[lo:lo + 4096]
             sims.append(np.asarray(R[a].multiply(R[b]).sum(axis=1)).ravel())
         remaining -= i.size
     return np.concatenate(sims)

@@ -712,7 +712,10 @@ def test_ingest_strict_aborts(tmp_path):
     b"[" * 200_000,
     b'{"user": "u\xff"}',
     b'{"ts": ' + b"1" * 5000 + b"}",
-], ids=["nesting_too_deep", "byte_0xff", "int_of_5000_digits"])
+    *(b'{"user": "u", "resource": "r", "ts": 1000000000, "tags": ["walks", "%s"]}' % tag
+      for tag in (b"b\\ud800", b"c\\nd", b"c\\rd")),
+], ids=["nesting_too_deep", "byte_0xff", "int_of_5000_digits", "tag_lone_surrogate",
+        "tag_line_feed", "tag_carriage_return"])
 def test_ingest_counts_an_unparsable_line_as_malformed(tmp_path, capsys, bad):
     post = json.dumps({"user": "u", "resource": "r", "ts": 1_000_000_000,
                        "tags": ["walks", "a"]}).encode("ascii")

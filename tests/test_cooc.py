@@ -228,8 +228,8 @@ def test_find_edges_matches_the_edge_set(seed, table_bytes, dtype, monkeypatch):
                             if (min(r, c), max(r, c)) in edges]
     assert np.array_equal(neighbors[entries], cols[hit])
     assert np.all((indptr[rows[hit]] <= entries) & (entries < indptr[rows[hit] + 1]))
-    assert g._edge_table().bytes_per_entry == table_bytes
-    assert g._edge_table() is g._edge_table()
+    assert (g._edge_table.mask + 1 < neighbors.size) == (table_bytes < 8)
+    assert g._edge_table is g._edge_table
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
+import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from conftest import focus_graph, focus_stream
 from naive_reference import build_from_posts, build_from_traces, posts_from_traces
 from tagwalk.cooc import project
 from tagwalk.errors import IngestError, ParameterError
+from tagwalk.formats import sha256_of
 from tagwalk.ingest import (DEFAULT_TS_MIN, ValidityWindow, filter_by_tag,
                             parse_posts)
+from tagwalk.pipeline import load_config, run_ingest
 from tagwalk.substrate import generate_watts_strogatz
 from tagwalk.walker import (PowerLawLength, heaps_curve, node_frequencies,
                             simulate_walks)
@@ -35,19 +39,27 @@ def line(user="u", resource="r", ts=T0 + 1, tags=("a", "b")):
                        "tags": list(tags)})
 
 
+def parse_lines(lines, window=WINDOW, strict=False):
+    """:func:`parse_posts` on a file ``posts.jsonl`` that holds ``lines``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "posts.jsonl"
+        path.write_text("".join(f"{text}\n" for text in lines), encoding="utf-8")
+        return parse_posts(path, window, strict)
+
+
 # ---------------------------------------------------------------------------
 # Cleaning rules
 # ---------------------------------------------------------------------------
 
 def test_tags_fold_case_and_deduplicate():
-    corpus, report = parse_posts([line(tags=["Web", "web", "DESIGN"])], WINDOW)
+    corpus, report = parse_lines([line(tags=["Web", "web", "DESIGN"])])
     assert report.accepted == 1
     assert corpus.vocabulary == ("design", "web")
     assert corpus.tag_ids.tolist() == [0, 1]
 
 
 def test_empty_and_blank_tags_reject():
-    corpus, report = parse_posts([line(tags=[]), line(tags=["", ""])], WINDOW)
+    corpus, report = parse_lines([line(tags=[]), line(tags=["", ""])])
     assert len(corpus) == 0
     assert report.no_tags == 2
 
@@ -55,7 +67,7 @@ def test_empty_and_blank_tags_reject():
 def test_timestamp_window_is_inclusive():
     lines = [line(ts=T0 - 1), line(ts=T0), line(ts=T0 + 10_000),
              line(ts=T0 + 10_001)]
-    corpus, report = parse_posts(lines, WINDOW)
+    corpus, report = parse_lines(lines)
     assert report.bad_timestamp == 2
     assert corpus.ts.tolist() == [T0, T0 + 10_000]
 
@@ -69,24 +81,32 @@ def test_timestamp_window_is_inclusive():
     json.dumps({"user": "u", "resource": "r", "ts": 1.5, "tags": ["a"]}),
     json.dumps({"user": "u", "resource": "r", "ts": T0, "tags": "a"}),
     json.dumps({"user": "u", "resource": "r", "ts": T0, "tags": ["a", 7]}),
+    # a label is one line of UTF-8
+    json.dumps({"user": "u", "resource": "r", "ts": T0, "tags": ["a", "b\ud800"]}),
+    json.dumps({"user": "u", "resource": "r", "ts": T0, "tags": ["a", "c\nd"]}),
+    json.dumps({"user": "u", "resource": "r", "ts": T0, "tags": ["a", "c\rd"]}),
 ])
 def test_malformed_variants(bad):
-    corpus, report = parse_posts([bad], WINDOW)
+    corpus, report = parse_lines([bad])
     assert len(corpus) == 0
     assert report.malformed == 1
 
 
+def test_escaped_tags_that_are_labels_are_kept():
+    corpus, report = parse_lines([line(tags=["tab\there", "caf\u00e9", "\U0001f600", "a\\b"])])
+    assert report.accepted == 1
+    assert corpus.vocabulary == ("a\\b", "caf\u00e9", "tab\there", "\U0001f600")
+
+
 def test_strict_mode_reports_line_number():
     lines = [line(), "broken", line()]
-    with pytest.raises(IngestError, match=r"posts\.jsonl:2"):
-        parse_posts(lines, WINDOW, strict=True, source_name="posts.jsonl")
-    with pytest.raises(IngestError, match="line 2"):
-        parse_posts(lines, WINDOW, strict=True)
+    with pytest.raises(IngestError, match=r"posts\.jsonl:2$"):
+        parse_lines(lines, strict=True)
 
 
 def test_strict_mode_still_counts_other_rejects():
     lines = [line(tags=[]), line(ts=T0 - 5), line()]
-    corpus, report = parse_posts(lines, WINDOW, strict=True)
+    corpus, report = parse_lines(lines, strict=True)
     assert (report.no_tags, report.bad_timestamp, report.accepted) == (1, 1, 1)
     assert len(corpus) == 1
 
@@ -94,13 +114,13 @@ def test_strict_mode_still_counts_other_rejects():
 def test_ordering_by_timestamp_is_stable():
     lines = [line(resource="r1", ts=T0 + 5), line(resource="r2", ts=T0 + 1),
              line(resource="r3", ts=T0 + 5), line(resource="r4", ts=T0 + 2)]
-    corpus, _ = parse_posts(lines, WINDOW)
+    corpus, _ = parse_lines(lines)
     assert [corpus.resources[r] for r in corpus.resource_ids] == ["r2", "r4", "r1", "r3"]
 
 
 def test_accounting_and_report_rows(tmp_path):
     lines = [line(), "junk", line(tags=[]), line(ts=T0 - 1), line()]
-    corpus, report = parse_posts(lines, WINDOW)
+    corpus, report = parse_lines(lines)
     assert report.total_lines == 5
     assert report.accepted == len(corpus) == 2
     out = tmp_path / "rejects.csv"
@@ -112,31 +132,33 @@ def test_accounting_and_report_rows(tmp_path):
 def test_parse_serialize_parse_identity(tmp_path):
     lines = [line(resource=f"r{i}", ts=T0 + 50 - i, tags=["X", "y", f"t{i}"])
              for i in range(20)]
-    corpus, _ = parse_posts(lines, WINDOW)
+    corpus, _ = parse_lines(lines)
     path = tmp_path / "clean.jsonl"
     corpus.write_jsonl(path)
     again, report = parse_posts(path, WINDOW)
     assert report.total_lines == report.accepted == 20
     assert posts_of(again) == posts_of(corpus)
-    assert again.provenance["source"] == str(path)
 
 
 def test_file_source_records_provenance(tmp_path):
     path = tmp_path / "in.jsonl"
-    path.write_text(line() + "\n")
-    corpus, _ = parse_posts(path, WINDOW)
-    assert corpus.provenance["lines"] == 1
-    assert corpus.provenance["ts_min"] == T0
-    assert corpus.provenance["ts_max"] == T0 + 10_000
+    path.write_text(line(tags=["t", "a"]) + "\njunk\n" + line() + "\n")
+    config = tmp_path / "ingest.json"
+    config.write_text(json.dumps({"seed": 1, "ingest": {
+        "input": str(path), "focus_tag": "t", "ts_min": T0, "ts_max": T0 + 10_000}}))
+    out = run_ingest(load_config(config), tmp_path / "out")
+    assert json.loads((out / "manifest.json").read_text())["provenance"] == {
+        "source": str(path), "lines": 3, "ts_min": T0, "ts_max": T0 + 10_000,
+        "input_sha256": sha256_of(path), "accepted": 2, "focus_posts": 1}
 
 
 def test_timestamps_must_fit_int64():
     top = 2 ** 63 - 1
     lines = [line(ts=top), line(ts=top + 1), line(ts=-top - 1), line(ts=-top - 2)]
-    corpus, report = parse_posts(lines, ValidityWindow(ts_min=-2 ** 80), strict=True)
+    corpus, report = parse_lines(lines, ValidityWindow(ts_min=-2 ** 80), strict=True)
     assert corpus.ts.tolist() == [-top - 1, top]
     assert report.bad_timestamp == 2     # counted, not an abort under strict
-    _, report = parse_posts([line(ts=top + 1)], ValidityWindow(ts_min=0))
+    _, report = parse_lines([line(ts=top + 1)], ValidityWindow(ts_min=0))
     assert report.bad_timestamp == 1
 
 
@@ -177,9 +199,9 @@ def growth(stream):
 
 
 def test_filter_by_tag():
-    corpus, _ = parse_posts(
+    corpus, _ = parse_lines(
         [line(resource="r0", tags=["t", "a"]), line(resource="r1", tags=["b"]),
-         line(resource="r2", tags=["T", "c"])], WINDOW)
+         line(resource="r2", tags=["T", "c"])])
     stream = filter_by_tag(corpus, "t")
     assert [stream.resources[r] for r in stream.resource_ids] == ["r0", "r2"]
     assert stream.vocabulary == ("a", "c")
@@ -261,7 +283,7 @@ tag_sets = st.frozensets(st.sampled_from(["t", "a", "b", "c", "é", "t2"]), max_
 def test_focus_stream_matches_python_loops(posts):
     lines = [line(resource=f"r{i}", ts=T0 + dt, tags=sorted(tags))
              for i, (dt, tags) in enumerate(posts)]
-    stream = filter_by_tag(parse_posts(lines, WINDOW)[0], "t")
+    stream = filter_by_tag(parse_lines(lines)[0], "t")
     kept = [tags for _, tags in sorted(posts, key=lambda p: p[0]) if "t" in tags]
     assert len(stream) == len(kept)
 

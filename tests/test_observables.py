@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -266,10 +267,10 @@ def test_clustering_matches_spgemm_oracle_through_a_colliding_table(name, table_
                                                                      monkeypatch):
     # 0 bytes leaves one slot, which every key shares; 1 byte leaves one
     # slot per one or two entries
-    graph = ORACLE_GRAPHS[name]
     monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
+    graph = replace(ORACLE_GRAPHS[name])     # builds its own table
     if graph.edge_count:
-        assert graph._edge_table().mask + 1 < graph.adjacency()[1].size
+        assert graph._edge_table.mask + 1 < graph.adjacency()[1].size
     assert_matches_oracle(graph)
 
 
@@ -292,7 +293,7 @@ def test_projection_and_clustering_keep_nothing_after_they_return():
     # all 211 of the second, and the second side points nowhere
     m = 211
     g = cooc_graph(range(2 * m), [(i, j) for i in range(m) for j in range(m, 2 * m)])
-    g.adjacency(), g.degrees(), g.strengths(), g._edge_table()
+    g.adjacency(), g.degrees(), g.strengths(), g._edge_table
     (plain, weighted), held = held_after(lambda: clustering_of_k(g))
     assert plain.x.tolist() == [m] and plain.y.tolist() == [0.0] == weighted.y.tolist()
     assert held < 10_000
@@ -398,8 +399,8 @@ def test_similarity_sample_does_not_depend_on_block_size(monkeypatch):
     g = random_cooc(9)
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 5)
     counts = []
-    for block in (1 << 16, obs.SIMILARITY_BLOCK_PAIRS, 999):
-        monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PAIRS", block)
+    for probes in (1 << 20, obs.SIMILARITY_BLOCK_PROBES, 999):
+        monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PROBES", probes)
         counts.append(cosine_similarity_distribution(g, pair_budget=150_000, seed=3).counts)
     assert all(np.array_equal(counts[0], c) for c in counts[1:])
 
@@ -482,19 +483,18 @@ def test_exact_similarities_match_scipy_oracle(name, batch, monkeypatch):
     assert same_bits(got, want)
 
 
-# (pairs, probes) per block: cut by pair count only, then also by probes
-@pytest.mark.parametrize("block, probes", [(1, 10 ** 9), (999, 10 ** 9), (4096, 10 ** 9),
+# (pairs drawn, probes per block): one block, the default, a pair per block, a few pairs
+@pytest.mark.parametrize("pairs, probes", [(1, 10 ** 9), (999, 10 ** 9), (4096, 10 ** 9),
                                            (4096, obs.SIMILARITY_BLOCK_PROBES), (4096, 1),
                                            (999, 50)])
 @pytest.mark.parametrize("name", COSINE_GRAPHS)
-def test_sampled_similarities_match_scipy_oracle(name, block, probes, monkeypatch):
+def test_sampled_similarities_match_scipy_oracle(name, pairs, probes, monkeypatch):
     graph = COSINE_GRAPHS[name]
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
-    want = scipy_similarities(graph, pair_budget=3000, seed=5)
-    assert want.size == 3000
-    monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PAIRS", block)
+    want = scipy_similarities(graph, pair_budget=pairs, seed=5)
+    assert want.size == pairs
     monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PROBES", probes)
-    assert same_bits(sampled_similarities(graph, 3000, 5), want)
+    assert same_bits(sampled_similarities(graph, pairs, 5), want)
 
 
 def test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch, threads=1):
@@ -512,7 +512,7 @@ def test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch, threa
 def test_sampled_similarities_match_scipy_oracle_on_threads(name, threads, monkeypatch):
     graph = COSINE_GRAPHS[name]
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
-    monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PAIRS", 999)     # several blocks per worker
+    monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PROBES", 999)    # several blocks per worker
     want = scipy_similarities(graph, pair_budget=3000, seed=5)
     assert same_bits(sampled_similarities(graph, 3000, 5, threads), want)
 
@@ -533,11 +533,11 @@ def test_similarity_rejects_no_threads():
 def test_sampled_similarities_survive_a_colliding_table(name, table_bytes, monkeypatch):
     # 0 bytes leaves one slot, which every key shares; 1 byte leaves one
     # slot per one or two entries
-    graph = COSINE_GRAPHS[name]
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
-    want = scipy_similarities(graph, pair_budget=3000, seed=6)
+    want = scipy_similarities(COSINE_GRAPHS[name], pair_budget=3000, seed=6)
     monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
-    rows = graph._edge_table()
+    graph = replace(COSINE_GRAPHS[name])     # builds its own table
+    rows = graph._edge_table
     assert rows.mask + 1 < graph.adjacency()[1].size   # fewer slots than keys
     assert rows.shared_ids.size > 1
     assert same_bits(sampled_similarities(graph, 3000, 6), want)
@@ -547,11 +547,11 @@ def test_sampled_similarities_with_a_row_past_int16(monkeypatch):
     # a hub of 2^15 + 2 leaves needs 4-byte row offsets
     n = 2 ** 15 + 3
     graph = cooc_graph(range(n), [(0, i) for i in range(1, n)] + [(1, 2), (2, 3)])
-    assert graph._edge_table().table.dtype == np.int32
+    assert graph._edge_table.table.dtype == np.int32
     want = scipy_similarities(graph, pair_budget=4000, seed=2)
     assert same_bits(sampled_similarities(graph, 4000, 2), want)
     monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", 0)
-    assert same_bits(sampled_similarities(graph, 4000, 2), want)
+    assert same_bits(sampled_similarities(replace(graph), 4000, 2), want)
 
 
 @st.composite
@@ -580,7 +580,7 @@ def test_cosine_matches_scipy_oracle_on_any_graph(graph):
         want = scipy_similarities(graph, pair_budget=600, seed=4)
         for table_bytes in (0, cooc.EDGE_TABLE_BYTES):
             mp.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
-            assert same_bits(sampled_similarities(graph, 600, 4), want)
+            assert same_bits(sampled_similarities(replace(graph), 600, 4), want)
 
 
 def ring_of_hubs(n, hubs):
@@ -596,9 +596,9 @@ MEMORY_CASES = [(50_000, 4, 10 ** 6), (2_200, 100, 200_000)]
 @pytest.mark.parametrize("n, hubs, pair_budget", MEMORY_CASES)
 def test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budget, threads=1):
     # Most drawn pairs touch a hub row.  With 100 hubs every pair probes
-    # about 100 entries, so blocks are cut by probe count, not pair count.
-    # The ring of the same size holds the same draws and blocks over rows
-    # of two entries: one block.
+    # about 100 entries, so a block holds some 1,300 pairs.  The ring of
+    # the same size holds the same draws, in blocks of as many probes over
+    # rows of two entries.
     graph, ring = ring_of_hubs(n, hubs), ring_of_hubs(n, 0)
     assert n > obs.EXACT_SIMILARITY_LIMIT
 

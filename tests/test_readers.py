@@ -65,6 +65,15 @@ def ensemble_of(walks) -> WalkEnsemble:
                         offsets=offsets, nodes=flat)
 
 
+# Every node of walk_lists, each pair of them one step apart
+COMPLETE = graph_from_pairs(41, [(i, j) for i in range(41) for j in range(i + 1, 41)])
+
+
+def without_repeats(walks):
+    """The walks with each step that stays on its node left out, so that they walk COMPLETE."""
+    return [[v for i, v in enumerate(w) if i == 0 or v != w[i - 1]] for w in walks]
+
+
 # ---------------------------------------------------------------------------
 # Round trips
 # ---------------------------------------------------------------------------
@@ -84,12 +93,12 @@ def test_substrate_round_trip(workdir, g, block):
 @given(walk_lists, blocks)
 @FUZZ
 def test_traces_round_trip(workdir, walks, block):
-    ens = ensemble_of(walks)
+    ens = ensemble_of(without_repeats(walks))
     path = workdir / "traces.txt"
     ens.write_traces(path)
     with blocks_of(block):
-        back = WalkEnsemble.read_traces(path)
-    assert (back.origin, back.node_count) == (ens.origin, ens.node_count)
+        back = WalkEnsemble.read_traces(path, COMPLETE, ens.origin)
+    assert (back.origin, back.node_count) == (ens.origin, COMPLETE.node_count)
     assert np.array_equal(back.offsets, ens.offsets)
     assert np.array_equal(back.nodes, ens.nodes)
 
@@ -100,13 +109,12 @@ def test_empty_ensemble_round_trip(workdir):
     path = workdir / "no_walks.txt"
     ens.write_traces(path)
     assert path.read_bytes() == b""
-    for back, node_count in ((WalkEnsemble.read_traces(path, g, 7), 40),
-                             (WalkEnsemble.read_traces(path, origin=7), 8)):
-        assert (back.origin, back.node_count, back.walk_count) == (7, node_count, 0)
-        assert np.array_equal(back.offsets, ens.offsets)
-        assert np.array_equal(back.nodes, ens.nodes) and back.nodes.dtype == np.int32
-        assert back.walk_node_pairs()[1].size == 0
-    for origin in (None, 40, -1):
+    back = WalkEnsemble.read_traces(path, g, 7)
+    assert (back.origin, back.node_count, back.walk_count) == (7, 40, 0)
+    assert np.array_equal(back.offsets, ens.offsets)
+    assert np.array_equal(back.nodes, ens.nodes) and back.nodes.dtype == np.int32
+    assert back.walk_node_pairs()[1].size == 0
+    for origin in (40, -1):
         with pytest.raises(ContractError, match=r"no origin in \[0, 40\) given"):
             WalkEnsemble.read_traces(path, g, origin)
 
@@ -143,7 +151,7 @@ def test_cooc_round_trip(workdir, walks, block):
 
 READERS = {
     "substrate": SubstrateGraph.read_edge_list,
-    "traces": WalkEnsemble.read_traces,
+    "traces": lambda path: WalkEnsemble.read_traces(path, COMPLETE, 0),
     "cooc": CoocGraph.read_edge_list,
 }
 
@@ -171,8 +179,8 @@ def valid_bytes(kind, walks, workdir) -> bytes:
     path = workdir / f"valid.{kind}"
     if kind == "substrate":
         generate_watts_strogatz(12, 4, 0.2, seed=len(walks)).write_edge_list(path)
-    elif kind == "traces":
-        ensemble_of(walks).write_traces(path)
+    elif kind == "traces":     # walks from node 0 on COMPLETE, which READERS reads them with
+        ensemble_of(without_repeats([[0, *w[1:]] for w in walks])).write_traces(path)
     else:
         build_from_traces(walks).write_edge_list(path)
     return path.read_bytes()

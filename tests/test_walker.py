@@ -276,7 +276,7 @@ def test_trace_round_trip(tmp_path):
     ens = simulate_walks(g, 0, 25, PowerLawLength(2.0, 1, 12), seed=44)
     path = tmp_path / "traces.txt"
     ens.write_traces(path)
-    back = WalkEnsemble.read_traces(path, g)
+    back = WalkEnsemble.read_traces(path, g, 0)
     assert back.origin == ens.origin
     assert back.node_count == g.node_count
     assert np.array_equal(back.offsets, ens.offsets)
@@ -286,5 +286,6 @@ def test_trace_round_trip(tmp_path):
 def test_read_traces_empty_file_rejected(tmp_path):
     path = tmp_path / "traces.txt"
     path.write_text("")
+    g = generate_watts_strogatz(40, 4, 0.2, seed=9)
     with pytest.raises(ContractError):
-        WalkEnsemble.read_traces(path)
+        WalkEnsemble.read_traces(path, g, g.node_count)

@@ -145,11 +145,10 @@ class Corpus:
                                               self.user_ids[lo:hi].tolist())))
 
 
-def _clean_line(line: str, lo: int, hi: int) -> tuple[str, str, int, set[str]] | str:
+def _clean_line(raw: bytes, lo: int, hi: int) -> tuple[str, str, int, set[str]] | str:
     """Parse one input line into ``(user, resource, ts, tags)`` or a rejection reason."""
     try:
-        if not line.isascii():
-            line.encode()   # fails on the lone surrogate that a byte not in UTF-8 reads as
+        line = raw.decode().strip()     # strict UTF-8
         obj = json.loads(line)
     except (ValueError, RecursionError):    # also: an int of over 4300 digits, deep nesting
         return "malformed"
@@ -179,6 +178,8 @@ def parse_posts(source, window: ValidityWindow | None = None,
                 strict: bool = False) -> tuple[Corpus, RejectionReport]:
     """Read, clean, and time-order the JSON-Lines post log at path ``source``.
 
+    A line ends at ``\n`` only, as JSON Lines defines it; a ``\r`` before
+    it or between two JSON tokens is whitespace.
     Malformed lines are counted and skipped, or abort with ``source:line``
     when ``strict``.
     """
@@ -190,9 +191,9 @@ def parse_posts(source, window: ValidityWindow | None = None,
     resources: dict[str, int] = {}
     tags: dict[str, int] = {}
     ts, user_ids, resource_ids, counts, tag_ids = (array("q") for _ in range(5))
-    with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(source, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            outcome = _clean_line(line.strip(), lo, hi)
+            outcome = _clean_line(line, lo, hi)
             if isinstance(outcome, str):
                 if outcome == "malformed" and strict:
                     raise IngestError(f"malformed post at {source}:{lineno}")

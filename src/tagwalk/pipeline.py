@@ -90,13 +90,10 @@ class FitWindows:
 
 @dataclass(frozen=True)
 class ObservableFlags:
-    distributions: bool = True
-    s_of_k: bool = True
-    knn: bool = True
+    """Every observable is written; ``clustering`` false leaves out C(k), and
+    sampled cosine similarity stops at ``similarity_pair_budget`` pairs."""
+
     clustering: bool = True
-    weight_vs_product: bool = True
-    similarity: bool = True
-    frequency_rank: bool = True
     similarity_pair_budget: int = 10 ** 6
 
     def __post_init__(self):
@@ -139,7 +136,6 @@ class TheoryOptions:
     checkpoints as the points of the prediction.
     """
 
-    ring_prediction: bool = True
     rings: str | theory.PowerLawRings | theory.ExponentialRings = "bfs"
     n_grid: NGrid | None = None
 
@@ -327,6 +323,7 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
     ``heaps`` is the vocabulary curve, fitted over ``[heaps_min, n_max]``;
     ``counts`` the frequencies behind the frequency-rank series.  Either
     may be None when it is not at hand, and its results are then left out.
+    Every other observable is written, clustering unless switched off.
     ``threads`` workers share the sampled cosine similarities.
     """
     flags, fitw = cfg.observables, cfg.fits
@@ -335,47 +332,40 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
     obs_dir = out / "observables"
     obs_dir.mkdir(parents=True, exist_ok=True)
     observables.assert_accounting(g)
-    if flags.distributions:
-        pk, ps, pw = observables.degree_strength_weight_distributions(g)
-        for name, dist in [("degree_dist", pk), ("strength_dist", ps),
-                           ("weight_dist", pw)]:
-            write_csv(obs_dir / f"{name}.csv", ["value", "count"],
-                      zip(dist.values, dist.counts))
-    if flags.s_of_k:
-        series = observables.s_of_k(g)
-        write_csv(obs_dir / "s_of_k.csv", ["k", "mean_s", "n"],
-                  zip(series.x, series.y, series.n))
-    if flags.knn:
-        plain, weighted = observables.knn_of_k(g)
-        write_csv(obs_dir / "knn_of_k.csv", ["k", "knn", "knn_w", "n"],
-                  zip(plain.x, plain.y, weighted.y, plain.n))
+    pk, ps, pw = observables.degree_strength_weight_distributions(g)
+    for name, dist in [("degree_dist", pk), ("strength_dist", ps),
+                       ("weight_dist", pw)]:
+        write_csv(obs_dir / f"{name}.csv", ["value", "count"],
+                  zip(dist.values, dist.counts))
+    series = observables.s_of_k(g)
+    write_csv(obs_dir / "s_of_k.csv", ["k", "mean_s", "n"],
+              zip(series.x, series.y, series.n))
+    plain, weighted = observables.knn_of_k(g)
+    write_csv(obs_dir / "knn_of_k.csv", ["k", "knn", "knn_w", "n"],
+              zip(plain.x, plain.y, weighted.y, plain.n))
     if flags.clustering:
         plain, weighted = observables.clustering_of_k(g)
         write_csv(obs_dir / "clustering_of_k.csv", ["k", "c", "c_w", "n"],
                   zip(plain.x, plain.y, weighted.y, plain.n))
-    if flags.weight_vs_product:
-        products, weights, binned = observables.weight_vs_kikj(g)
-        write_csv(obs_dir / "weight_vs_product.csv", ["kikj", "mean_w", "n"],
-                  zip(binned.x, binned.y, binned.n))
-        if products.size:
-            decile = np.quantile(products, 0.10)
-            fits["weight_product_plateau"] = _finite_or_none(
-                weights[products <= decile].mean())
-            p_max = float(products.max())
-            fits["weight_product_tail"] = _fit_or_none(
-                binned.x, binned.y, (p_max / 10 ** fitw.tail_decades, p_max))
-        else:
-            fits["weight_product_plateau"] = None
-            fits["weight_product_tail"] = None
-    if flags.similarity:
-        hist = observables.cosine_similarity_distribution(
-            g, pair_budget=flags.similarity_pair_budget,
-            seed=derive_seed(cfg.seed, _SIM_SALT), threads=threads)
-        write_csv(obs_dir / "similarity_hist.csv", ["bin_lo", "bin_hi", "count"],
-                  zip(hist.edges[:-1], hist.edges[1:], hist.counts))
-        fits["similarity_mode"] = (float(hist.mode_center())
-                                   if hist.counts.sum() else None)
-    if flags.frequency_rank and counts is not None:
+    products, weights, binned = observables.weight_vs_kikj(g)
+    write_csv(obs_dir / "weight_vs_product.csv", ["kikj", "mean_w", "n"],
+              zip(binned.x, binned.y, binned.n))
+    fits["weight_product_plateau"] = fits["weight_product_tail"] = None
+    if products.size:
+        decile = np.quantile(products, 0.10)
+        fits["weight_product_plateau"] = _finite_or_none(
+            weights[products <= decile].mean())
+        p_max = float(products.max())
+        fits["weight_product_tail"] = _fit_or_none(
+            binned.x, binned.y, (p_max / 10 ** fitw.tail_decades, p_max))
+    hist = observables.cosine_similarity_distribution(
+        g, pair_budget=flags.similarity_pair_budget,
+        seed=derive_seed(cfg.seed, _SIM_SALT), threads=threads)
+    write_csv(obs_dir / "similarity_hist.csv", ["bin_lo", "bin_hi", "count"],
+              zip(hist.edges[:-1], hist.edges[1:], hist.counts))
+    fits["similarity_mode"] = (float(hist.mode_center())
+                               if hist.counts.sum() else None)
+    if counts is not None:
         ranks, ordered = observables.frequency_rank(counts)
         write_csv(obs_dir / "frequency_rank.csv", ["rank", "count"], zip(ranks, ordered))
         fits["zipf"] = _fit_or_none(ranks, ordered, (1, fitw.zipf_max_rank))
@@ -463,8 +453,6 @@ def _theory(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph,
 
     A configured ``n_grid`` replaces those points and drops the comparison.
     """
-    if not cfg.theory.ring_prediction:
-        return
     theory_dir = out / "theory"
     theory_dir.mkdir(parents=True, exist_ok=True)
     rings = cfg.theory.ring_structure(graph, cfg.walk.origin)
@@ -544,7 +532,7 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
         g = cooc.CoocGraph.read_edge_list(_input(out, "cooc.edges", "cooc"))
         heaps = _read_heaps(heaps_path) if heaps_path.exists() else None
         freqs = None
-        if cfg.observables.frequency_rank and traces_path.exists():
+        if traces_path.exists():
             ens = WalkEnsemble.read_traces(traces_path, _substrate(cfg, out),
                                            cfg.walk.origin)
             freqs = walker.node_frequencies(
@@ -552,9 +540,8 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
         _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw, threads)
     elif stage == "theory":
         graph = _substrate(cfg, out)
-        reads_heaps = cfg.theory.ring_prediction and cfg.theory.n_grid is None
-        _theory(cfg, out, graph, _read_heaps(heaps_path)
-                if reads_heaps and heaps_path.exists() else None)
+        reads_heaps = cfg.theory.n_grid is None and heaps_path.exists()
+        _theory(cfg, out, graph, _read_heaps(heaps_path) if reads_heaps else None)
     else:
         raise ParameterError(f"unknown stage '{stage}'")
     _write_manifest(out, cfg.resolved())

@@ -400,8 +400,6 @@ def _gather_neighbors(graph: SubstrateGraph, nodes: np.ndarray) -> np.ndarray:
     starts = graph.indptr[nodes]
     counts = graph.indptr[nodes + 1] - starts
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int32)
     ends = np.cumsum(counts)
     within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
     return graph.indices[np.repeat(starts, counts) + within]

@@ -225,15 +225,13 @@ def _walk_block(graph: SubstrateGraph, origin: int, seeds: np.ndarray,
     seeds_s = seeds[order]
     neg_lengths = -lengths[order]           # ascending
     base = offsets[:-1][order]              # origin slot of each sorted walk
-    longest = int(lengths[order[0]]) if n else 0
+    longest = int(lengths[order[0]])
 
     indptr, indices = graph.indptr, graph.indices
     pos = np.full(n, origin, dtype=np.int64)
     prev = np.full(n, -1, dtype=np.int64)
     for t in range(longest):
-        na = int(np.searchsorted(neg_lengths, -t, side="left"))
-        if na == 0:
-            break
+        na = int(np.searchsorted(neg_lengths, -t, side="left"))   # >= 1: t < longest
         u = stream_uniforms(seeds_s[:na], t + 1)
         cur = pos[:na]
         start = indptr[cur]

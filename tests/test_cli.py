@@ -67,7 +67,7 @@ def test_defaults_fill_in(tmp_path):
     assert cfg.walk.count_origin and not cfg.walk.non_backtracking
     assert cfg.walk.lengths == PowerLawLength(3.0, 1, 1000)
     assert cfg.observables.similarity_pair_budget == 10 ** 6
-    assert cfg.theory.ring_prediction and cfg.theory.rings == "bfs"
+    assert cfg.theory.rings == "bfs"
     assert cfg.fits.heaps_min == 100.0
 
 
@@ -129,6 +129,12 @@ BAD_VALUES = [
               "graph: node count must be below 2**31"),
     bad_value(26, {"theory": {"n_grid": {"min": 1, "max": 10, "points": 10 ** 12}}},
               "theory.n_grid.points must be <= 10000"),
+    # every observable is written, so none of them has an on/off key
+    *(bad_value(27 + i, {"observables": {key: False}}, f"unknown key(s) in observables: {key}")
+      for i, key in enumerate(["distributions", "s_of_k", "knn", "weight_vs_product",
+                               "similarity", "frequency_rank"])),
+    bad_value(33, {"theory": {"ring_prediction": True}},
+              "unknown key(s) in theory: ring_prediction"),
 ]
 
 
@@ -182,8 +188,7 @@ def valid_config(draw, kind):
     count = st.integers(0, 10 ** 6)
     number = st.one_of(st.integers(1, 10 ** 6), st.floats(1e-3, 1e6))
     cfg = {"seed": draw(st.integers(0, 2 ** 64 - 1)),
-           "observables": some({"knn": draw(st.booleans()),
-                                "similarity": draw(st.booleans()),
+           "observables": some({"clustering": draw(st.booleans()),
                                 "similarity_pair_budget": draw(st.integers(1, 10 ** 7))}),
            "fits": some({"heaps_min": draw(number), "zipf_max_rank": draw(st.integers(1, 10 ** 4)),
                          "tail_decades": draw(st.floats(0.1, 308))}),
@@ -212,7 +217,6 @@ def valid_config(draw, kind):
             {"type": "power_law", **some({"exponent": draw(number), "l_min": l_min,
                                           "l_max": draw(st.integers(l_min, 10 ** 4))})}]))})}
     cfg["theory"] = some({
-        "ring_prediction": draw(st.booleans()),
         "rings": draw(st.sampled_from([
             "bfs", {"type": "power_law", **some({"a": draw(number), "c_n": draw(number)})},
             {"type": "exponential", "z": draw(st.floats(1.001, 1e3))}])),
@@ -523,6 +527,17 @@ def test_bad_thread_count_exits_1_before_any_output(tmp_path, capsys, command, t
     assert not out.exists()
 
 
+def test_non_integer_thread_count_exits_1_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--config", str(write_config(tmp_path)), "--out", str(out),
+              "--threads", "abc"])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "argument --threads: invalid int value: 'abc'\n")
+    assert not out.exists()
+
+
 def test_seed_override_changes_results(tmp_path):
     cfg = write_config(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -735,6 +750,35 @@ def test_ingest_counts_an_unparsable_line_as_malformed(tmp_path, capsys, bad):
     assert capsys.readouterr().err == f"tagwalk: error: malformed post at {log}:2\n"
 
 
+POST = json.dumps({"user": "u", "resource": "r", "ts": 1_000_000_000,
+                   "tags": ["walks", "a"]}).encode("ascii")
+
+
+@pytest.mark.parametrize("content, lines, malformed", [
+    (POST.replace(b", ", b",\r", 1) + b"\n" + POST + b"\n", 2, 0),
+    (POST + b"\r\n" + POST + b"\r\n", 2, 0),
+    (POST + b"\r" + POST + b"\r", 1, 1),
+    (b"\xef\xbb\xbf" + POST + b"\n" + POST + b"\n", 2, 1),
+], ids=["cr_between_fields", "crlf", "bare_cr_line_ends", "byte_order_mark"])
+def test_ingest_lines_end_at_line_feeds(tmp_path, capsys, content, lines, malformed):
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(content)
+    cfg = tmp_path / "ingest.json"
+    cfg.write_text(json.dumps({"seed": 4, "ingest": {
+        "input": str(log), "focus_tag": "walks", "ts_max": 2_000_000_000}}))
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+    prov = json.loads((out / "manifest.json").read_text())["provenance"]
+    assert (prov["lines"], prov["accepted"]) == (lines, lines - malformed)
+    assert (out / "rejects.csv").read_text() == (
+        f"reason,count\nbad_timestamp,0\nmalformed,{malformed}\nno_tags,0\n")
+    capsys.readouterr()
+    strict = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "strict"),
+                   "--strict"])
+    assert (strict, capsys.readouterr().err) == (
+        (2, f"tagwalk: error: malformed post at {log}:1\n") if malformed else (0, ""))
+
+
 @pytest.mark.parametrize("command", ["run", "walk"])
 def test_out_of_memory_in_a_stage_exits_2(tmp_path, capsys, monkeypatch, command):
     def exhausted(*args, **kwargs):
@@ -846,6 +890,36 @@ def test_compare_corrupt_fits_exits_2(tmp_path, capsys):
                  str(tmp_path / "rep")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"tagwalk: error: {out / 'fits.json'}: ")
+
+
+def test_compare_fits_that_are_no_object_exit_2(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "fits.json").write_text("[1, 2]")
+    assert main(["compare", str(run), str(run), "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err == (
+        f"tagwalk: error: {run / 'fits.json'}: expected a JSON object\n")
+
+
+def test_compare_warns_on_csvs_that_share_no_column_or_no_x(tmp_path):
+    left, right = tmp_path / "left", tmp_path / "right"
+    for side, knn, s_of_k in [(left, "k,knn\n1,2.0\n", "k,mean_s,n\n1,2.0,3\n"),
+                              (right, "k,knn_w\n1,2.0\n", "k,mean_s,n\n2,2.0,3\n")]:
+        (side / "observables").mkdir(parents=True)
+        (side / "observables" / "knn_of_k.csv").write_text(knn)
+        (side / "observables" / "s_of_k.csv").write_text(s_of_k)
+    rep = compare(left, right, tmp_path / "rep")
+    assert json.loads((rep / "summary.json").read_text())["warnings"] == [
+        "observables/knn_of_k.csv has no shared data columns",
+        "observables/s_of_k.csv: no common x values"]
+    assert read_csv(rep / "observables" / "s_of_k.csv") == (
+        ["k", "left_mean_s", "right_mean_s", "left_n", "right_n"], [])
+
+
+def test_read_csv_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("# written by hand\n\nk,n\n  \n1,2\n# a note\n3,4\n")
+    assert read_csv(path) == (["k", "n"], [["1", "2"], ["3", "4"]])
 
 
 @pytest.mark.parametrize("name, bad, message", [

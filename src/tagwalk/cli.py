@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, threads, doc in [
             ("run", True, "full synthetic pipeline"),
             ("generate", False, "write the substrate graph"),
-            ("walk", True, "simulate the walk ensemble"),
+            ("walk", False, "simulate the walk ensemble"),
             ("cooc", False, "project traces into a co-occurrence network"),
             ("stats", True, "compute observables and fits"),
             ("theory", False, "ring-model prediction for the vocabulary curve")]:

@@ -148,7 +148,7 @@ class Corpus:
 def _clean_line(raw: bytes, lo: int, hi: int) -> tuple[str, str, int, set[str]] | str:
     """Parse one input line into ``(user, resource, ts, tags)`` or a rejection reason."""
     try:
-        line = raw.decode().strip()     # strict UTF-8
+        line = raw.decode()     # strict UTF-8; json.loads skips JSON whitespace only
         obj = json.loads(line)
     except (ValueError, RecursionError):    # also: an int of over 4300 digits, deep nesting
         return "malformed"

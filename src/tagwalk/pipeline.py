@@ -54,13 +54,6 @@ FORMAT_VERSION = 1
 _GRAPH_SALT = 0x67727068
 _SIM_SALT = 0x73696D70
 
-_OBSERVABLE_FILES = [
-    "degree_dist.csv", "strength_dist.csv", "weight_dist.csv",
-    "s_of_k.csv", "knn_of_k.csv", "clustering_of_k.csv",
-    "weight_vs_product.csv", "similarity_hist.csv", "frequency_rank.csv",
-]
-
-
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------
@@ -424,14 +417,13 @@ def _generate(cfg: ExperimentConfig, out: Path) -> SubstrateGraph:
     return graph
 
 
-def _walk(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph, threads: int,
-          traces: bool):
+def _walk(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph, traces: bool):
     """Walks, their traces (when ``traces``) and ``heaps.csv``.
 
     Returns the deduplicated (walk, node) pairs, the vocabulary curve and
     the node frequencies.
     """
-    ens, pairs, heaps, freqs = walker.run_ensemble(graph, cfg.walk, threads=threads)
+    ens, pairs, heaps, freqs = walker.run_ensemble(graph, cfg.walk)
     if traces:
         ens.write_traces(out / "traces.txt")
     write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(*heaps))
@@ -464,8 +456,7 @@ def _theory(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph,
         n_values, simulated = heaps
     else:
         n_values = np.empty(0, dtype=np.int64)
-    predicted = theory.n_distinct_random_length(spec, n_values.astype(np.float64)) \
-        if n_values.size else np.empty(0)
+    predicted = theory.n_distinct_random_length(spec, n_values.astype(np.float64))
     if not cfg.walk.count_origin:
         predicted = predicted - 1.0  # the origin ring contributes exactly 1
     write_csv(theory_dir / "prediction.csv", ["n_rw", "prediction"],
@@ -483,7 +474,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph = _generate(cfg, out)
-    pairs, heaps, freqs = _walk(cfg, out, graph, threads, cfg.emit_traces)
+    pairs, heaps, freqs = _walk(cfg, out, graph, cfg.emit_traces)
     g = _cooc(out, pairs)
     del pairs  # only the projection needs them
     _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw, threads)
@@ -521,9 +512,9 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
     if stage == "generate":
         _generate(cfg, out)
     elif stage == "walk":
-        graph = _substrate(cfg, out) if (out / "substrate.edges").exists() \
-            else _generate(cfg, out)
-        _walk(cfg, out, graph, threads, traces=True)
+        path = out / "substrate.edges"
+        graph = SubstrateGraph.read_edge_list(path) if path.exists() else _generate(cfg, out)
+        _walk(cfg, out, graph, traces=True)
     elif stage == "cooc":
         ens = WalkEnsemble.read_traces(_input(out, "traces.txt", "walk"),
                                        _substrate(cfg, out), cfg.walk.origin)
@@ -628,15 +619,16 @@ def _read_fits(directory: Path) -> dict:
 def compare(left_dir, right_dir, out_dir) -> Path:
     """Side-by-side report of two artifact directories.
 
-    Joins every shared observable CSV on its x column and diffs the fitted
-    exponents; observables present on only one side are listed as warnings
-    in summary.json rather than failing.
+    Joins ``heaps.csv`` and every ``observables/*.csv`` of either side on
+    its x column and diffs the fitted exponents; files present on only one
+    side are listed as warnings in summary.json rather than failing.
     """
     left, right, out = Path(left_dir), Path(right_dir), Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
     _compare_csv(left, right, "heaps.csv", out, warnings)
-    for name in _OBSERVABLE_FILES:
+    names = {p.name for side in (left, right) for p in (side / "observables").glob("*.csv")}
+    for name in sorted(names):
         _compare_csv(left, right, f"observables/{name}", out, warnings)
 
     summary: dict = {"left": str(left), "right": str(right), "fits": {}}

@@ -153,7 +153,7 @@ def n_distinct_random_length(spec: RingModelSpec, n_rw):
             exposure = n[..., None] * tail[ls]
             terms = _coverage(sizes, exposure)
             total = total + terms.sum(axis=-1)
-            if np.max(terms[..., -1]) < TERM_THRESHOLD:
+            if terms[..., -1].max(initial=0.0) < TERM_THRESHOLD:
                 break
         if stop > support_end:
             break

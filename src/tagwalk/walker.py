@@ -5,9 +5,9 @@ from a shared distribution, and then moves to uniformly random neighbors.
 Each walk consumes an independent counter-based random stream keyed by
 ``(master_seed, walk_index)``: counter 0 feeds the length draw and counter
 ``t`` feeds step ``t``.  Because no state is shared between walks, the
-ensemble is reproducible node-for-node regardless of batching or thread
-count, and a one-walk scalar loop can replay any walk exactly (the test
-suite's ``naive_reference.run_walk`` does).
+ensemble is reproducible node-for-node regardless of batching, and a
+one-walk scalar loop can replay any walk exactly (the test suite's
+``naive_reference.run_walk`` does).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from .formats import read_int_rows, write_int_rows
-from .parallel import map_blocks
 from .rng import stream_uniforms, walk_seeds
 from .substrate import SubstrateGraph, sorted_unique
 
@@ -42,8 +41,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Walks are generated in fixed-size index blocks so that the work split is
-# a pure function of the walk index, never of the thread count.
+# Walks are generated in fixed-size index blocks, one after another, so that
+# the per-walk state of a step (position, stream, neighbor draw) is held for
+# one block at a time, not for the whole ensemble.
 BLOCK_SIZE = 16384
 
 
@@ -251,33 +251,23 @@ def _walk_block(graph: SubstrateGraph, origin: int, seeds: np.ndarray,
 
 
 def simulate_walks(graph: SubstrateGraph, origin: int, n_walks: int,
-                   lengths: LengthDist, seed: int, threads: int = 1,
+                   lengths: LengthDist, seed: int,
                    non_backtracking: bool = False) -> WalkEnsemble:
-    """Run ``n_walks`` independent walks from ``origin``.
-
-    The result is identical for any ``threads`` value; threading only
-    changes which worker evaluates each fixed block of walk indices.
-    """
+    """Run ``n_walks`` independent walks from ``origin``."""
     if not (0 <= origin < graph.node_count):
         raise ParameterError(f"origin {origin} out of range")
     if n_walks < 0:
         raise ParameterError("n_walks must be >= 0")
-    if threads < 1:
-        raise ParameterError("threads must be >= 1")
-
-    starts = list(range(0, n_walks, BLOCK_SIZE))
-
-    def do_block(start: int) -> tuple[np.ndarray, np.ndarray]:
-        count = min(BLOCK_SIZE, n_walks - start)
-        seeds = walk_seeds(seed, start, count)
+    spans, flat = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=np.int32)]
+    for start in range(0, n_walks, BLOCK_SIZE):
+        seeds = walk_seeds(seed, start, min(BLOCK_SIZE, n_walks - start))
         block_lengths = sample_lengths(lengths, stream_uniforms(seeds, 0))
-        return _walk_block(graph, origin, seeds, block_lengths, non_backtracking)
-
-    parts = map_blocks(do_block, starts, threads)
-    spans = np.concatenate([np.zeros(1, dtype=np.int64), *(p[0] for p in parts)])
-    return WalkEnsemble(origin=origin, node_count=graph.node_count, offsets=np.cumsum(spans),
-                        nodes=np.concatenate([np.empty(0, dtype=np.int32),
-                                              *(p[1] for p in parts)]))
+        block_spans, block_nodes = _walk_block(graph, origin, seeds, block_lengths,
+                                               non_backtracking)
+        spans.append(block_spans)
+        flat.append(block_nodes)
+    return WalkEnsemble(origin=origin, node_count=graph.node_count,
+                        offsets=np.cumsum(np.concatenate(spans)), nodes=np.concatenate(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +314,7 @@ def node_frequencies(nodes: np.ndarray, node_count: int) -> np.ndarray:
     return np.bincount(nodes, minlength=node_count).astype(np.int64)
 
 
-def run_ensemble(graph: SubstrateGraph, config: WalkConfig, threads: int = 1
+def run_ensemble(graph: SubstrateGraph, config: WalkConfig
                  ) -> tuple[WalkEnsemble, tuple[np.ndarray, np.ndarray],
                             tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Simulate a configured ensemble and summarize it.
@@ -334,8 +324,7 @@ def run_ensemble(graph: SubstrateGraph, config: WalkConfig, threads: int = 1
     curve and the frequencies are read off the pairs.
     """
     ens = simulate_walks(graph, config.origin, config.n_rw, config.lengths,
-                         config.seed, threads=threads,
-                         non_backtracking=config.non_backtracking)
+                         config.seed, non_backtracking=config.non_backtracking)
     pairs = ens.walk_node_pairs(count_origin=config.count_origin)
     return (ens, pairs, heaps_curve(*pairs, ens.walk_count),
             node_frequencies(pairs[1], graph.node_count))

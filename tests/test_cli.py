@@ -502,7 +502,7 @@ def test_stats_and_ingest_are_byte_identical_on_any_thread_count(tmp_path, monke
 
 def test_threads_default_to_the_usable_cpus(monkeypatch):
     argv = ["--config", "cfg.json", "--out", "out"]
-    for command in ("run", "walk", "stats", "ingest"):
+    for command in ("run", "stats", "ingest"):
         args = build_parser().parse_args([command, *argv])
         assert args.threads == len(os.sched_getaffinity(0))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)))
@@ -513,7 +513,7 @@ def test_threads_default_to_the_usable_cpus(monkeypatch):
 
 
 @pytest.mark.parametrize("threads, bound", [("0", ">= 1"), ("-1", ">= 1"), ("257", "<= 256")])
-@pytest.mark.parametrize("command", ["run", "walk", "stats", "ingest"])
+@pytest.mark.parametrize("command", ["run", "stats", "ingest"])
 def test_bad_thread_count_exits_1_before_any_output(tmp_path, capsys, command, threads,
                                                     bound):
     out = tmp_path / "out"
@@ -524,6 +524,18 @@ def test_bad_thread_count_exits_1_before_any_output(tmp_path, capsys, command, t
     message = capsys.readouterr().err
     assert message.startswith(f"usage: tagwalk {command} ")
     assert message.endswith(f"argument --threads: must be {bound}, got {threads}\n")
+    assert not out.exists()
+
+
+def test_walk_takes_no_thread_count(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["walk", "--config", str(write_config(tmp_path)), "--out", str(out),
+              "--threads", "2"])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert message.startswith("usage: tagwalk ")
+    assert message.endswith("error: unrecognized arguments: --threads 2\n")
     assert not out.exists()
 
 
@@ -759,7 +771,13 @@ POST = json.dumps({"user": "u", "resource": "r", "ts": 1_000_000_000,
     (POST + b"\r\n" + POST + b"\r\n", 2, 0),
     (POST + b"\r" + POST + b"\r", 1, 1),
     (b"\xef\xbb\xbf" + POST + b"\n" + POST + b"\n", 2, 1),
-], ids=["cr_between_fields", "crlf", "bare_cr_line_ends", "byte_order_mark"])
+    # JSON whitespace is space, tab, CR and LF; other Unicode whitespace is not
+    (POST + b"\x0c\n" + POST + b"\n", 2, 1),
+    ("\u00a0".encode() + POST + b"\n" + POST + b"\n", 2, 1),
+    (POST + "\u2028".encode() + b"\n" + POST + b"\n", 2, 1),
+    (b"\x1c" + POST + b"\n" + POST + b"\n", 2, 1),
+], ids=["cr_between_fields", "crlf", "bare_cr_line_ends", "byte_order_mark",
+        "form_feed_after", "nbsp_before", "line_separator_after", "file_separator_before"])
 def test_ingest_lines_end_at_line_feeds(tmp_path, capsys, content, lines, malformed):
     log = tmp_path / "log.jsonl"
     log.write_bytes(content)

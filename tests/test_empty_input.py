@@ -16,6 +16,7 @@ from tagwalk.observables import (BinnedSeries, Distribution, Histogram,
                                  cosine_similarity_distribution,
                                  degree_strength_weight_distributions, knn_of_k,
                                  s_of_k)
+from tagwalk.theory import PowerLawRings, RingModelSpec, n_distinct_random_length
 from tagwalk.walker import (PowerLawLength, WalkEnsemble, heaps_checkpoints,
                             simulate_walks)
 
@@ -53,7 +54,7 @@ def assert_same(got, want):
 
 @pytest.mark.parametrize("call, want", [
     pytest.param(lambda: simulate_walks(graph_from_pairs(3, [(0, 1)]), 1, 0,
-                                        PowerLawLength(2.0, 1, 5), seed=1, threads=2),
+                                        PowerLawLength(2.0, 1, 5), seed=1),
                  WalkEnsemble(origin=1, node_count=3, offsets=np.zeros(1, dtype=np.int64),
                               nodes=np.empty(0, dtype=np.int32)),
                  id="simulate_walks-zero_walks"),
@@ -80,6 +81,9 @@ def assert_same(got, want):
     pytest.param(lambda: cosine_similarity_distribution(one_node()), NO_SIMILARITIES,
                  id="cosine-one_node"),
     pytest.param(lambda: assert_accounting(empty_graph()), None, id="accounting-empty"),
+    pytest.param(lambda: n_distinct_random_length(
+                     RingModelSpec(PowerLawRings(), PowerLawLength(2.0, 1, 5)), np.empty(0)),
+                 np.empty(0), id="theory-empty_grid"),
 ])
 def test_empty_input_results(call, want):
     assert_same(call(), want)

@@ -310,8 +310,7 @@ def staged_artifacts(tmp_path_factory):
                              "l_min": 1, "l_max": 100}},
         "observables": {"clustering": False}}))
     for stage in ("generate", "walk", "cooc"):
-        args = [stage, "--config", str(config), "--out", str(work)]
-        assert main(args + (["--threads", "1"] if stage == "walk" else [])) == 0
+        assert main([stage, "--config", str(config), "--out", str(work)]) == 0
     return work
 
 

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
 from naive_reference import distinct_count, naive_vocabulary, run_walk
+from tagwalk import walker
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.observables import fit_power_law
 from tagwalk.rng import stream_uniforms, walk_seeds
 from tagwalk.substrate import generate_regular_tree, generate_watts_strogatz
-from tagwalk.walker import (BLOCK_SIZE, FixedLength, PowerLawLength,
-                            WalkConfig, WalkEnsemble, heaps_checkpoints,
+from tagwalk.walker import (FixedLength, PowerLawLength, WalkConfig,
+                            WalkEnsemble, heaps_checkpoints,
                             heaps_curve, length_pmf, node_frequencies,
                             run_ensemble, sample_lengths, simulate_walks)
 from theory_reference import estimate_visit_probs
@@ -152,14 +153,18 @@ def test_isolated_origin_truncates_with_warning(caplog):
 # Ensemble invariants
 # ---------------------------------------------------------------------------
 
-def test_thread_count_invariance():
+@pytest.mark.parametrize("non_backtracking", [False, True])
+def test_block_size_invariance(monkeypatch, non_backtracking):
     g = generate_watts_strogatz(200, 4, 0.1, seed=3)
-    dist = PowerLawLength(3.0, 1, 100)
-    n = BLOCK_SIZE + 37          # force multiple blocks
-    a = simulate_walks(g, 0, n, dist, seed=55, threads=1)
-    b = simulate_walks(g, 0, n, dist, seed=55, threads=8)
-    assert np.array_equal(a.offsets, b.offsets)
-    assert np.array_equal(a.nodes, b.nodes)
+    dist = PowerLawLength(2.0, 1, 100)
+    runs = []
+    for block_size in (walker.BLOCK_SIZE, 1, 7):
+        monkeypatch.setattr(walker, "BLOCK_SIZE", block_size)
+        runs.append(simulate_walks(g, 0, 300, dist, seed=55,
+                                   non_backtracking=non_backtracking))
+    for ens in runs[1:]:
+        assert np.array_equal(ens.offsets, runs[0].offsets)
+        assert np.array_equal(ens.nodes, runs[0].nodes)
 
 
 def test_walk_count_and_lengths():
@@ -182,8 +187,6 @@ def test_parameter_errors(triangle):
         simulate_walks(triangle, 9, 1, FixedLength(1), seed=0)
     with pytest.raises(ParameterError):
         simulate_walks(triangle, 0, -1, FixedLength(1), seed=0)
-    with pytest.raises(ParameterError):
-        simulate_walks(triangle, 0, 1, FixedLength(1), seed=0, threads=0)
     with pytest.raises(ParameterError):
         WalkConfig(origin=0, n_rw=-2, lengths=FixedLength(1), seed=0)
 
@@ -258,7 +261,7 @@ def test_run_ensemble_bundles_everything():
     g = generate_regular_tree(2, 4)
     cfg = WalkConfig(origin=0, n_rw=64, lengths=FixedLength(3), seed=10,
                      count_origin=False)
-    ens, (wids, nodes), (n, d), freqs = run_ensemble(g, cfg, threads=2)
+    ens, (wids, nodes), (n, d), freqs = run_ensemble(g, cfg)
     assert ens.walk_count == 64
     assert set(zip(wids.tolist(), nodes.tolist())) == \
         {(w, v) for w in range(64) for v in ens.trace(w).tolist() if v != 0}

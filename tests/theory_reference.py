@@ -79,19 +79,18 @@ def asymptotic_log_corrected(b: float, n_rw):
 
 
 def estimate_visit_probs(graph: SubstrateGraph, origin: int, lengths: LengthDist,
-                         n_samples: int, seed: int,
-                         threads: int = 1) -> VisitProbabilities:
+                         n_samples: int, seed: int) -> VisitProbabilities:
     """Estimate p_i as the fraction of independent walks visiting node i."""
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
-    ens = simulate_walks(graph, origin, n_samples, lengths, seed, threads=threads)
+    ens = simulate_walks(graph, origin, n_samples, lengths, seed)
     p = node_frequencies(ens.walk_node_pairs()[1], graph.node_count) / float(n_samples)
     stderr = np.sqrt(p * (1.0 - p) / n_samples)
     return VisitProbabilities(p=p, n_samples=n_samples, stderr=stderr)
 
 
 def simulate_mean_distinct(graph: SubstrateGraph, origin: int, lengths: LengthDist,
-                           n_rw: int, reps: int, seed: int, threads: int = 1,
+                           n_rw: int, reps: int, seed: int,
                            count_origin: bool = True) -> tuple[float, float]:
     """Mean and standard error of N_distinct over ``reps`` fresh ensembles.
 
@@ -102,7 +101,7 @@ def simulate_mean_distinct(graph: SubstrateGraph, origin: int, lengths: LengthDi
     if n_rw < 1 or reps < 1:
         raise ParameterError("n_rw and reps must be >= 1")
     ens = simulate_walks(graph, origin, n_rw * reps, lengths,
-                         derive_seed(seed, 0x726570), threads=threads)
+                         derive_seed(seed, 0x726570))
     wid, nodes = ens.walk_node_pairs(count_origin=count_origin)
     rep_node = sorted_unique((wid // n_rw) * graph.node_count + nodes)
     counts = np.bincount(rep_node // graph.node_count, minlength=reps)

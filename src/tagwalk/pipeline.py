@@ -16,7 +16,6 @@ alone.
 import functools
 import hashlib
 import json
-import math
 import re
 import sys
 import typing
@@ -34,10 +33,7 @@ from .substrate import (ErdosRenyi, GraphSpec, GraphVariant, RegularTree,
 from .walker import FixedLength, PowerLawLength, WalkConfig, WalkEnsemble
 
 __all__ = [
-    "FitWindows",
     "ObservableFlags",
-    "NGrid",
-    "TheoryOptions",
     "IngestSource",
     "ExperimentConfig",
     "IngestConfig",
@@ -54,32 +50,16 @@ FORMAT_VERSION = 1
 _GRAPH_SALT = 0x67727068
 _SIM_SALT = 0x73696D70
 
+# Fit windows: vocabulary growth over n_rw >= HEAPS_FIT_MIN, frequency rank
+# over ranks [1, ZIPF_FIT_MAX_RANK], and the weight versus degree-product
+# tail over the top TAIL_FIT_DECADES decades of the product axis.
+HEAPS_FIT_MIN = 100.0
+ZIPF_FIT_MAX_RANK = 1000
+TAIL_FIT_DECADES = 2.5
+
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FitWindows:
-    """Documented default fitting windows for the standard analyses.
-
-    Vocabulary growth is fitted for n_rw >= heaps_min; the frequency-rank
-    series over ranks [1, zipf_max_rank]; the weight versus degree-product
-    tail over the top tail_decades decades of the product axis, with the
-    plateau read off the lowest product decile.
-    """
-
-    heaps_min: float = 100.0
-    zipf_max_rank: int = 1000
-    tail_decades: float = 2.5
-
-    def __post_init__(self):
-        if not self.heaps_min > 0:
-            raise ParameterError("heaps_min must be > 0")
-        if self.zipf_max_rank < 1:
-            raise ParameterError("zipf_max_rank must be >= 1")
-        if not 0 < self.tail_decades <= 308:     # 10**tail_decades is a float
-            raise ParameterError("tail_decades must be in (0, 308]")
-
 
 @dataclass(frozen=True)
 class ObservableFlags:
@@ -94,52 +74,6 @@ class ObservableFlags:
             raise ParameterError("similarity_pair_budget must be >= 1")
 
 
-@dataclass(frozen=True)
-class NGrid:
-    """``points`` walk counts spaced evenly in log from ``min`` to ``max``.
-
-    At most 10,000 points: the ring-model sum holds about points * 256
-    float64 per block of rings, about 20 MB at the cap.
-    """
-
-    min: float
-    max: float
-    points: int
-
-    def __post_init__(self):
-        if not self.min > 0:
-            raise ParameterError("min must be > 0")
-        if not self.min <= self.max < math.inf:
-            raise ParameterError("max must be finite and >= min")
-        if self.points < 1:
-            raise ParameterError("points must be >= 1")
-        if self.points > 10_000:
-            raise ParameterError("points must be <= 10000")
-
-    def values(self) -> np.ndarray:
-        return np.logspace(np.log10(self.min), np.log10(self.max), self.points)
-
-
-@dataclass(frozen=True)
-class TheoryOptions:
-    """Ring-model prediction settings for the theory stage.
-
-    ``rings`` is ``"bfs"``, the rings measured on the substrate, or a
-    parametric ring structure; ``n_grid`` replaces the simulated
-    checkpoints as the points of the prediction.
-    """
-
-    rings: str | theory.PowerLawRings | theory.ExponentialRings = "bfs"
-    n_grid: NGrid | None = None
-
-    def __post_init__(self):
-        if isinstance(self.rings, str) and self.rings != "bfs":
-            raise ParameterError("rings must be 'bfs' or a ring-structure object")
-
-    def ring_structure(self, graph: SubstrateGraph, origin: int):
-        return bfs_rings(graph, origin) if self.rings == "bfs" else self.rings
-
-
 @dataclass(frozen=True, kw_only=True)
 class IngestSource(ingest.ValidityWindow):
     """The annotation log of an empirical run, its focus tag and validity window."""
@@ -152,7 +86,6 @@ class IngestSource(ingest.ValidityWindow):
 class _RunConfig:
     seed: int
     observables: ObservableFlags = ObservableFlags()
-    fits: FitWindows = FitWindows()
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
@@ -170,7 +103,6 @@ class ExperimentConfig(_RunConfig):
 
     graph: GraphVariant
     walk: WalkConfig
-    theory: TheoryOptions = TheoryOptions()
     emit_traces: bool = False
 
     def __post_init__(self):
@@ -194,8 +126,7 @@ class IngestConfig(_RunConfig):
 # The value of "type" that picks each class out of a union of sections.
 _TYPE_NAMES = {WattsStrogatz: "watts_strogatz", RegularTree: "regular_tree",
                ErdosRenyi: "erdos_renyi", FixedLength: "fixed",
-               PowerLawLength: "power_law", theory.PowerLawRings: "power_law",
-               theory.ExponentialRings: "exponential"}
+               PowerLawLength: "power_law"}
 _KINDS = {bool: "true or false", int: "an integer", float: "a number",
           str: "a string", type(None): "null"}
 
@@ -313,15 +244,15 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
            threads: int) -> None:
     """Observables and ``fits.json`` of a co-occurrence graph.
 
-    ``heaps`` is the vocabulary curve, fitted over ``[heaps_min, n_max]``;
+    ``heaps`` is the vocabulary curve, fitted over ``[HEAPS_FIT_MIN, n_max]``;
     ``counts`` the frequencies behind the frequency-rank series.  Either
     may be None when it is not at hand, and its results are then left out.
     Every other observable is written, clustering unless switched off.
     ``threads`` workers share the sampled cosine similarities.
     """
-    flags, fitw = cfg.observables, cfg.fits
+    flags = cfg.observables
     fits: dict = {"heaps": None if heaps is None else
-                  _fit_or_none(*heaps, (fitw.heaps_min, max(n_max, 1)))}
+                  _fit_or_none(*heaps, (HEAPS_FIT_MIN, max(n_max, 1)))}
     obs_dir = out / "observables"
     obs_dir.mkdir(parents=True, exist_ok=True)
     observables.assert_accounting(g)
@@ -350,7 +281,7 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
             weights[products <= decile].mean())
         p_max = float(products.max())
         fits["weight_product_tail"] = _fit_or_none(
-            binned.x, binned.y, (p_max / 10 ** fitw.tail_decades, p_max))
+            binned.x, binned.y, (p_max / 10 ** TAIL_FIT_DECADES, p_max))
     hist = observables.cosine_similarity_distribution(
         g, pair_budget=flags.similarity_pair_budget,
         seed=derive_seed(cfg.seed, _SIM_SALT), threads=threads)
@@ -361,7 +292,7 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
     if counts is not None:
         ranks, ordered = observables.frequency_rank(counts)
         write_csv(obs_dir / "frequency_rank.csv", ["rank", "count"], zip(ranks, ordered))
-        fits["zipf"] = _fit_or_none(ranks, ordered, (1, fitw.zipf_max_rank))
+        fits["zipf"] = _fit_or_none(ranks, ordered, (1, ZIPF_FIT_MAX_RANK))
     zipf = fits.get("zipf")
     fits["zipf_heaps_product"] = (abs(zipf["exponent"]) * fits["heaps"]["exponent"]
                                   if fits["heaps"] and zipf else None)
@@ -440,33 +371,24 @@ def _cooc(out: Path, pairs: tuple[np.ndarray, np.ndarray],
 
 
 def _theory(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph,
-            heaps: tuple[np.ndarray, np.ndarray] | None) -> None:
-    """Ring-model prediction, at the points of ``heaps`` and compared with it.
-
-    A configured ``n_grid`` replaces those points and drops the comparison.
-    """
+            heaps: tuple[np.ndarray, np.ndarray]) -> None:
+    """Ring-model prediction from the substrate's BFS shells, at the points
+    of ``heaps`` and compared with it."""
     theory_dir = out / "theory"
     theory_dir.mkdir(parents=True, exist_ok=True)
-    rings = cfg.theory.ring_structure(graph, cfg.walk.origin)
-    spec = theory.RingModelSpec(rings=rings, lengths=cfg.walk.lengths)
-    simulated = None
-    if cfg.theory.n_grid is not None:
-        n_values = cfg.theory.n_grid.values()
-    elif heaps is not None:
-        n_values, simulated = heaps
-    else:
-        n_values = np.empty(0, dtype=np.int64)
+    spec = theory.RingModelSpec(rings=bfs_rings(graph, cfg.walk.origin),
+                                lengths=cfg.walk.lengths)
+    n_values, simulated = heaps
     predicted = theory.n_distinct_random_length(spec, n_values.astype(np.float64))
     if not cfg.walk.count_origin:
         predicted = predicted - 1.0  # the origin ring contributes exactly 1
     write_csv(theory_dir / "prediction.csv", ["n_rw", "prediction"],
               zip(n_values, predicted))
-    if simulated is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(predicted > 0, simulated / predicted, np.nan)
-        write_csv(theory_dir / "comparison.csv",
-                  ["n_rw", "simulated", "predicted", "ratio"],
-                  zip(n_values, simulated, predicted, ratio))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(predicted > 0, simulated / predicted, np.nan)
+    write_csv(theory_dir / "comparison.csv",
+              ["n_rw", "simulated", "predicted", "ratio"],
+              zip(n_values, simulated, predicted, ratio))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> Path:
@@ -507,7 +429,6 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    heaps_path, traces_path = out / "heaps.csv", out / "traces.txt"
     count_origin = cfg.walk.count_origin
     if stage == "generate":
         _generate(cfg, out)
@@ -521,6 +442,7 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
         _cooc(out, ens.walk_node_pairs(count_origin=count_origin))
     elif stage == "stats":
         g = cooc.CoocGraph.read_edge_list(_input(out, "cooc.edges", "cooc"))
+        heaps_path, traces_path = out / "heaps.csv", out / "traces.txt"
         heaps = _read_heaps(heaps_path) if heaps_path.exists() else None
         freqs = None
         if traces_path.exists():
@@ -530,9 +452,8 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
                 ens.walk_node_pairs(count_origin=count_origin)[1], ens.node_count)
         _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw, threads)
     elif stage == "theory":
-        graph = _substrate(cfg, out)
-        reads_heaps = cfg.theory.n_grid is None and heaps_path.exists()
-        _theory(cfg, out, graph, _read_heaps(heaps_path) if reads_heaps else None)
+        heaps = _read_heaps(_input(out, "heaps.csv", "walk"))
+        _theory(cfg, out, _substrate(cfg, out), heaps)
     else:
         raise ParameterError(f"unknown stage '{stage}'")
     _write_manifest(out, cfg.resolved())

@@ -45,6 +45,10 @@ __all__ = [
 TERM_THRESHOLD = 1e-12
 RING_CAP = 10 ** 5
 
+# The sum takes the points in blocks of this many, so that its memory is
+# bounded whatever the number of points: about 8 MiB per array of a block.
+POINT_BLOCK = 4096
+
 # exp(700) is near the float64 ceiling; exponential ring sizes are clipped
 # there, which only matters once the term is already ~n*P_> regardless
 _LOG_CLIP = 700.0
@@ -136,7 +140,8 @@ def n_distinct_random_length(spec: RingModelSpec, n_rw):
     values, pmf = length_pmf(spec.lengths)
     support_end = int(values[-1])
     n = np.asarray(n_rw, dtype=np.float64)
-    total = np.zeros(n.shape if n.ndim else ())
+    flat = n.reshape(-1)
+    total = np.zeros(flat.size)
     # tail probability P_>(l) for l = 0..support_end (1 below the support)
     tail = np.zeros(support_end + 1)
     np.add.at(tail, values, pmf)
@@ -150,10 +155,12 @@ def n_distinct_random_length(spec: RingModelSpec, n_rw):
         ls = np.arange(l, stop)
         if ls.size:
             sizes = ring_sizes(spec.rings, ls)
-            exposure = n[..., None] * tail[ls]
-            terms = _coverage(sizes, exposure)
-            total = total + terms.sum(axis=-1)
-            if terms[..., -1].max(initial=0.0) < TERM_THRESHOLD:
+            last = 0.0
+            for p in range(0, flat.size, POINT_BLOCK):
+                terms = _coverage(sizes, flat[p:p + POINT_BLOCK, None] * tail[ls])
+                total[p:p + POINT_BLOCK] += terms.sum(axis=-1)
+                last = np.maximum(last, terms[:, -1].max())
+            if last < TERM_THRESHOLD:
                 break
         if stop > support_end:
             break
@@ -161,4 +168,4 @@ def n_distinct_random_length(spec: RingModelSpec, n_rw):
             raise EvaluationError(
                 f"ring terms not decaying below {TERM_THRESHOLD} by l={RING_CAP}")
         l = stop
-    return total if total.ndim else float(total)
+    return total.reshape(n.shape) if n.ndim else float(total[0])

@@ -67,8 +67,6 @@ def test_defaults_fill_in(tmp_path):
     assert cfg.walk.count_origin and not cfg.walk.non_backtracking
     assert cfg.walk.lengths == PowerLawLength(3.0, 1, 1000)
     assert cfg.observables.similarity_pair_budget == 10 ** 6
-    assert cfg.theory.rings == "bfs"
-    assert cfg.fits.heaps_min == 100.0
 
 
 # Values of the right shape that the config schema rejects, each with the
@@ -84,32 +82,8 @@ def shape_id(case):
 
 
 BAD_VALUES = [
-    bad_value(0, {"theory": {"rings": {"type": "power_law", "a": "x"}}},
-              "theory.rings.a must be a number"),
-    bad_value(1, {"theory": {"rings": {"type": "exponential"}}},
-              "missing required key 'theory.rings.z'"),
-    bad_value(2, {"theory": {"rings": {"type": "exponential", "z": "2"}}},
-              "theory.rings.z must be a number"),
-    bad_value(3, {"theory": {"rings": {"type": "power_law", "a": 10 ** 400}}},
-              "theory.rings.a must be a finite number"),
-    bad_value(4, {"theory": {"n_grid": {"min": "a", "max": 10, "points": 5}}},
-              "theory.n_grid.min must be a number"),
-    bad_value(5, {"theory": {"n_grid": {"min": 1, "max": 10, "points": -3}}},
-              "theory.n_grid.points must be >= 1"),
-    bad_value(6, {"theory": {"n_grid": {"min": 1, "max": 10, "points": 5.5}}},
-              "theory.n_grid.points must be an integer"),
-    bad_value(7, {"theory": {"n_grid": {"min": 0, "max": 10, "points": 5}}},
-              "theory.n_grid.min must be > 0"),
-    bad_value(8, {"theory": 3}, "theory must be an object"),
     bad_value(9, {"observables": [1]}, "observables must be an object"),
     bad_value(10, {"walk": {"n_rw": 10, "lengths": 3}}, "walk.lengths must be an object"),
-    bad_value(11, {"fits": "x"}, "fits must be an object"),
-    bad_value(12, {"fits": {"zipf_max_rank": 0}}, "fits.zipf_max_rank must be >= 1"),
-    bad_value(13, {"fits": {"heaps_min": 0}}, "fits.heaps_min must be > 0"),
-    bad_value(14, {"fits": {"heaps_min": float("nan")}},
-              "fits.heaps_min must be a finite number"),
-    bad_value(15, {"fits": {"tail_decades": 0}}, "fits.tail_decades must be in (0, 308]"),
-    bad_value(16, {"fits": {"tail_decades": 400}}, "fits.tail_decades must be in (0, 308]"),
     bad_value(17, {"observables": {"similarity_pair_budget": 0}},
               "observables.similarity_pair_budget must be >= 1"),
     bad_value(18, {"graph": {"type": "watts_strogatz", "n": 60, "k": 3, "p_rewire": 0.1}},
@@ -127,14 +101,17 @@ BAD_VALUES = [
               "graph: node count must be below 2**31"),
     bad_value(25, {"graph": {"type": "erdos_renyi", "n": 2 ** 31, "mean_degree": 1}},
               "graph: node count must be below 2**31"),
-    bad_value(26, {"theory": {"n_grid": {"min": 1, "max": 10, "points": 10 ** 12}}},
-              "theory.n_grid.points must be <= 10000"),
     # every observable is written, so none of them has an on/off key
     *(bad_value(27 + i, {"observables": {key: False}}, f"unknown key(s) in observables: {key}")
       for i, key in enumerate(["distributions", "s_of_k", "knn", "weight_vs_product",
                                "similarity", "frequency_rank"])),
-    bad_value(33, {"theory": {"ring_prediction": True}},
-              "unknown key(s) in theory: ring_prediction"),
+    # the analysis is fixed, so a config that names its old sections stops at load
+    bad_value(34, {"fits": {"heaps_min": 100.0}}, "unknown key(s) in config: fits"),
+    bad_value(35, {"theory": {"rings": "bfs"}}, "unknown key(s) in config: theory"),
+    bad_value(36, {"walk": {"n_rw": 10, "lengths": {"type": "power_law", "exponent": 10 ** 400}}},
+              "walk.lengths.exponent must be a finite number"),
+    bad_value(37, {"graph": {"type": "watts_strogatz", "n": 60, "k": 4}},
+              "missing required key 'graph.p_rewire'"),
 ]
 
 
@@ -144,10 +121,10 @@ BAD_VALUES = [
                "extra": 0}},
     {"walk": {"n_rw": 10, "surprise": True}},
     {"observables": {"similarty": True}},
-    {"theory": {"rings": "power_law"}},
-    {"theory": {"rings": {"type": "cubic"}}},
-    {"theory": {"n_grid": {"min": 1, "max": 10}}},
-    {"fits": {"heaps_max": 1}},
+    {"walk": {"n_rw": 10, "lengths": "power_law"}},
+    {"graph": {"n": 60, "k": 4, "p_rewire": 0.1}},
+    {"walk": {"origin": 0}},
+    {"observables": {"clustering": 1}},
     {"format_version": 2},
     {"seed": "five"},
     {"seed": True},
@@ -190,8 +167,6 @@ def valid_config(draw, kind):
     cfg = {"seed": draw(st.integers(0, 2 ** 64 - 1)),
            "observables": some({"clustering": draw(st.booleans()),
                                 "similarity_pair_budget": draw(st.integers(1, 10 ** 7))}),
-           "fits": some({"heaps_min": draw(number), "zipf_max_rank": draw(st.integers(1, 10 ** 4)),
-                         "tail_decades": draw(st.floats(0.1, 308))}),
            "format_version": 1}
     if kind == "ingest":
         ts_min = draw(st.integers(-2 ** 70, 2 ** 70))
@@ -216,13 +191,6 @@ def valid_config(draw, kind):
             {"type": "fixed", "value": draw(count)},
             {"type": "power_law", **some({"exponent": draw(number), "l_min": l_min,
                                           "l_max": draw(st.integers(l_min, 10 ** 4))})}]))})}
-    cfg["theory"] = some({
-        "rings": draw(st.sampled_from([
-            "bfs", {"type": "power_law", **some({"a": draw(number), "c_n": draw(number)})},
-            {"type": "exponential", "z": draw(st.floats(1.001, 1e3))}])),
-        "n_grid": draw(st.none() | st.just({"min": 1, "max": draw(st.integers(1, 10 ** 6)
-                                                                   | st.floats(1, 1e6)),
-                                            "points": draw(st.integers(1, 100))}))})
     cfg["emit_traces"] = draw(st.booleans())
     return some(cfg) | {"seed": cfg["seed"], "graph": cfg["graph"], "walk": cfg["walk"]}
 
@@ -664,24 +632,35 @@ def test_manifest_hash_matches_resolved_config(tmp_path):
 
 
 def test_prediction_shifts_by_one_without_origin(tmp_path):
-    base = {"graph": {"type": "regular_tree", "z": 2, "depth": 6},
-            "walk": {"n_rw": 10, "lengths": {"type": "fixed", "value": 3}},
-            "theory": {"n_grid": {"min": 100, "max": 10000, "points": 5}}}
+    base = {"seed": 5, "graph": {"type": "regular_tree", "z": 2, "depth": 6},
+            "walk": {"n_rw": 1000, "lengths": {"type": "fixed", "value": 3}}}
     preds = {}
     for flag in (True, False):
         cfg = json.loads(json.dumps(base))
-        cfg["seed"] = 5
         cfg["walk"]["count_origin"] = flag
         path = tmp_path / f"cfg{flag}.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / f"out{flag}"
-        assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
-        assert main(["theory", "--config", str(path), "--out", str(out)]) == 0
+        for stage in ("generate", "walk", "theory"):
+            assert main([stage, "--config", str(path), "--out", str(out)]) == 0
         _, rows = read_csv(out / "theory" / "prediction.csv")
+        assert [int(r[0]) for r in rows] == list(range(1, 1001))
         preds[flag] = np.asarray([float(r[1]) for r in rows])
-    assert preds[True] - preds[False] == pytest.approx(np.ones(5), abs=1e-9)
-    # shells 0..3 of the z=2 tree hold 22 nodes; saturated by n=1e4
+    assert preds[True] - preds[False] == pytest.approx(np.ones(1000), abs=1e-9)
+    # shells 0..3 of the z=2 tree hold 22 nodes, which the walks saturate
+    assert np.all(np.diff(preds[True]) >= 0) and np.all(preds[True] <= 22.0)
     assert preds[True][-1] == pytest.approx(22.0, abs=1e-6)
+
+
+def test_theory_without_heaps_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"tagwalk: error: {out / 'heaps.csv'} not found; run the walk stage first\n")
+    assert not (out / "theory").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -160,17 +160,22 @@ def test_degrees_and_strengths_match_adjacency():
         assert g.strengths()[pos] == sum(adj.get(node, {}).values())
 
 
-def test_validate_rejects_corrupt_graphs():
+CORRUPT = {   # field overrides of the clique {0, 1, 2}, and the check each breaks
+    "zero_weight": ({"weights": [1, 0, 1]}, "weights must be >= 1"),
+    "swapped_ends": ({"src": [1, 2, 2], "dst": [0, 0, 1]}, "edges must satisfy src < dst"),
+    "unsorted_node_ids": ({"node_ids": [0, 2, 1]}, "node_ids must be sorted and unique"),
+    "unequal_edge_arrays": ({"dst": [1, 2]}, "edge arrays disagree in length"),
+    "endpoint_outside_node_set": ({"node_ids": [0, 1, 3]}, "edge endpoint outside node set"),
+}
+
+
+@pytest.mark.parametrize("override, message", CORRUPT.values(), ids=CORRUPT.keys())
+def test_validate_rejects_corrupt_graphs(override, message):
     g = build_from_traces([[0, 1, 2]])
-    bad = CoocGraph(node_ids=g.node_ids, src=g.src, dst=g.dst,
-                    weights=np.asarray([1, 0, 1], dtype=np.int64),
-                    labels=None)
-    with pytest.raises(ContractError):
-        bad.validate()
-    swapped = CoocGraph(node_ids=g.node_ids, src=g.dst, dst=g.src,
-                        weights=g.weights, labels=None)
-    with pytest.raises(ContractError):
-        swapped.validate()
+    fields = {"node_ids": g.node_ids, "src": g.src, "dst": g.dst, "weights": g.weights}
+    fields.update({k: np.asarray(v, dtype=np.int64) for k, v in override.items()})
+    with pytest.raises(ContractError, match=message):
+        CoocGraph(**fields).validate()
 
 
 def test_edge_order_is_checked_without_overflow(tmp_path):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from naive_reference import exhaustive_visit_probs
 from tagwalk.errors import EvaluationError, ParameterError
+from tagwalk import theory
 from tagwalk.observables import fit_power_law
 from tagwalk.substrate import (bfs_rings, generate_regular_tree,
                                generate_watts_strogatz)
@@ -132,6 +135,35 @@ def test_random_length_monotone_in_n():
     n = np.logspace(0, 6, 25)
     out = n_distinct_random_length(spec, n)
     assert np.all(np.diff(out) > 0)
+
+
+@pytest.mark.parametrize("rings", [PowerLawRings(1.0), ExponentialRings(2.0),
+                                   bfs_rings(generate_regular_tree(2, 6), 0)],
+                         ids=["power_law", "exponential", "bfs"])
+@pytest.mark.parametrize("n", [1e4, np.logspace(0, 6, 60).reshape(3, 20)],
+                         ids=["scalar", "grid"])
+def test_point_blocks_leave_every_bit(monkeypatch, rings, n):
+    spec = RingModelSpec(rings, PowerLawLength(3.0, 1, 1000))
+    want = n_distinct_random_length(spec, n)
+    for block in (1, 7):
+        monkeypatch.setattr(theory, "POINT_BLOCK", block)
+        got = n_distinct_random_length(spec, n)
+        assert np.shape(got) == np.shape(n)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_ring_sum_memory_does_not_grow_with_the_points():
+    # 10**5 points held whole over blocks of 256 rings would peak near 800 MiB
+    spec = RingModelSpec(bfs_rings(generate_regular_tree(2, 12), 0),
+                         PowerLawLength(2.0, 1, 1000))
+    n = np.arange(1, 10 ** 5 + 1, dtype=np.float64)
+    tracemalloc.start()
+    try:
+        n_distinct_random_length(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])

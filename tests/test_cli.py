@@ -76,14 +76,52 @@ def bad_value(number, mutate, message):
     return pytest.param(mutate, message, id=f"mutate{number}-{message}")
 
 
+def removed_section(number, mutate, old_message):
+    """A case that sets a key of the removed ``fits`` or ``theory`` section.
+
+    It keeps the id it had while the section was read, from the message the
+    schema gave then, and now stops at load as an unknown key of the config.
+    """
+    [section] = mutate
+    return pytest.param(mutate, f"unknown key(s) in config: {section}",
+                        id=f"mutate{number}-{old_message}")
+
+
 def shape_id(case):
     """The id of a BAD_VALUES case in the shape test, after the 15 shape-only cases."""
     return f"mutate{15 + int(case.id.removeprefix('mutate').split('-', 1)[0])}"
 
 
 BAD_VALUES = [
+    # the analysis is fixed, so a config that names its old sections stops at load,
+    # whatever value it gives them
+    removed_section(0, {"theory": {"rings": {"type": "power_law", "a": "x"}}},
+                    "theory.rings.a must be a number"),
+    removed_section(1, {"theory": {"rings": {"type": "exponential"}}},
+                    "missing required key 'theory.rings.z'"),
+    removed_section(2, {"theory": {"rings": {"type": "exponential", "z": "2"}}},
+                    "theory.rings.z must be a number"),
+    removed_section(3, {"theory": {"rings": {"type": "power_law", "a": 10 ** 400}}},
+                    "theory.rings.a must be a finite number"),
+    removed_section(4, {"theory": {"n_grid": {"min": "a", "max": 10, "points": 5}}},
+                    "theory.n_grid.min must be a number"),
+    removed_section(5, {"theory": {"n_grid": {"min": 1, "max": 10, "points": -3}}},
+                    "theory.n_grid.points must be >= 1"),
+    removed_section(6, {"theory": {"n_grid": {"min": 1, "max": 10, "points": 5.5}}},
+                    "theory.n_grid.points must be an integer"),
+    removed_section(7, {"theory": {"n_grid": {"min": 0, "max": 10, "points": 5}}},
+                    "theory.n_grid.min must be > 0"),
+    removed_section(8, {"theory": 3}, "theory must be an object"),
     bad_value(9, {"observables": [1]}, "observables must be an object"),
     bad_value(10, {"walk": {"n_rw": 10, "lengths": 3}}, "walk.lengths must be an object"),
+    removed_section(11, {"fits": "x"}, "fits must be an object"),
+    removed_section(12, {"fits": {"zipf_max_rank": 0}}, "fits.zipf_max_rank must be >= 1"),
+    removed_section(13, {"fits": {"heaps_min": 0}}, "fits.heaps_min must be > 0"),
+    removed_section(14, {"fits": {"heaps_min": float("nan")}},
+                    "fits.heaps_min must be a finite number"),
+    removed_section(15, {"fits": {"tail_decades": 0}}, "fits.tail_decades must be in (0, 308]"),
+    removed_section(16, {"fits": {"tail_decades": 400}},
+                    "fits.tail_decades must be in (0, 308]"),
     bad_value(17, {"observables": {"similarity_pair_budget": 0}},
               "observables.similarity_pair_budget must be >= 1"),
     bad_value(18, {"graph": {"type": "watts_strogatz", "n": 60, "k": 3, "p_rewire": 0.1}},
@@ -101,11 +139,15 @@ BAD_VALUES = [
               "graph: node count must be below 2**31"),
     bad_value(25, {"graph": {"type": "erdos_renyi", "n": 2 ** 31, "mean_degree": 1}},
               "graph: node count must be below 2**31"),
+    removed_section(26, {"theory": {"n_grid": {"min": 1, "max": 10, "points": 10 ** 12}}},
+                    "theory.n_grid.points must be <= 10000"),
     # every observable is written, so none of them has an on/off key
     *(bad_value(27 + i, {"observables": {key: False}}, f"unknown key(s) in observables: {key}")
       for i, key in enumerate(["distributions", "s_of_k", "knn", "weight_vs_product",
                                "similarity", "frequency_rank"])),
-    # the analysis is fixed, so a config that names its old sections stops at load
+    removed_section(33, {"theory": {"ring_prediction": True}},
+                    "unknown key(s) in theory: ring_prediction"),
+    # the old sections' default values stop at load too
     bad_value(34, {"fits": {"heaps_min": 100.0}}, "unknown key(s) in config: fits"),
     bad_value(35, {"theory": {"rings": "bfs"}}, "unknown key(s) in config: theory"),
     bad_value(36, {"walk": {"n_rw": 10, "lengths": {"type": "power_law", "exponent": 10 ** 400}}},

@@ -24,6 +24,7 @@ import numpy as np
 from .cooc import CoocGraph, _pair_blocks
 from .errors import ContractError, FitError, ParameterError
 from .parallel import map_blocks
+from .substrate import _blocks
 
 __all__ = [
     "Distribution",
@@ -43,15 +44,16 @@ __all__ = [
     "assert_accounting",
 ]
 
-# All-pairs cosine similarity is quadratic; above this node count a fixed
-# budget of sampled pairs is used instead.
+# All-pairs cosine similarity takes time quadratic in the node count; above
+# this many nodes a fixed budget of sampled pairs is used instead.
 EXACT_SIMILARITY_LIMIT = 2000
 # Sampled pairs are drawn 65,536 at a time (the draws fix the sample).  A
 # pair probes min(k_a, k_b) entries, and a draw is intersected in blocks of
 # about SIMILARITY_BLOCK_PROBES probes, shared among the worker threads.
 SIMILARITY_BLOCK_PROBES = 1 << 17
-# The exact path adds wedge products about this many at a time.
-SIMILARITY_BATCH_WEDGES = 1 << 18
+# The exact path yields its pairs in row blocks of about this many, and adds
+# wedge products about this many at a time.
+SIMILARITY_BATCH_WEDGES = 1 << 16
 
 # Clustering tests wedges (two-paths whose middle node ranks lowest) for
 # closure in blocks of at most this many, which bounds its extra memory.
@@ -113,18 +115,6 @@ def _log_edges(x_min: float, x_max: float, ratio: float) -> np.ndarray:
         raise ParameterError("log binning needs positive x")
     n_bins = max(1, int(np.ceil(np.log(x_max / x_min) / np.log(ratio) - 1e-9)))
     return x_min * ratio ** np.arange(n_bins + 1)
-
-
-def _blocks(costs: np.ndarray, budget: int) -> list[tuple[int, int]]:
-    """The items, item i costing ``costs[i]``, cut into non-empty slices ``(lo, hi)``.
-
-    A slice ends before the item whose running cost passes the next multiple
-    of ``budget``, so a slice costs at most ``budget`` plus its first item.
-    """
-    ends = np.cumsum(costs)
-    cuts = np.searchsorted(ends, np.arange(budget, ends.max(initial=0), budget), side="right")
-    bounds = np.unique(np.concatenate([[0], cuts, [costs.size]])).tolist()
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _class_means(k: np.ndarray, values: np.ndarray, keep: np.ndarray) -> BinnedSeries:
@@ -223,33 +213,46 @@ def _inverse_norms(g: CoocGraph) -> np.ndarray:
     return np.divide(1.0, np.sqrt(squares), out=np.zeros(squares.size), where=squares > 0)
 
 
-def exact_similarities(g: CoocGraph) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs cosine similarities over positive-strength nodes.
+def exact_similarities(g: CoocGraph):
+    """All-pairs cosine similarities over positive-strength nodes, in blocks.
 
-    Returns the live node positions and their condensed upper triangle
-    (pair order matches ``itertools.combinations`` over the live list).
+    The pairs are those of the live nodes ``np.flatnonzero(g.degrees())``
+    in condensed upper-triangle order, that of ``itertools.combinations``
+    over the live list.  Yields that triangle in blocks of whole first-index
+    rows, each of about ``SIMILARITY_BATCH_WEDGES`` pairs, so the memory is
+    one block plus a few arrays per adjacency entry, however many pairs.
     Each pair's products over its common neighbours c are added one at a
-    time to 0.0, c descending: the pass visits the centres c from the
-    last to the first and adds the product of every pair of c's entries.
-    Quadratic in node count; meant for small graphs and validation.
+    time to 0.0, c descending: the pass visits the centres c from the last
+    to the first and adds the product of every pair of c's entries, in
+    batches of about ``SIMILARITY_BATCH_WEDGES`` products.
     """
     indptr, neighbors, weights = g.adjacency()
     k = g.degrees()
-    live = np.flatnonzero(k)
-    m = live.size
     y = (np.cumsum(k > 0) - 1)[neighbors]           # live position of each entry's column
     unit = _inverse_norms(g)[neighbors] * weights   # entry e of row c is y_e's weight at c
-    x = np.arange(m, dtype=np.int64)
-    base = (x * (2 * m - x - 3) // 2 - 1)[y]        # pair (y_e, j) sits at base[e] + j
+    m = np.count_nonzero(k)
+    x = np.arange(m + 1, dtype=np.int64)
+    first = x * (2 * m - x - 1) // 2                # pair (x, x + 1) sits at first[x]
+    base = (first[:-1] - x[:-1] - 1)[y]             # pair (y_e, j) sits at base[e] + j
     later = np.repeat(indptr[1:], k) - np.arange(y.size) - 1   # entries after e in its row
-    sims = np.zeros(m * (m - 1) // 2)
+    rows = _blocks(m - 1 - x[:-1], SIMILARITY_BATCH_WEDGES)
+    # the entries descending, grouped by the row block of their column
+    block = np.searchsorted([lo for lo, _ in rows], y, side="right") - 1
     entries = np.arange(y.size)[::-1]
-    for lo, hi in _blocks(later[entries], SIMILARITY_BATCH_WEDGES):
-        e = entries[lo:hi]
-        n = later[e]
-        f = np.arange(n.sum()) + np.repeat(e + 1 - np.cumsum(n) + n, n)
-        np.add.at(sims, np.repeat(base[e], n) + y[f], np.repeat(unit[e], n) * unit[f])
-    return live, sims
+    entries = entries[np.argsort(block[entries], kind="stable")]
+    ends = np.cumsum(np.bincount(block, minlength=len(rows))).tolist()
+    del block
+    for (lo, hi), start, stop in zip(rows, [0] + ends, ends):
+        sims = np.zeros(first[hi] - first[lo])
+        mine = entries[start:stop]
+        for a, b in _blocks(later[mine], SIMILARITY_BATCH_WEDGES):
+            e = mine[a:b]
+            n = later[e]
+            f = np.arange(n.sum()) + np.repeat(e + 1 - np.cumsum(n) + n, n)
+            np.add.at(sims, np.repeat(base[e] - first[lo], n) + y[f],
+                      np.repeat(unit[e], n) * unit[f])
+        yield sims
+        del sims
 
 
 def _cosines(g: CoocGraph, inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -336,18 +339,17 @@ def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     edges = np.round(np.arange(0.0, 1.0 + bin_width / 2, bin_width), 10)
-
-    def histogram(sims: np.ndarray) -> np.ndarray:
-        return np.histogram(np.clip(sims, 0.0, 1.0), bins=edges)[0].astype(np.int64)
-
-    if np.count_nonzero(g.degrees()) <= EXACT_SIMILARITY_LIMIT:   # nodes of positive strength
-        sims = exact_similarities(g)[1]
-        return Histogram(edges, histogram(sims), False, sims.size)
+    live = int(np.count_nonzero(g.degrees()))      # nodes of positive strength
+    sampled = live > EXACT_SIMILARITY_LIMIT
+    blocks = (_sampled_similarities(g, pair_budget, seed, threads) if sampled
+              else exact_similarities(g))
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    for sims in _sampled_similarities(g, pair_budget, seed, threads):   # binned per draw
-        counts += histogram(sims)
+    pairs = 0
+    for sims in blocks:     # binned per block
+        counts += np.histogram(np.clip(sims, 0.0, 1.0), bins=edges)[0]
+        pairs += sims.size
         del sims
-    return Histogram(edges, counts, True, pair_budget)
+    return Histogram(edges, counts, sampled, pairs)
 
 
 def frequency_rank(counts) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,19 @@ def sorted_unique(x) -> np.ndarray:
     return x[keep]
 
 
+def _blocks(costs: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """The items, item i costing ``costs[i]``, cut into non-empty slices ``(lo, hi)``.
+
+    A slice ends before the item whose running cost passes the next multiple
+    of ``budget``, so a slice costs at most ``budget`` plus its first item.
+    """
+    ends = np.cumsum(costs)
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends, np.arange(budget, total, budget), side="right").tolist()
+    bounds = sorted({0, *cuts, costs.size})
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 @dataclass(frozen=True)
 class SubstrateGraph:
     """Immutable undirected graph with 0-based dense integer node ids."""
@@ -67,18 +80,18 @@ class SubstrateGraph:
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """All edges as parallel int32 arrays (i, j) with i < j, sorted lexicographically."""
-        rows = np.repeat(np.arange(self.node_count, dtype=np.int32), self.degrees())
-        keep = rows < self.indices
-        return rows[keep], self.indices[keep]
-
     # -- file format: "# nodes=<n>" header, then "i<TAB>j" per edge, i < j --
 
     def write_edge_list(self, path) -> None:
+        """Write the edges in row order, taking rows of about ``_KEY_BLOCK`` entries at a time."""
+        k = self.degrees()
         with open(path, "wb") as fh:
             fh.write(f"# nodes={self.node_count}\n".encode("ascii"))
-            write_int_rows(fh, np.stack(self.edge_arrays(), axis=1), b"\t\n")
+            for lo, hi in _blocks(k, _KEY_BLOCK):
+                rows = np.repeat(np.arange(lo, hi, dtype=np.int32), k[lo:hi])
+                cols = self.indices[self.indptr[lo]:self.indptr[hi]]
+                keep = rows < cols
+                write_int_rows(fh, np.stack([rows[keep], cols[keep]], axis=1), b"\t\n")
 
     @classmethod
     def read_edge_list(cls, path) -> "SubstrateGraph":
@@ -224,7 +237,9 @@ def build_graph(spec: GraphSpec) -> SubstrateGraph:
 # _VECTOR_MIN coins a numpy pass costs more than the scalar rule.
 _BLOCK = 4096
 _VECTOR_MIN = 64
-_KEY_BLOCK = 1 << 16    # edges that from_edge_pairs turns into keys at a time
+# Edges that from_edge_pairs turns into keys at a time, and about the
+# adjacency entries that write_edge_list and bfs_rings take at a time.
+_KEY_BLOCK = 1 << 16
 
 
 def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> SubstrateGraph:
@@ -396,29 +411,33 @@ class RingProfile:
         return len(self.sizes) - 1
 
 
-def _gather_neighbors(graph: SubstrateGraph, nodes: np.ndarray) -> np.ndarray:
-    starts = graph.indptr[nodes]
-    counts = graph.indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return graph.indices[np.repeat(starts, counts) + within]
-
-
 def bfs_rings(graph: SubstrateGraph, origin: int) -> RingProfile:
-    """Breadth-first shell sizes from ``origin``; unreachable nodes excluded."""
+    """Breadth-first shell sizes from ``origin``; unreachable nodes excluded.
+
+    The frontier's rows are gathered about ``_KEY_BLOCK`` entries at a time.
+    Each block keeps its unseen neighbours once and marks them seen, so a
+    shell's scratch memory is one block's, and its time grows with its
+    entries, not with the node count.
+    """
     if not (0 <= origin < graph.node_count):
         raise ParameterError(f"origin {origin} out of range")
+    indptr, indices = graph.indptr, graph.indices
     seen = np.zeros(graph.node_count, dtype=bool)
     seen[origin] = True
     frontier = np.array([origin], dtype=np.int64)
     sizes = [1]
-    while frontier.size:
-        nbrs = _gather_neighbors(graph, frontier).astype(np.int64)
-        nbrs = sorted_unique(nbrs[~seen[nbrs]])
-        if nbrs.size == 0:
+    while True:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        shell = []
+        for lo, hi in _blocks(counts, _KEY_BLOCK):
+            n = counts[lo:hi]
+            nbrs = indices[np.arange(n.sum()) + np.repeat(starts[lo:hi] - np.cumsum(n) + n, n)]
+            nbrs = sorted_unique(nbrs[~seen[nbrs]])
+            seen[nbrs] = True
+            shell.append(nbrs)
+        frontier = np.concatenate(shell)
+        if frontier.size == 0:
             break
-        seen[nbrs] = True
-        sizes.append(int(nbrs.size))
-        frontier = nbrs
+        sizes.append(int(frontier.size))
     return RingProfile(origin=origin, sizes=np.asarray(sizes, dtype=np.int64))

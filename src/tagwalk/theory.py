@@ -46,8 +46,9 @@ TERM_THRESHOLD = 1e-12
 RING_CAP = 10 ** 5
 
 # The sum takes the points in blocks of this many, so that its memory is
-# bounded whatever the number of points: about 8 MiB per array of a block.
-POINT_BLOCK = 4096
+# bounded whatever the number of points: a block's arrays hold one value
+# per point and ring of 256 rings, 512 KiB each.
+POINT_BLOCK = 256
 
 # exp(700) is near the float64 ceiling; exponential ring sizes are clipped
 # there, which only matters once the term is already ~n*P_> regardless

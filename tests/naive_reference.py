@@ -284,9 +284,16 @@ def stream_uniform(seed: int, counter: int) -> float:
 # Per-line text writers
 # ---------------------------------------------------------------------------
 
+def edge_arrays(graph: SubstrateGraph) -> tuple[np.ndarray, np.ndarray]:
+    """All edges as parallel int32 arrays (i, j) with i < j, sorted lexicographically."""
+    rows = np.repeat(np.arange(graph.node_count, dtype=np.int32), graph.degrees())
+    keep = rows < graph.indices
+    return rows[keep], graph.indices[keep]
+
+
 def naive_write_substrate(graph, path) -> None:
     """``SubstrateGraph.write_edge_list`` as one f-string per edge."""
-    rows, cols = graph.edge_arrays()
+    rows, cols = edge_arrays(graph)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# nodes={graph.node_count}\n")
         for i, j in zip(rows.tolist(), cols.tolist()):

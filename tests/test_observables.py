@@ -361,8 +361,8 @@ def test_similarity_hand_histogram(hand_graph):
 
 
 def test_exact_similarities_hand_values(hand_graph):
-    live, sims = obs.exact_similarities(hand_graph)
-    assert live.tolist() == [0, 1, 2, 3]
+    sims = exact_similarities(hand_graph)
+    assert np.flatnonzero(hand_graph.degrees()).tolist() == [0, 1, 2, 3]
     want = [2 / np.sqrt(130), 6 / np.sqrt(60), 1 / np.sqrt(10),
             3 / np.sqrt(78), 2 / np.sqrt(13), 0.0]
     assert sims == pytest.approx(want, abs=1e-12)
@@ -433,6 +433,22 @@ def test_similarity_sample_memory_does_not_grow_with_budget_on_two_threads():
     test_similarity_sample_memory_does_not_grow_with_budget(threads=2)
 
 
+def test_exact_similarity_memory_is_one_block_not_the_triangle():
+    # 1,900 live nodes and a hub: the whole triangle alone would take 13.8 MiB
+    g = ring_of_hubs(1900, 1)
+    g.adjacency(), g.degrees()
+    m = np.count_nonzero(g.degrees())
+    assert m <= obs.EXACT_SIMILARITY_LIMIT
+    tracemalloc.start()
+    try:
+        hist = cosine_similarity_distribution(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not hist.sampled and hist.pair_count == m * (m - 1) // 2
+    assert peak < 8 * hist.pair_count / 3
+
+
 def test_similarity_excludes_isolated_nodes():
     g = build_from_traces([[0, 1], [5]], node_count=6)
     hist = cosine_similarity_distribution(g)
@@ -469,20 +485,30 @@ def same_bits(got, want):
                                                       want.view(np.int64))
 
 
+def exact_similarities(graph):
+    return np.concatenate([np.empty(0), *obs.exact_similarities(graph)])
+
+
 def sampled_similarities(graph, pair_budget, seed, threads=1):
     return np.concatenate([np.empty(0), *obs._sampled_similarities(graph, pair_budget, seed,
                                                                     threads)])
 
 
-@pytest.mark.parametrize("batch", [obs.SIMILARITY_BATCH_WEDGES, 1, 7])
+# batches: past every graph's pair count, the default, a wedge or a row at a time, a few
+@pytest.mark.parametrize("batch", [1 << 18, obs.SIMILARITY_BATCH_WEDGES, 1, 7])
 @pytest.mark.parametrize("name", COSINE_GRAPHS)
 def test_exact_similarities_match_scipy_oracle(name, batch, monkeypatch):
     graph = COSINE_GRAPHS[name]
     want = scipy_similarities(graph)
     monkeypatch.setattr(obs, "SIMILARITY_BATCH_WEDGES", batch)
-    live, got = obs.exact_similarities(graph)
-    assert np.array_equal(live, np.flatnonzero(graph.degrees()))
-    assert same_bits(got, want)
+    blocks = list(obs.exact_similarities(graph))
+    assert same_bits(np.concatenate([np.empty(0), *blocks]), want)
+    # each block holds whole first-index rows, at most the budget past its first row
+    m = np.count_nonzero(graph.degrees())
+    rows = np.arange(m)
+    starts = rows * (2 * m - rows - 1) // 2
+    assert set(np.cumsum([b.size for b in blocks]).tolist()) <= set(starts.tolist()) | {want.size}
+    assert all(b.size <= batch + m - 1 for b in blocks)
 
 
 # (pairs drawn, probes per block): one block, the default, a pair per block, a few pairs
@@ -574,7 +600,7 @@ def cosine_graphs(draw):
 @given(cosine_graphs())
 @settings(max_examples=60, deadline=None)
 def test_cosine_matches_scipy_oracle_on_any_graph(graph):
-    assert same_bits(obs.exact_similarities(graph)[1], scipy_similarities(graph))
+    assert same_bits(exact_similarities(graph), scipy_similarities(graph))
     if np.count_nonzero(graph.degrees()) < 2:
         return
     with pytest.MonkeyPatch.context() as mp:

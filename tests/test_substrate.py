@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
-from naive_reference import component_size, naive_watts_strogatz, validate_substrate
+from naive_reference import (component_size, edge_arrays, naive_watts_strogatz,
+                             validate_substrate)
 from tagwalk import substrate
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.substrate import (ErdosRenyi, GraphSpec, RegularTree,
@@ -26,7 +28,7 @@ def test_ws_edge_count_exact(p):
     n, k = 400, 6
     g = generate_watts_strogatz(n, k, p, seed=5)
     assert g.edge_count == n * k // 2
-    src, dst = g.edge_arrays()
+    src, dst = edge_arrays(g)
     assert np.all(src < dst)
     assert np.unique(src * n + dst).size == g.edge_count  # no duplicates
     validate_substrate(g)
@@ -336,7 +338,7 @@ def test_edge_pairs_round_trip(n, data):
                                 max_size=len(all_pairs)))
     g = graph_from_pairs(n, chosen)
     assert g.edge_count == len(chosen)
-    src, dst = g.edge_arrays()
+    src, dst = edge_arrays(g)
     assert {(int(a), int(b)) for a, b in zip(src, dst)} == set(chosen)
     validate_substrate(g)
 
@@ -371,6 +373,57 @@ def test_bfs_rings_disconnected():
 def test_bfs_rings_bad_origin(triangle):
     with pytest.raises(ParameterError):
         bfs_rings(triangle, 7)
+
+
+@pytest.mark.parametrize("block", [1, 5, substrate._KEY_BLOCK])
+@pytest.mark.parametrize("seed", range(4))
+def test_bfs_rings_match_networkx_shells(seed, block, monkeypatch):
+    nx = pytest.importorskip("networkx")
+    # mean degree 1.5 leaves about a fifth of the nodes isolated
+    g = generate_erdos_renyi(300, 1.5, seed)
+    isolated = np.flatnonzero(g.degrees() == 0)
+    assert isolated.size
+    G = nx.Graph()
+    G.add_nodes_from(range(g.node_count))
+    G.add_edges_from(zip(*edge_arrays(g)))
+    monkeypatch.setattr(substrate, "_KEY_BLOCK", block)
+    hub = int(np.argmax(g.degrees()))
+    for origin in (0, hub, int(isolated[0])):
+        distances = nx.single_source_shortest_path_length(G, origin)
+        want = np.bincount(list(distances.values()))
+        assert bfs_rings(g, origin).sizes.tolist() == want.tolist()
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def ws_200k():
+    g = generate_watts_strogatz(200_000, 8, 0.1, seed=1)
+    return g, g.indptr.nbytes + g.indices.nbytes
+
+
+def test_bfs_rings_memory_is_one_block_per_shell(ws_200k):
+    # The largest shell's 68,862 nodes have about 550k entries, 4.2 MiB as
+    # int64, so a shell gathered whole, with its index arrays, passes the bound.
+    g, graph_bytes = ws_200k
+    assert traced_peak(lambda: bfs_rings(g, 0)) < 0.75 * graph_bytes
+
+
+def test_write_edge_list_memory_is_one_block(ws_200k, tmp_path):
+    # The 800k edges take 6.1 MiB as int32 pairs, so a copy of them all and
+    # its stacked table pass the bound.
+    g, graph_bytes = ws_200k
+    path = tmp_path / "g.edges"
+    assert traced_peak(lambda: g.write_edge_list(path)) < graph_bytes
+    back = SubstrateGraph.read_edge_list(path)
+    assert np.array_equal(back.indptr, g.indptr) and np.array_equal(back.indices, g.indices)
 
 
 @pytest.mark.parametrize("bad, message", [

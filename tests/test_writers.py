@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import tagwalk.formats as formats
 import tagwalk.ingest as ingest
+import tagwalk.substrate as substrate
 from conftest import graph_from_pairs
 from naive_reference import (corpus_of, naive_write_cooc, naive_write_jsonl,
                              naive_write_substrate, naive_write_traces)
@@ -42,6 +43,7 @@ def same_bytes(workdir, write, oracle, obj, block) -> bool:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "WRITE_BLOCK_FIELDS", block)
         mp.setattr(ingest, "WRITE_BLOCK_POSTS", block)
+        mp.setattr(substrate, "_KEY_BLOCK", block)
         write(obj, workdir / "new")
     oracle(obj, workdir / "old")
     return (workdir / "new").read_bytes() == (workdir / "old").read_bytes()

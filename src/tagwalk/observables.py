@@ -44,9 +44,14 @@ __all__ = [
     "assert_accounting",
 ]
 
-# All-pairs cosine similarity takes time quadratic in the node count; above
-# this many nodes a fixed budget of sampled pairs is used instead.
+# Cosine similarity takes its exact path on at most this many live nodes,
+# whatever the pair budget, and above it wherever the exact cost is at most
+# EXACT_COST_MULTIPLE times the sampled one (see _exact_similarity_pays).
+# On 2 cores with numpy 2.4 the exact pass cost about 12-21 ns per wedge and
+# the sampled one about 60 ns of CPU per probe (37 ns of wall on 2 threads),
+# so the wall-clock break-even lies near 3.
 EXACT_SIMILARITY_LIMIT = 2000
+EXACT_COST_MULTIPLE = 3
 # Sampled pairs are drawn 65,536 at a time (the draws fix the sample).  A
 # pair probes min(k_a, k_b) entries, and a draw is intersected in blocks of
 # about SIMILARITY_BLOCK_PROBES probes, shared among the worker threads.
@@ -208,8 +213,11 @@ def _inverse_norms(g: CoocGraph) -> np.ndarray:
 
     Entry j of node i's unit weight row is ``inv[i] * w_ij``.
     """
-    _, _, weights = g.adjacency()
-    squares = g.neighbor_sums(weights * weights)
+    indptr, _, weights = g.adjacency()
+    total = np.zeros(weights.size + 1, dtype=np.int64)    # running sums of w^2, in place
+    np.square(weights, out=total[1:])
+    np.cumsum(total, out=total)
+    squares = np.diff(total[indptr])
     return np.divide(1.0, np.sqrt(squares), out=np.zeros(squares.size), where=squares > 0)
 
 
@@ -220,7 +228,7 @@ def exact_similarities(g: CoocGraph):
     in condensed upper-triangle order, that of ``itertools.combinations``
     over the live list.  Yields that triangle in blocks of whole first-index
     rows, each of about ``SIMILARITY_BATCH_WEDGES`` pairs, so the memory is
-    one block plus a few arrays per adjacency entry, however many pairs.
+    one block plus 20 bytes per adjacency entry, however many pairs.
     Each pair's products over its common neighbours c are added one at a
     time to 0.0, c descending: the pass visits the centres c from the last
     to the first and adds the product of every pair of c's entries, in
@@ -228,28 +236,28 @@ def exact_similarities(g: CoocGraph):
     """
     indptr, neighbors, weights = g.adjacency()
     k = g.degrees()
-    y = (np.cumsum(k > 0) - 1)[neighbors]           # live position of each entry's column
-    unit = _inverse_norms(g)[neighbors] * weights   # entry e of row c is y_e's weight at c
+    y = (np.cumsum(k > 0, dtype=np.int32) - 1)[neighbors]   # live position of each entry's column
     m = np.count_nonzero(k)
     x = np.arange(m + 1, dtype=np.int64)
     first = x * (2 * m - x - 1) // 2                # pair (x, x + 1) sits at first[x]
-    base = (first[:-1] - x[:-1] - 1)[y]             # pair (y_e, j) sits at base[e] + j
-    later = np.repeat(indptr[1:], k) - np.arange(y.size) - 1   # entries after e in its row
     rows = _blocks(m - 1 - x[:-1], SIMILARITY_BATCH_WEDGES)
-    # the entries descending, grouped by the row block of their column
-    block = np.searchsorted([lo for lo, _ in rows], y, side="right") - 1
-    entries = np.arange(y.size)[::-1]
-    entries = entries[np.argsort(block[entries], kind="stable")]
-    ends = np.cumsum(np.bincount(block, minlength=len(rows))).tolist()
+    block = np.repeat(np.arange(len(rows), dtype=np.int32), [hi - lo for lo, hi in rows])[y]
+    # the entries descending, grouped by the row block of their column, last block first
+    entries = np.argsort(block, kind="stable")[::-1].astype(np.int32)
+    starts = (y.size - np.cumsum(np.bincount(block, minlength=len(rows)))).tolist()
     del block
-    for (lo, hi), start, stop in zip(rows, [0] + ends, ends):
+    unit = _inverse_norms(g)[neighbors]
+    unit *= weights                                 # entry e of row c is y_e's weight at c
+    for (lo, hi), start, stop in zip(rows, starts, [y.size] + starts):
         sims = np.zeros(first[hi] - first[lo])
         mine = entries[start:stop]
-        for a, b in _blocks(later[mine], SIMILARITY_BATCH_WEDGES):
-            e = mine[a:b]
-            n = later[e]
+        # the entries after each in its row
+        later = indptr[np.searchsorted(indptr, mine, side="right")] - mine - 1
+        for a, b in _blocks(later, SIMILARITY_BATCH_WEDGES):
+            e, n = mine[a:b], later[a:b]
             f = np.arange(n.sum()) + np.repeat(e + 1 - np.cumsum(n) + n, n)
-            np.add.at(sims, np.repeat(base[e] - first[lo], n) + y[f],
+            ye = y[e]       # pair (y_e, j) sits at first[y_e] - y_e - 1 + j
+            np.add.at(sims, np.repeat(first[ye] - ye - (1 + first[lo]), n) + y[f],
                       np.repeat(unit[e], n) * unit[f])
         yield sims
         del sims
@@ -323,24 +331,45 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int, threads: in
         del sims
 
 
+def _exact_similarity_pays(k: np.ndarray, pair_budget: int) -> bool:
+    """Whether cosine similarity takes its exact path on a graph of degrees ``k``.
+
+    It does on at most ``EXACT_SIMILARITY_LIMIT`` live nodes, and wherever
+    the exact cost, sum_c C(k_c, 2) wedges plus the C(m, 2) pairs of the m
+    live nodes, is at most ``EXACT_COST_MULTIPLE`` times the sampled cost,
+    ``pair_budget`` x E[min(k_a, k_b)] probes over uniform pairs of
+    distinct live nodes.  With the live degrees ascending, that expectation
+    is sum_i k_(i) (m - 1 - i) / C(m, 2); the costs are compared
+    cross-multiplied, in Python integers, so no rounding decides.
+    """
+    live = np.sort(k[k > 0])
+    m = live.size
+    if m <= EXACT_SIMILARITY_LIMIT:
+        return True
+    pairs = m * (m - 1) // 2
+    wedges = int((live * (live - 1) // 2).sum())
+    probes = int((live * np.arange(m - 1, -1, -1)).sum())     # C(m, 2) x E[min(k_a, k_b)]
+    return (wedges + pairs) * pairs <= EXACT_COST_MULTIPLE * pair_budget * probes
+
+
 def cosine_similarity_distribution(g: CoocGraph, pair_budget: int = 10 ** 6,
                                    seed: int = 0, bin_width: float = 0.05,
                                    threads: int = 1) -> Histogram:
     """Histogram of cosine similarity between node weight vectors.
 
-    All unordered pairs are evaluated when the graph has at most
-    ``EXACT_SIMILARITY_LIMIT`` nodes, otherwise ``pair_budget`` uniformly
+    All unordered pairs are evaluated, on the calling thread, where
+    :func:`_exact_similarity_pays`; elsewhere ``pair_budget`` uniformly
     drawn pairs of distinct nodes, intersected on ``threads`` worker
-    threads; the histogram is the same for any ``threads``.  Nodes with
-    zero strength carry no weight vector and are excluded.
+    threads.  The choice does not read ``threads``, so the histogram is the
+    same for any ``threads``.  Nodes with zero strength carry no weight
+    vector and are excluded.
     """
     if pair_budget < 1:
         raise ParameterError("pair_budget must be >= 1")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     edges = np.round(np.arange(0.0, 1.0 + bin_width / 2, bin_width), 10)
-    live = int(np.count_nonzero(g.degrees()))      # nodes of positive strength
-    sampled = live > EXACT_SIMILARITY_LIMIT
+    sampled = not _exact_similarity_pays(g.degrees(), pair_budget)
     blocks = (_sampled_similarities(g, pair_budget, seed, threads) if sampled
               else exact_similarities(g))
     counts = np.zeros(edges.size - 1, dtype=np.int64)

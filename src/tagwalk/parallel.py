@@ -1,10 +1,12 @@
 """Blocks of work spread over threads, with results that ignore the thread count.
 
-The work is numpy on arrays large enough that numpy releases the GIL, so
-threads overlap.  Each worker thread gets its own malloc arena, which keeps
-the memory that the worker's blocks freed; the calling thread therefore
-takes a share of the blocks itself, and ``t`` workers start only ``t - 1``
-threads.
+The work is numpy calls that release the GIL on large arrays (gathers,
+arithmetic, ``np.bincount``), so threads overlap.  ``np.add.at`` and
+``np.repeat`` hold the GIL: work made mostly of them, like the exact
+cosine pass, gained little on two threads and stays on one.  Each worker
+thread gets its own malloc arena, which keeps the memory that the
+worker's blocks freed; the calling thread therefore takes a share of the
+blocks itself, and ``t`` workers start only ``t - 1`` threads.
 """
 
 from __future__ import annotations

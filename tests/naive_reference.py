@@ -10,6 +10,7 @@ scipy when called, so only the tests that use them need it.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -512,18 +513,42 @@ def _normalized_rows(g: CoocGraph):
     return live, R
 
 
+def takes_exact_path(g: CoocGraph, pair_budget: int = 10 ** 6) -> bool:
+    """The cosine path rule, by counting pairs by their smaller degree.
+
+    Exact on at most ``obs.EXACT_SIMILARITY_LIMIT`` live nodes, or where
+    the wedges sum_c C(k_c, 2) plus the pairs C(m, 2) number at most
+    ``obs.EXACT_COST_MULTIPLE`` times ``pair_budget`` x the mean over pairs
+    of min(k_a, k_b).  The pairs whose smaller degree is d are the pairs of
+    nodes of degree >= d less those of nodes of degree > d.
+    """
+    k = [int(d) for d in g.degrees() if d > 0]
+    m = len(k)
+    if m <= obs.EXACT_SIMILARITY_LIMIT:
+        return True
+    pairs = m * (m - 1) // 2
+    wedges = sum(d * (d - 1) // 2 for d in k)
+    by_degree = Counter(k)
+    min_sum = at_least = 0
+    for d in sorted(by_degree, reverse=True):
+        above = at_least
+        at_least += by_degree[d]
+        min_sum += d * (at_least * (at_least - 1) // 2 - above * (above - 1) // 2)
+    return wedges + pairs <= obs.EXACT_COST_MULTIPLE * pair_budget * Fraction(min_sum, pairs)
+
+
 def scipy_similarities(g: CoocGraph, pair_budget: int = 10 ** 6,
                        seed: int = 0) -> np.ndarray:
     """Per-pair cosine similarities as the scipy implementation computed them.
 
-    At most ``obs.EXACT_SIMILARITY_LIMIT`` live nodes: the condensed upper
-    triangle of ``R @ R.T``.  Above it: the ``pair_budget`` drawn pairs in
-    draw order, ``R[a].multiply(R[b]).sum(axis=1)`` over blocks of 4,096
-    pairs, which bound the copies of rows ``R[a]`` and ``R[b]``.
+    Where :func:`takes_exact_path`: the condensed upper triangle of
+    ``R @ R.T``.  Elsewhere: the ``pair_budget`` drawn pairs in draw order,
+    ``R[a].multiply(R[b]).sum(axis=1)`` over blocks of 4,096 pairs, which
+    bound the copies of rows ``R[a]`` and ``R[b]``.
     """
     live, R = _normalized_rows(g)
     m = live.size
-    if m <= obs.EXACT_SIMILARITY_LIMIT:
+    if takes_exact_path(g, pair_budget):
         if m < 2:
             return np.empty(0)
         return (R @ R.T).toarray()[np.triu_indices(m, k=1)]

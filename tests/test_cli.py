@@ -489,6 +489,7 @@ def test_stats_and_ingest_are_byte_identical_on_any_thread_count(tmp_path, monke
                                                                    command):
     # cosine similarity takes its sampled path, the one that runs on threads
     monkeypatch.setattr(observables, "EXACT_SIMILARITY_LIMIT", 1)
+    monkeypatch.setattr(observables, "EXACT_COST_MULTIPLE", 0)
     budget = {"observables": {"similarity_pair_budget": 150_000}}   # three draws
     if command == "stats":
         cfg = write_config(tmp_path, emit_traces=True, **budget)

@@ -19,7 +19,7 @@ from naive_reference import (adjacency_dict, build_from_traces, log_binned,
                              low_sample, naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_knn,
                              sample_size, scipy_similarities,
-                             spgemm_clustering_of_k)
+                             spgemm_clustering_of_k, takes_exact_path)
 from tagwalk.cooc import CoocGraph, _pair_blocks
 from tagwalk.errors import FitError, ParameterError
 from tagwalk.observables import (cosine_similarity_distribution,
@@ -387,6 +387,7 @@ def test_similarity_sampling_path(monkeypatch):
     g = random_cooc(9)
     exact = cosine_similarity_distribution(g)
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 5)
+    monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     sampled = cosine_similarity_distribution(g, pair_budget=40_000, seed=1)
     assert sampled.sampled and sampled.pair_count == 40_000
     assert exact.counts.sum() > 0
@@ -398,6 +399,7 @@ def test_similarity_sampling_path(monkeypatch):
 def test_similarity_sample_does_not_depend_on_block_size(monkeypatch):
     g = random_cooc(9)
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 5)
+    monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     counts = []
     for probes in (1 << 20, obs.SIMILARITY_BLOCK_PROBES, 999):
         monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PROBES", probes)
@@ -405,9 +407,10 @@ def test_similarity_sample_does_not_depend_on_block_size(monkeypatch):
     assert all(np.array_equal(counts[0], c) for c in counts[1:])
 
 
-def test_similarity_sample_memory_does_not_grow_with_budget(threads=1):
+def test_similarity_sample_memory_does_not_grow_with_budget(monkeypatch, threads=1):
     # a ring just above the exact limit: its weight rows are tiny, so the
     # peak is that of the sampling itself
+    monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     n = obs.EXACT_SIMILARITY_LIMIT + 100
     g = build_from_traces([[i, (i + 1) % n] for i in range(n)])
 
@@ -429,8 +432,8 @@ def test_similarity_sample_memory_does_not_grow_with_budget(threads=1):
     assert peak(10 ** 6, threads) < 1.5 * peak(65_536, 1)
 
 
-def test_similarity_sample_memory_does_not_grow_with_budget_on_two_threads():
-    test_similarity_sample_memory_does_not_grow_with_budget(threads=2)
+def test_similarity_sample_memory_does_not_grow_with_budget_on_two_threads(monkeypatch):
+    test_similarity_sample_memory_does_not_grow_with_budget(monkeypatch, threads=2)
 
 
 def test_exact_similarity_memory_is_one_block_not_the_triangle():
@@ -519,6 +522,7 @@ def test_exact_similarities_match_scipy_oracle(name, batch, monkeypatch):
 def test_sampled_similarities_match_scipy_oracle(name, pairs, probes, monkeypatch):
     graph = COSINE_GRAPHS[name]
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+    monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     want = scipy_similarities(graph, pair_budget=pairs, seed=5)
     assert want.size == pairs
     monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PROBES", probes)
@@ -528,6 +532,7 @@ def test_sampled_similarities_match_scipy_oracle(name, pairs, probes, monkeypatc
 def test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch, threads=1):
     graph = random_cooc(8)
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+    monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     want = scipy_similarities(graph, pair_budget=140_000, seed=9)   # three draws
     draws = list(obs._sampled_similarities(graph, 140_000, 9, threads))
     assert [d.size for d in draws] == [65536, 65536, 8928]
@@ -540,6 +545,7 @@ def test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch, threa
 def test_sampled_similarities_match_scipy_oracle_on_threads(name, threads, monkeypatch):
     graph = COSINE_GRAPHS[name]
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+    monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PROBES", 999)    # several blocks per worker
     want = scipy_similarities(graph, pair_budget=3000, seed=5)
     assert same_bits(sampled_similarities(graph, 3000, 5, threads), want)
@@ -562,6 +568,7 @@ def test_sampled_similarities_survive_a_colliding_table(name, table_bytes, monke
     # 0 bytes leaves one slot, which every key shares; 1 byte leaves one
     # slot per one or two entries
     monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+    monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     want = scipy_similarities(COSINE_GRAPHS[name], pair_budget=3000, seed=6)
     monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
     graph = replace(COSINE_GRAPHS[name])     # builds its own table
@@ -605,6 +612,7 @@ def test_cosine_matches_scipy_oracle_on_any_graph(graph):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+        mp.setattr(obs, "EXACT_COST_MULTIPLE", 0)
         want = scipy_similarities(graph, pair_budget=600, seed=4)
         for table_bytes in (0, cooc.EDGE_TABLE_BYTES):
             mp.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
@@ -651,6 +659,85 @@ def test_similarity_sample_memory_is_the_graph_plus_one_block_on_two_threads(n, 
                                                                                pair_budget):
     # two workers hold two blocks, each of at most half the probes of one
     test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budget, threads=2)
+
+
+# Cosine takes the exact path on at most EXACT_SIMILARITY_LIMIT live nodes,
+# and above it wherever the exact cost is at most EXACT_COST_MULTIPLE times
+# the sampled one.
+
+def test_similarity_goes_exact_above_the_limit_where_that_is_cheaper():
+    # 2,100 nodes in random cliques: about 1e6 wedges and 2.2e6 pairs,
+    # against 10^6 sampled pairs of some 20 probes each
+    g = random_cliques(1, n_nodes=2100, n_posts=6000)
+    m = np.count_nonzero(g.degrees())
+    assert m > obs.EXACT_SIMILARITY_LIMIT and takes_exact_path(g)
+    hist = cosine_similarity_distribution(g)
+    want = scipy_similarities(g)
+    assert not hist.sampled and hist.pair_count == want.size == m * (m - 1) // 2
+    assert hist.counts.tolist() == np.histogram(np.clip(want, 0.0, 1.0),
+                                                bins=hist.edges)[0].tolist()
+    assert same_bits(exact_similarities(g), want)
+
+
+def test_similarity_stays_sampled_on_a_hub_heavy_graph():
+    # a star of 2,100 nodes: C(2099, 2) wedges at the hub plus C(2100, 2)
+    # pairs, 4.4e6, against 10^6 sampled pairs of one probe each
+    g = cooc_graph(range(2100), [(0, i) for i in range(1, 2100)])
+    assert not takes_exact_path(g)
+    hist = cosine_similarity_distribution(g, seed=1)
+    assert hist.sampled and hist.pair_count == 10 ** 6
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_similarity_at_the_cost_boundary_goes_exact_on_any_thread_count(threads):
+    # A ring of m = 2,003 nodes has m wedges and C(m, 2) pairs, 2,007,006 in
+    # all, and each sampled pair probes 2 entries: the exact cost is 3 times
+    # the sampled one at 334,501 pairs, and above it at one pair fewer.
+    m = 2003
+    g = ring_of_hubs(m, 0)
+    assert takes_exact_path(g, 334_501) and not takes_exact_path(g, 334_500)
+    at = cosine_similarity_distribution(g, pair_budget=334_501, threads=threads)
+    assert not at.sampled and at.pair_count == m * (m - 1) // 2
+    below = cosine_similarity_distribution(g, pair_budget=334_500, threads=threads)
+    assert below.sampled and below.pair_count == 334_500
+
+
+@seed(20092)
+@given(cosine_graphs(), st.integers(1, 100))
+@settings(max_examples=60, deadline=None)
+def test_similarity_path_rule_matches_the_counting_oracle(graph, pair_budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+        assert (obs._exact_similarity_pays(graph.degrees(), pair_budget)
+                == takes_exact_path(graph, pair_budget))
+
+
+def test_exact_similarity_memory_is_below_the_estimates(monkeypatch):
+    # A walk graph just above the limit, on which the exact path is the
+    # cheaper: it must also hold less than the estimate, whose peak
+    # includes the edge table it builds.  One draw of pairs holds as much
+    # as many (test_similarity_sample_memory_does_not_grow_with_budget).
+    walks = simulate_walks(generate_watts_strogatz(20_000, 8, 0.1, seed=1), 0, 20_000,
+                           PowerLawLength(2.5, 1, 100), seed=1)
+    g = build_from_traces(walks)
+    assert np.count_nonzero(g.degrees()) > obs.EXACT_SIMILARITY_LIMIT
+    assert takes_exact_path(g)
+
+    def peak(graph, **kwargs):
+        graph.adjacency(), graph.degrees()
+        tracemalloc.start()
+        try:
+            hist = cosine_similarity_distribution(graph, **kwargs)
+            return hist.sampled, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    exact_sampled, exact = peak(g)
+    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+    monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
+    sampled_sampled, sampled = peak(replace(g), pair_budget=65_536, seed=2)
+    assert not exact_sampled and sampled_sampled
+    assert exact < sampled
 
 
 NO_SCIPY = """

@@ -2,9 +2,7 @@
 
 Each walk trace (or each post's tag set) contributes a clique over its
 distinct members; an edge weight counts the distinct walks or posts in
-which the pair appeared together.  Weights are exact integers.  Graphs
-built over disjoint chunks of input merge into exactly the graph a
-single pass would produce, which is what makes parallel reduction safe.
+which the pair appeared together.  Weights are exact integers.
 """
 
 from __future__ import annotations
@@ -17,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .formats import declared_nodes, read_int_table, write_int_rows
-from .substrate import sorted_unique
+from .formats import declared, read_int_table, write_int_rows
+from .substrate import _upper_entries, sorted_unique
 
 __all__ = ["CoocGraph", "project"]
 
@@ -46,16 +44,49 @@ class CoocGraph:
     """Undirected integer-weighted graph over a vocabulary of nodes.
 
     ``node_ids`` lists every vocabulary member (isolated ones included),
-    sorted ascending.  Edges reference original ids with ``src < dst``,
-    sorted lexicographically.  ``labels``, when present, maps a vocabulary
-    of strings onto ids 0..len(labels)-1.
+    sorted ascending.  Node position ``i`` links to the positions
+    ``neighbors[indptr[i]:indptr[i+1]]``, ascending, with ``entry_weights``:
+    the symmetric CSR is the only stored form of the edges.  ``labels``,
+    when present, maps a vocabulary of strings onto ids 0..len(labels)-1.
     """
 
     node_ids: np.ndarray          # int64, sorted, unique
-    src: np.ndarray               # int64
-    dst: np.ndarray               # int64
-    weights: np.ndarray           # int64, >= 1
+    indptr: np.ndarray            # int64, length node_count + 1
+    neighbors: np.ndarray         # int32 positions (int64 from 2**31 nodes)
+    entry_weights: np.ndarray     # int64, >= 1, one per adjacency entry
     labels: tuple[str, ...] | None = None
+
+    @classmethod
+    def from_edges(cls, node_ids: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                   weights: np.ndarray, labels: tuple[str, ...] | None = None) -> "CoocGraph":
+        """The graph of the sorted, unique edges ``src[e] < dst[e]`` (ids) of weights >= 1."""
+        if node_ids.size and np.any(np.diff(node_ids) <= 0):
+            raise ContractError("node_ids must be sorted and unique")
+        if node_ids.size and node_ids[0] < 0:
+            raise ContractError(f"negative node id {node_ids[0]}")
+        if not (src.size == dst.size == weights.size):
+            raise ContractError("edge arrays disagree in length")
+        if np.any(weights < 1):
+            raise ContractError("weights must be >= 1")
+        if np.any(src >= dst):
+            raise ContractError("edges must satisfy src < dst")
+        if np.any((src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))):
+            raise ContractError("edges must be sorted and unique")
+        if not (np.isin(src, node_ids).all() and np.isin(dst, node_ids).all()):
+            raise ContractError("edge endpoint outside node set")
+        pos = np.int32 if node_ids.size < 2 ** 31 else np.int64
+        eu, ev = (np.searchsorted(node_ids, ends).astype(pos) for ends in (src, dst))
+        # Row i lists first the edges (j, i), then the edges (i, j).  Edges
+        # are sorted by (src, dst), so a stable sort by row leaves each row
+        # ascending: every j of the first part is below i, every j after it above.
+        rows = np.concatenate([ev, eu])
+        del eu, ev
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(node_ids.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=node_ids.size), out=indptr[1:])
+        order += src.size       # [eu, ev][p] is rows[(p + m) % 2m], [w, w][p] is w[(p + m) % m]
+        return cls(node_ids, *_read_only(indptr, rows.take(order, mode="wrap"),
+                                         weights.take(order, mode="wrap")), labels)
 
     @property
     def node_count(self) -> int:
@@ -63,26 +94,18 @@ class CoocGraph:
 
     @property
     def edge_count(self) -> int:
-        return self.src.size
+        return sum(entries.size for entries, _ in _upper_entries(self.indptr, self.neighbors))
 
     @property
     def total_weight(self) -> int:
-        return int(self.weights.sum())
-
-    # Arrays derived from the edges are computed on first use and cached
-    # read-only on the instance, so that every observable shares them.
-
-    def compact_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as positions into ``node_ids``."""
-        return self._ends
+        return sum(int(self.entry_weights[entries].sum())
+                   for entries, _ in _upper_entries(self.indptr, self.neighbors))
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The symmetric adjacency in CSR form, ``(indptr, neighbors, weights)``.
+        """The symmetric adjacency, ``(indptr, neighbors, entry_weights)``."""
+        return self.indptr, self.neighbors, self.entry_weights
 
-        Node ``i`` links to the positions ``neighbors[indptr[i]:indptr[i+1]]``,
-        ascending, with those weights.
-        """
-        return self._csr
+    # Arrays derived from the adjacency are cached read-only on first use, for every observable.
 
     def degrees(self) -> np.ndarray:
         return self._k_s[0]
@@ -91,10 +114,12 @@ class CoocGraph:
         return self._k_s[1]
 
     def neighbor_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per node, the sum of ``values`` (aligned with ``adjacency()[1]``) over its row."""
-        total = np.concatenate([[0], np.cumsum(values)])
-        indptr = self._csr[0]
-        return total[indptr[1:]] - total[indptr[:-1]]
+        """Per node, the sum (float64 or int64) of ``values`` aligned with ``neighbors``."""
+        total = np.zeros(values.size + 1, np.float64 if values.dtype.kind == "f" else np.int64)
+        total[1:] = values                  # one running sum, made in place
+        np.cumsum(total, out=total)
+        total = total[self.indptr]          # frees the running sum before the difference
+        return np.diff(total)
 
     def find_edges(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which probes ``(rows[p], cols[p])`` are edges, and their adjacency entries.
@@ -107,7 +132,7 @@ class CoocGraph:
         offset came from, and nothing when it has none.  Per-probe arrays
         shrink to the candidates as soon as those are known.
         """
-        indptr, neighbors, _ = self._csr
+        indptr, neighbors = self.indptr, self.neighbors
         lookup = self._edge_table
         stride = self.node_count | 1
         slot = np.multiply(rows, stride, dtype=np.int64)
@@ -132,7 +157,7 @@ class CoocGraph:
 
     @cached_property
     def _edge_table(self) -> _EdgeTable:
-        indptr, neighbors, _ = self._csr
+        indptr, neighbors = self.indptr, self.neighbors
         k = self.degrees()
         stride = self.node_count | 1        # odd, so rows start at distinct slots
         dtype = np.dtype(np.int16 if k.max(initial=0) <= 2 ** 15 else np.int32)
@@ -154,55 +179,20 @@ class CoocGraph:
         return _EdgeTable(mask, *_read_only(table, shared_keys, np.append(shared, -1)))
 
     @cached_property
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        pos = np.int32 if self.node_count < 2 ** 31 else np.int64
-        return _read_only(np.searchsorted(self.node_ids, self.src).astype(pos),
-                          np.searchsorted(self.node_ids, self.dst).astype(pos))
-
-    @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        eu, ev = self._ends
-        # Row i lists first the edges (j, i), then the edges (i, j).  Edges
-        # are sorted by (src, dst), so a stable sort by row leaves each row
-        # ascending: every j of the first part is below i, every j after it above.
-        rows = np.concatenate([ev, eu])
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.node_count), out=indptr[1:])
-        return _read_only(indptr, np.concatenate([eu, ev])[order],
-                          np.concatenate([self.weights, self.weights])[order])
-
-    @cached_property
     def _k_s(self) -> tuple[np.ndarray, np.ndarray]:
-        return _read_only(np.diff(self._csr[0]), self.neighbor_sums(self._csr[2]))
-
-    def validate(self) -> None:
-        if self.node_ids.size and np.any(np.diff(self.node_ids) <= 0):
-            raise ContractError("node_ids must be sorted and unique")
-        if self.node_ids.size and self.node_ids[0] < 0:
-            raise ContractError(f"negative node id {self.node_ids[0]}")
-        if not (self.src.size == self.dst.size == self.weights.size):
-            raise ContractError("edge arrays disagree in length")
-        if self.src.size == 0:
-            return
-        if np.any(self.weights < 1):
-            raise ContractError("weights must be >= 1")
-        if np.any(self.src >= self.dst):
-            raise ContractError("edges must satisfy src < dst")
-        s, d = self.src, self.dst
-        if np.any((s[1:] < s[:-1]) | ((s[1:] == s[:-1]) & (d[1:] <= d[:-1]))):
-            raise ContractError("edges must be sorted and unique")
-        if not (np.isin(self.src, self.node_ids).all() and np.isin(self.dst, self.node_ids).all()):
-            raise ContractError("edge endpoint outside node set")
+        return _read_only(np.diff(self.indptr), self.neighbor_sums(self.entry_weights))
 
     # -- file format: "# nodes=<n> edges=<m> total_weight=<W>", then "i<TAB>j<TAB>w" --
 
     def write_edge_list(self, path) -> None:
+        """Write the edges in row order, ids mapped through ``node_ids``, rows a block at a time."""
         with open(path, "wb") as fh:
             fh.write(f"# nodes={self.node_count} edges={self.edge_count} "
                      f"total_weight={self.total_weight}\n".encode("ascii"))
-            write_int_rows(fh, np.stack([self.src, self.dst, self.weights], axis=1),
-                           b"\t\t\n")
+            ids = self.node_ids
+            for entries, rows in _upper_entries(self.indptr, self.neighbors):
+                write_int_rows(fh, np.stack([ids[rows], ids[self.neighbors[entries]],
+                                             self.entry_weights[entries]], axis=1), b"\t\t\n")
 
     def write_labels(self, path) -> None:
         """Companion id-to-label table for graphs built from tag posts."""
@@ -215,19 +205,23 @@ class CoocGraph:
 
     @classmethod
     def read_edge_list(cls, path) -> "CoocGraph":
+        """The graph of a ``cooc.edges`` file, checked against its header's fields."""
         headers, table = read_int_table(path, 3)
         src, dst, weights = table.T             # contiguous columns of one array
         # isolated vocabulary members are not recoverable from an edge list;
         # the node set is the set of edge endpoints
         node_ids = np.union1d(sorted_unique(src), sorted_unique(dst))
-        g = cls(node_ids=node_ids, src=src, dst=dst, weights=weights)
         try:
-            g.validate()
+            g = cls.from_edges(node_ids, src, dst, weights)
         except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from None
-        header_nodes = declared_nodes(path, headers)
-        if header_nodes is not None and node_ids.size > header_nodes:
+        nodes = declared(path, headers, "nodes", 2 ** 31)
+        if nodes is not None and node_ids.size > nodes:
             raise ContractError(f"{path}: more endpoints than declared nodes")
+        for field, got in (("edges", src.size), ("total_weight", int(weights.sum()))):
+            want = declared(path, headers, field)
+            if want not in (None, got):
+                raise ContractError(f"{path}: header declares {field}={want}, the file holds {got}")
         return g
 
 
@@ -288,7 +282,4 @@ def project(group_ids: np.ndarray, members: np.ndarray,
         rows = members[pos]
         key_chunks.append((rows[:, iu] * scale + rows[:, ju]).ravel())
     keys, weights = np.unique(np.concatenate(key_chunks), return_counts=True)
-    src, dst, weights = keys // scale, keys % scale, weights.astype(np.int64)
-    g = CoocGraph(node_ids=node_ids, src=src, dst=dst, weights=weights, labels=labels)
-    g.validate()
-    return g
+    return CoocGraph.from_edges(node_ids, keys // scale, keys % scale, weights, labels)

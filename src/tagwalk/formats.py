@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, ParameterError
 
 __all__ = ["format_cell", "write_csv", "read_csv", "sha256_of", "write_json",
-           "read_int_rows", "read_int_table", "declared_nodes", "write_int_rows"]
+           "read_int_rows", "read_int_table", "declared", "write_int_rows"]
 
 # What a data line of an integer table may hold, and the magnitude bound
 # that keeps every accepted field clear of int64 overflow.
@@ -244,11 +244,11 @@ def write_int_rows(fh, values: np.ndarray, seps) -> None:
         fh.write(text[keep.take(digits, axis=0)])
 
 
-def declared_nodes(path, headers: list[str]) -> int | None:
-    """The ``<n>`` (below 2**31) of the last ``nodes=<n>`` header field; None without one."""
-    found = [m[1] for m in (re.search(r"nodes=(\S*)", h) for h in headers) if m]
+def declared(path, headers: list[str], field: str, limit: int = 2 ** 63) -> int | None:
+    """The ``<v>`` (below ``limit``) of the last ``<field>=<v>`` header field; None without one."""
+    found = [m[1] for m in (re.search(rf"\b{field}=(\S*)", h) for h in headers) if m]
     if not found:
         return None
-    if not re.fullmatch(r"[0-9]{1,10}", found[-1]) or int(found[-1]) >= 2 ** 31:
-        raise ContractError(f"{path}: bad node count {found[-1]!r} in header")
+    if not re.fullmatch(r"[0-9]{1,19}", found[-1]) or int(found[-1]) >= limit:
+        raise ContractError(f"{path}: bad {field}={found[-1]!r} in header")
     return int(found[-1])

@@ -24,7 +24,7 @@ import numpy as np
 from .cooc import CoocGraph, _pair_blocks
 from .errors import ContractError, FitError, ParameterError
 from .parallel import map_blocks
-from .substrate import _blocks
+from .substrate import _blocks, _upper_entries
 
 __all__ = [
     "Distribution",
@@ -140,7 +140,9 @@ def degree_strength_weight_distributions(
     def dist(vals: np.ndarray) -> Distribution:
         v, c = np.unique(vals, return_counts=True)
         return Distribution(v.astype(np.int64), c.astype(np.int64))
-    return dist(g.degrees()), dist(g.strengths()), dist(g.weights)
+    weights = [np.empty(0, dtype=np.int64)] + [
+        g.entry_weights[e] for e, _ in _upper_entries(g.indptr, g.neighbors)]
+    return dist(g.degrees()), dist(g.strengths()), dist(np.concatenate(weights))
 
 
 def s_of_k(g: CoocGraph) -> BinnedSeries:
@@ -200,11 +202,11 @@ def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
 
 def weight_vs_kikj(g: CoocGraph,
                    bin_ratio: float = 2.0) -> tuple[np.ndarray, np.ndarray, BinnedSeries]:
-    """Per-edge (k_i*k_j, w_ij) scatter plus its log-binned mean."""
+    """Per-edge (k_i*k_j, w_ij) scatter, edges in row order, plus its log-binned mean."""
     k = g.degrees()
-    eu, ev = g.compact_edges()
-    products = (k[eu] * k[ev]).astype(np.float64)
-    weights = g.weights.astype(np.float64)
+    blocks = [(np.empty(0), np.empty(0))] + [(k[rows] * k[g.neighbors[e]], g.entry_weights[e])
+                                             for e, rows in _upper_entries(g.indptr, g.neighbors)]
+    products, weights = map(np.concatenate, zip(*blocks))   # float64, as the first block
     return products, weights, log_bin(products, weights, bin_ratio)
 
 

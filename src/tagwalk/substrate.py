@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .formats import declared_nodes, read_int_table, write_int_rows
+from .formats import declared, read_int_table, write_int_rows
 
 __all__ = [
     "SubstrateGraph",
@@ -59,6 +59,16 @@ def _blocks(costs: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _upper_entries(indptr: np.ndarray, indices: np.ndarray):
+    """Per slice of rows of about ``_KEY_BLOCK`` entries, the entries (i, j), i < j, of a
+    symmetric CSR: their positions in ``indices``, ascending, and their rows i."""
+    k = np.diff(indptr)
+    for lo, hi in _blocks(k, _KEY_BLOCK):
+        rows = np.repeat(np.arange(lo, hi, dtype=indices.dtype), k[lo:hi])
+        upper = np.flatnonzero(rows < indices[indptr[lo]:indptr[hi]])
+        yield upper + indptr[lo], rows[upper]
+
+
 @dataclass(frozen=True)
 class SubstrateGraph:
     """Immutable undirected graph with 0-based dense integer node ids."""
@@ -84,19 +94,15 @@ class SubstrateGraph:
 
     def write_edge_list(self, path) -> None:
         """Write the edges in row order, taking rows of about ``_KEY_BLOCK`` entries at a time."""
-        k = self.degrees()
         with open(path, "wb") as fh:
             fh.write(f"# nodes={self.node_count}\n".encode("ascii"))
-            for lo, hi in _blocks(k, _KEY_BLOCK):
-                rows = np.repeat(np.arange(lo, hi, dtype=np.int32), k[lo:hi])
-                cols = self.indices[self.indptr[lo]:self.indptr[hi]]
-                keep = rows < cols
-                write_int_rows(fh, np.stack([rows[keep], cols[keep]], axis=1), b"\t\n")
+            for entries, rows in _upper_entries(self.indptr, self.indices):
+                write_int_rows(fh, np.stack([rows, self.indices[entries]], axis=1), b"\t\n")
 
     @classmethod
     def read_edge_list(cls, path) -> "SubstrateGraph":
         headers, edges = read_int_table(path, 2)
-        n = declared_nodes(path, headers)
+        n = declared(path, headers, "nodes", 2 ** 31)
         if n is None:
             raise ContractError(f"{path}: missing '# nodes=' header")
         try:
@@ -238,7 +244,7 @@ def build_graph(spec: GraphSpec) -> SubstrateGraph:
 _BLOCK = 4096
 _VECTOR_MIN = 64
 # Edges that from_edge_pairs turns into keys at a time, and about the
-# adjacency entries that write_edge_list and bfs_rings take at a time.
+# adjacency entries that _upper_entries and bfs_rings take at a time.
 _KEY_BLOCK = 1 << 16
 
 
@@ -388,9 +394,9 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> SubstrateGrap
         batch = max(128, int((total_pairs - cursor) * p * 1.2) + 128)
     linear = np.concatenate(positions)
     # decode linear upper-triangle index (row-major) into (i, j)
-    row_ends = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
-    i = np.searchsorted(row_ends, linear, side="right")
-    row_start = row_ends[i] - (n - 1 - i)
+    row_stops = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+    i = np.searchsorted(row_stops, linear, side="right")
+    row_start = row_stops[i] - (n - 1 - i)
     j = linear - row_start + i + 1
     return from_edge_pairs(n, np.stack([i, j]).T)
 

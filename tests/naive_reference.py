@@ -301,12 +301,21 @@ def naive_write_substrate(graph, path) -> None:
             fh.write(f"{i}\t{j}\n")
 
 
+def cooc_edges(g: CoocGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``g`` as ``(src, dst, weights)`` in ids, ``src < dst``, sorted."""
+    indptr, neighbors, weights = g.adjacency()
+    rows = np.repeat(np.arange(g.node_count), np.diff(indptr))
+    upper = rows < neighbors
+    return g.node_ids[rows[upper]], g.node_ids[neighbors[upper]], weights[upper]
+
+
 def naive_write_cooc(g, path) -> None:
     """``CoocGraph.write_edge_list`` as one f-string per edge."""
+    src, dst, weights = cooc_edges(g)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"# nodes={g.node_count} edges={g.edge_count} "
-                 f"total_weight={g.total_weight}\n")
-        for i, j, w in zip(g.src.tolist(), g.dst.tolist(), g.weights.tolist()):
+        fh.write(f"# nodes={g.node_count} edges={src.size} "
+                 f"total_weight={sum(weights.tolist())}\n")
+        for i, j, w in zip(src.tolist(), dst.tolist(), weights.tolist()):
             fh.write(f"{i}\t{j}\t{w}\n")
 
 
@@ -345,14 +354,12 @@ def merge(g1: CoocGraph, g2: CoocGraph) -> CoocGraph:
             raise ParameterError("merge requires identical label vocabularies")
     node_ids = np.union1d(g1.node_ids, g2.node_ids)
     scale = int(node_ids[-1]) + 1 if node_ids.size else 1
-    keys = np.concatenate([g1.src * scale + g1.dst, g2.src * scale + g2.dst])
+    (s1, d1, w1), (s2, d2, w2) = cooc_edges(g1), cooc_edges(g2)
+    keys = np.concatenate([s1 * scale + d1, s2 * scale + d2])
     uniq, inv = np.unique(keys, return_inverse=True)
     weights = np.zeros(uniq.size, dtype=np.int64)
-    np.add.at(weights, inv, np.concatenate([g1.weights, g2.weights]))
-    g = CoocGraph(node_ids=node_ids, src=uniq // scale, dst=uniq % scale,
-                  weights=weights, labels=labels)
-    g.validate()
-    return g
+    np.add.at(weights, inv, np.concatenate([w1, w2]))
+    return CoocGraph.from_edges(node_ids, uniq // scale, uniq % scale, weights, labels)
 
 
 def low_sample(series: BinnedSeries, threshold: int = 3) -> np.ndarray:

@@ -382,6 +382,29 @@ def test_negative_cooc_node_id_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"tagwalk: error: {path}: negative node id -5\n"
 
 
+@pytest.mark.parametrize("field", ["edges", "total_weight"])
+def test_cooc_edges_that_disagree_with_their_header_exit_2(tmp_path, capsys, field):
+    # a file cut at a line end still parses; only the header's counts tell
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    for stage in ("generate", "walk", "cooc"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "cooc.edges"
+    header, *lines = path.read_text().splitlines(keepends=True)
+    declared = dict(f.split("=") for f in header[2:].split())
+    if field == "edges":
+        path.write_text(header + "".join(lines[:-1]))
+        got = len(lines) - 1
+    else:
+        i, j, w = lines[-1].split()
+        path.write_text(header + "".join(lines[:-1]) + f"{i}\t{j}\t{int(w) + 1}\n")
+        got = int(declared["total_weight"]) + 1
+    capsys.readouterr()
+    assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"tagwalk: error: {path}: header declares "
+                                       f"{field}={declared[field]}, the file holds {got}\n")
+
+
 @pytest.mark.parametrize("stage", ["stats", "theory"])
 @pytest.mark.parametrize("bad", ["12,abc", "12", "12,5,1", "-1,5", "1\udcc3,5"],
                          ids=["non_integer", "short_row", "long_row", "negative",
@@ -633,10 +656,10 @@ def test_stats_leaves_out_what_its_missing_inputs_feed(tmp_path):
 
 
 def count_calls(monkeypatch, owner, name, counts):
-    """Count calls of ``owner.name``, a plain method or a cached property."""
+    """Count calls of ``owner.name``: a plain method, a class method or a cached property."""
     attr = owner.__dict__[name]
     cached = isinstance(attr, functools.cached_property)
-    func = attr.func if cached else attr
+    func = attr.func if cached else getattr(owner, name)
 
     def counted(*args, **kwargs):
         counts[name] += 1
@@ -644,24 +667,26 @@ def count_calls(monkeypatch, owner, name, counts):
     if cached:
         counted = functools.cached_property(counted)
         counted.__set_name__(owner, name)
+    elif isinstance(attr, classmethod):
+        counted = staticmethod(counted)     # func is already bound to owner
     monkeypatch.setattr(owner, name, counted)
 
 
 @pytest.mark.parametrize("staged", [False, True], ids=["run", "stats"])
 def test_shared_arrays_are_built_once(tmp_path, monkeypatch, staged):
-    # the (walk, node) dedup, the compact endpoints and the weight CSR
+    # the (walk, node) dedup, the graph's one build and its degrees and strengths
     cfg = write_config(tmp_path, emit_traces=True)
     out = tmp_path / "out"
     if staged:
         for stage in ("generate", "walk", "cooc"):
             assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
-    counts = dict.fromkeys(["walk_node_pairs", "_ends", "_csr"], 0)
+    counts = dict.fromkeys(["walk_node_pairs", "from_edges", "_k_s"], 0)
     count_calls(monkeypatch, WalkEnsemble, "walk_node_pairs", counts)
-    count_calls(monkeypatch, CoocGraph, "_ends", counts)
-    count_calls(monkeypatch, CoocGraph, "_csr", counts)
+    count_calls(monkeypatch, CoocGraph, "from_edges", counts)
+    count_calls(monkeypatch, CoocGraph, "_k_s", counts)
     command = "stats" if staged else "run"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-    assert counts == {"walk_node_pairs": 1, "_ends": 1, "_csr": 1}
+    assert counts == {"walk_node_pairs": 1, "from_edges": 1, "_k_s": 1}
 
 
 def test_manifest_hash_matches_resolved_config(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from conftest import focus_graph
-from naive_reference import (adjacency_dict, build_from_traces, merge,
+from naive_reference import (adjacency_dict, build_from_traces, cooc_edges, merge,
                              naive_cooc_weights)
 import tagwalk.cooc as cooc
 from tagwalk.cooc import CoocGraph
@@ -15,8 +17,7 @@ from tagwalk.walker import PowerLawLength, simulate_walks
 
 
 def weight_map(g: CoocGraph) -> dict:
-    return {(int(i), int(j)): int(w)
-            for i, j, w in zip(g.src, g.dst, g.weights)}
+    return {(int(i), int(j)): int(w) for i, j, w in zip(*cooc_edges(g))}
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,7 @@ def test_projection_matches_naive_counting(traces, count_origin):
     want = naive_cooc_weights(traces, origin=traces[0][0] if traces else None,
                               count_origin=count_origin)
     assert weight_map(g) == want
-    g.validate()
+    CoocGraph.from_edges(g.node_ids, *cooc_edges(g))       # the edges held pass the checks
     # total weight identity: sum over walks of C(distinct, 2)
     assert g.total_weight == sum(want.values())
 
@@ -172,23 +173,21 @@ CORRUPT = {   # field overrides of the clique {0, 1, 2}, and the check each brea
 @pytest.mark.parametrize("override, message", CORRUPT.values(), ids=CORRUPT.keys())
 def test_validate_rejects_corrupt_graphs(override, message):
     g = build_from_traces([[0, 1, 2]])
-    fields = {"node_ids": g.node_ids, "src": g.src, "dst": g.dst, "weights": g.weights}
+    fields = dict(zip(["src", "dst", "weights"], cooc_edges(g)), node_ids=g.node_ids)
     fields.update({k: np.asarray(v, dtype=np.int64) for k, v in override.items()})
     with pytest.raises(ContractError, match=message):
-        CoocGraph(**fields).validate()
+        CoocGraph.from_edges(**fields)
 
 
 def test_edge_order_is_checked_without_overflow(tmp_path):
     # ids up to 10**18 would wrap an int64 key src * (max_id + 1) + dst
     path = tmp_path / "cooc.edges"
     path.write_text("0\t1\t1\n9\t999999999999999999\t1\n")
-    assert CoocGraph.read_edge_list(path).dst.tolist() == [1, 999999999999999999]
+    assert cooc_edges(CoocGraph.read_edge_list(path))[1].tolist() == [1, 999999999999999999]
     big = 2 ** 62
-    descending = CoocGraph(node_ids=np.asarray([0, 1, 9, big]),
-                           src=np.asarray([9, 0]), dst=np.asarray([big, 1]),
-                           weights=np.ones(2, dtype=np.int64))
     with pytest.raises(ContractError, match="sorted and unique"):
-        descending.validate()
+        CoocGraph.from_edges(np.asarray([0, 1, 9, big]), np.asarray([9, 0]),
+                             np.asarray([big, 1]), np.ones(2, dtype=np.int64))
 
 
 def test_adjacency_is_the_canonical_csr_and_shared():
@@ -196,9 +195,10 @@ def test_adjacency_is_the_canonical_csr_and_shared():
     traces = [rng.choice(40, size=int(rng.integers(1, 7)), replace=False).tolist()
               for _ in range(60)]
     g = build_from_traces(traces)
-    eu, ev = g.compact_edges()
+    pairs = naive_cooc_weights(traces)
     n = g.node_count
-    w = np.concatenate([g.weights, g.weights])
+    eu, ev = (np.searchsorted(g.node_ids, [p[i] for p in pairs]) for i in (0, 1))
+    w = np.concatenate([list(pairs.values())] * 2)
     want = csr_matrix((w, (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
                       shape=(n, n))
     want.sort_indices()
@@ -208,9 +208,30 @@ def test_adjacency_is_the_canonical_csr_and_shared():
     assert np.array_equal(weights, want.data)
     assert np.array_equal(g.degrees(), np.diff(want.indptr))
     assert np.array_equal(g.strengths(), np.asarray(want.sum(axis=1)).ravel())
-    for derived in (g.degrees(), g.strengths(), indptr, neighbors, weights, eu, ev):
+    assert neighbors.dtype == np.int32
+    for derived in (g.degrees(), g.strengths(), indptr, neighbors, weights):
         assert not derived.flags.writeable
-    assert g.degrees() is g.degrees() and g.adjacency() is g.adjacency()
+    assert g.degrees() is g.degrees()
+    assert all(a is b for a, b in zip(g.adjacency(), g.adjacency()))
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int32, np.int64, np.float64])
+def test_neighbor_sums_hold_one_copy_of_their_values(dtype):
+    # one walk over 300 nodes: 89,700 adjacency entries over 300 rows
+    g = build_from_traces([list(range(300))])
+    indptr, neighbors, _ = g.adjacency()
+    values = (np.arange(neighbors.size) % 7 * 0.25).astype(dtype)
+    want = np.concatenate([[0], np.cumsum(values)])
+    want = want[indptr[1:]] - want[indptr[:-1]]
+    tracemalloc.start()
+    try:
+        sums = g.neighbor_sums(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.dtype == want.dtype and np.array_equal(sums, want)
+    # one copy of the values, as a running sum of the result's type, plus the result
+    assert peak <= neighbors.size * sums.itemsize + sums.nbytes + 1000
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -225,7 +246,9 @@ def test_find_edges_matches_the_edge_set(seed, table_bytes, dtype, monkeypatch):
               for _ in range(50)]
     g = build_from_traces(traces)
     n = g.node_count
-    edges = set(zip(*g.compact_edges()))
+    src, dst, _ = cooc_edges(g)
+    edges = set(zip(np.searchsorted(g.node_ids, src).tolist(),
+                    np.searchsorted(g.node_ids, dst).tolist()))
     indptr, neighbors, _ = g.adjacency()
     rows, cols = rng.integers(0, n, (2, 4000)).astype(dtype)
     hit, entries = g.find_edges(rows, cols)
@@ -268,6 +291,17 @@ def test_read_edge_list_rejects_bad_header(tmp_path):
     path.write_text("# nodes=1 edges=1 total_weight=1\n0\t1\t1\n")
     with pytest.raises(ContractError):
         CoocGraph.read_edge_list(path)
+
+
+@pytest.mark.parametrize("field, value", [("nodes", "x"), ("nodes", "2147483648"),
+                                          ("edges", "-1"), ("total_weight", "1e3"),
+                                          ("total_weight", "9223372036854775808")])
+def test_read_edge_list_rejects_bad_header_values(tmp_path, field, value):
+    path = tmp_path / "bad.edges"
+    path.write_text(f"# {field}={value}\n0\t1\t1000\n")
+    with pytest.raises(ContractError) as err:
+        CoocGraph.read_edge_list(path)
+    assert str(err.value) == f"{path}: bad {field}={value!r} in header"
 
 
 def test_read_edge_list_rejects_negative_node_id(tmp_path):

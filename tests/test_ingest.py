@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import focus_graph, focus_stream
-from naive_reference import build_from_posts, build_from_traces, posts_from_traces
+from naive_reference import build_from_posts, build_from_traces, cooc_edges, posts_from_traces
 from tagwalk.cooc import project
 from tagwalk.errors import IngestError, ParameterError
 from tagwalk.formats import sha256_of
@@ -226,8 +226,7 @@ def test_empirical_cooc_weights_and_labels():
     stream = focus_stream([{"t", "a", "b"}, {"t", "a", "b"}, {"t", "b", "c"}])
     g = project(*stream.tag_pairs(), stream.vocabulary)
     assert g.labels == ("a", "b", "c")
-    pairs = {(int(i), int(j)): int(w)
-             for i, j, w in zip(g.src, g.dst, g.weights)}
+    pairs = {(int(i), int(j)): int(w) for i, j, w in zip(*cooc_edges(g))}
     assert pairs == {(0, 1): 2, (1, 2): 1}
     _, d = growth(stream)
     assert g.node_count == int(d[-1])
@@ -269,7 +268,7 @@ def test_posts_from_traces_round_trip(tmp_path):
     emp = project(*stream.tag_pairs(), stream.vocabulary)
     syn = build_from_traces(ens, count_origin=False)
     assert emp.edge_count == syn.edge_count
-    assert np.array_equal(emp.weights, syn.weights)
+    assert np.array_equal(cooc_edges(emp)[2], cooc_edges(syn)[2])
     # zero-padded labels sort numerically
     want_labels = tuple(f"n{int(v):02d}" for v in syn.node_ids)
     assert emp.labels == want_labels
@@ -289,8 +288,9 @@ def test_focus_stream_matches_python_loops(posts):
 
     got, want = project(*stream.tag_pairs(), stream.vocabulary), build_from_posts(kept, "t")
     assert got.labels == want.labels
-    for name in ("node_ids", "src", "dst", "weights"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.node_ids, want.node_ids)
+    for a, b in zip(cooc_edges(got), cooc_edges(want)):
+        assert np.array_equal(a, b)
 
     seen, distinct = set(), []
     for tags in kept:
@@ -304,4 +304,4 @@ def test_focus_stream_matches_python_loops(posts):
 
 def test_duplicate_posts_accumulate_weight():
     g = focus_graph([{"t", "x", "y"}, {"t", "x", "y"}])
-    assert g.weights.tolist() == [2]
+    assert cooc_edges(g)[2].tolist() == [2]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import tagwalk
 import tagwalk.cooc as cooc
 import tagwalk.observables as obs
-from naive_reference import (adjacency_dict, build_from_traces, log_binned,
+from naive_reference import (adjacency_dict, build_from_traces, cooc_edges, log_binned,
                              low_sample, naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_knn,
                              sample_size, scipy_similarities,
@@ -114,7 +114,7 @@ def test_uniform_weights_reduce_to_unweighted(seed):
             seen.add(key)
             unique_traces.append(t)
     g = build_from_traces(unique_traces)
-    assert np.all(g.weights == 1)
+    assert np.all(g.adjacency()[2] == 1)
     for a, b in (knn_of_k(g), clustering_of_k(g)):
         assert np.array_equal(a.x, b.x)
         assert a.y == pytest.approx(b.y.tolist(), abs=1e-12)
@@ -124,8 +124,7 @@ def test_uniform_weights_reduce_to_unweighted(seed):
 def test_class_observables_match_naive(seed):
     g = random_cooc(seed)
     traces = None  # naive built from the weight map directly
-    adj = adjacency_dict({(int(i), int(j)): int(w)
-                          for i, j, w in zip(g.src, g.dst, g.weights)})
+    adj = adjacency_dict({(int(i), int(j)): int(w) for i, j, w in zip(*cooc_edges(g))})
     ids = g.node_ids.tolist()
     for weighted, got, got_c in zip((False, True), knn_of_k(g), clustering_of_k(g)):
         want = naive_class_means(
@@ -152,10 +151,8 @@ def random_cliques(seed, n_nodes=40, n_posts=120):
 def cooc_graph(node_ids, pairs):
     """Graph on ``node_ids`` with edges ``pairs`` (i < j), weighted i % 3 + j % 5 + 1."""
     src, dst = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T.copy()
-    g = CoocGraph(node_ids=np.asarray(node_ids, dtype=np.int64).reshape(-1),
-                  src=src, dst=dst, weights=src % 3 + dst % 5 + 1)
-    g.validate()
-    return g
+    return CoocGraph.from_edges(np.asarray(node_ids, dtype=np.int64).reshape(-1),
+                                src, dst, src % 3 + dst % 5 + 1)
 
 
 def hub_ring(n):
@@ -173,7 +170,7 @@ def test_clustering_matches_networkx(graph):
     nx = pytest.importorskip("networkx")
     G = nx.Graph()
     G.add_nodes_from(graph.node_ids.tolist())
-    G.add_edges_from(zip(graph.src.tolist(), graph.dst.tolist()))
+    G.add_edges_from(zip(*(e.tolist() for e in cooc_edges(graph)[:2])))
     per_node = nx.clustering(G)
     want = naive_class_means(
         {v: per_node[v] if G.degree(v) >= 2 else None for v in G},
@@ -288,7 +285,7 @@ def test_projection_and_clustering_keep_nothing_after_they_return():
     g, held = held_after(lambda: cooc.project(np.zeros(1237, dtype=np.int64),
                                               np.arange(1237)))
     assert g.edge_count == 1237 * 1236 // 2
-    assert held < sum(a.nbytes for a in (g.node_ids, g.src, g.dst, g.weights)) + 10_000
+    assert held < sum(a.nbytes for a in (g.node_ids, *g.adjacency())) + 10_000
     # K_211,211: all degrees tie, so each node of the first side points to
     # all 211 of the second, and the second side points nowhere
     m = 211
@@ -297,6 +294,31 @@ def test_projection_and_clustering_keep_nothing_after_they_return():
     (plain, weighted), held = held_after(lambda: clustering_of_k(g))
     assert plain.x.tolist() == [m] and plain.y.tolist() == [0.0] == weighted.y.tolist()
     assert held < 10_000
+
+
+def test_a_graph_at_rest_holds_its_csr_and_per_node_arrays():
+    # After every observable: int32 neighbours and int64 weights, 12 bytes
+    # per adjacency entry, the edge table, and int64 arrays per node.
+    g = random_cliques(9, n_nodes=100, n_posts=2000)
+    degree_strength_weight_distributions(g), s_of_k(g), knn_of_k(g), clustering_of_k(g)
+    weight_vs_kikj(g), cosine_similarity_distribution(g), assert_accounting(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
+        mp.setattr(obs, "EXACT_COST_MULTIPLE", 0)
+        assert cosine_similarity_distribution(g, pair_budget=1000).sampled
+    held = {}
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            assert value.base is None       # so that nbytes is the memory it holds
+            held[id(value)] = value.nbytes
+        elif isinstance(value, tuple):
+            for item in value:
+                collect(item)
+    collect(tuple(v for name, v in vars(g).items() if name != "_edge_table"))
+    entries = g.adjacency()[1].size
+    assert entries > 20 * g.node_count
+    assert sum(held.values()) <= 12 * entries + 5 * 8 * (g.node_count + 1)
 
 
 @st.composite
@@ -324,7 +346,8 @@ def test_clustering_matches_spgemm_oracle_on_any_graph(graph):
 
 def test_weight_vs_product_hand_values(hand_graph):
     products, weights, binned = weight_vs_kikj(hand_graph)
-    by_pair = dict(zip(zip(hand_graph.src.tolist(), hand_graph.dst.tolist()),
+    src, dst, _ = cooc_edges(hand_graph)
+    by_pair = dict(zip(zip(src.tolist(), dst.tolist()),
                        zip(products.tolist(), weights.tolist())))
     assert by_pair[(0, 1)] == (4.0, 3.0)
     assert by_pair[(0, 2)] == (6.0, 1.0)
@@ -370,8 +393,7 @@ def test_exact_similarities_hand_values(hand_graph):
 
 def test_similarity_matches_naive(hand_graph):
     adj = adjacency_dict({(int(i), int(j)): int(w)
-                          for i, j, w in zip(hand_graph.src, hand_graph.dst,
-                                             hand_graph.weights)})
+                          for i, j, w in zip(*cooc_edges(hand_graph))})
     assert naive_cosine(adj, 0, 2) == pytest.approx(6.0 / np.sqrt(60.0))
     assert naive_cosine(adj, 2, 3) == pytest.approx(0.0)
 
@@ -597,10 +619,7 @@ def cosine_graphs(draw):
     src, dst = np.array(chosen, dtype=np.int64).reshape(-1, 2).T.copy()
     weights = np.array(draw(st.lists(st.integers(1, 60), min_size=len(chosen),
                                      max_size=len(chosen))), dtype=np.int64)
-    graph = CoocGraph(node_ids=np.arange(n, dtype=np.int64), src=src, dst=dst,
-                      weights=weights)
-    graph.validate()
-    return graph
+    return CoocGraph.from_edges(np.arange(n, dtype=np.int64), src, dst, weights)
 
 
 @seed(20091)

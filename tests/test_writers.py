@@ -108,8 +108,8 @@ def cooc_graphs(draw):
                             max_size=len(keys)))
     src = np.asarray([i for i, _ in keys], dtype=np.int64)
     dst = np.asarray([j for _, j in keys], dtype=np.int64)
-    return CoocGraph(node_ids=np.unique(np.concatenate([src, dst])), src=src, dst=dst,
-                     weights=np.asarray(weights, dtype=np.int64))
+    return CoocGraph.from_edges(np.unique(np.concatenate([src, dst])), src, dst,
+                                np.asarray(weights, dtype=np.int64))
 
 
 @given(cooc_graphs(), blocks)

@@ -7,7 +7,6 @@ which the pair appeared together.  Weights are exact integers.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from .formats import declared, read_int_table, write_int_rows
-from .substrate import _upper_entries, sorted_unique
+from .substrate import _segment_pairs, _upper_entries, sorted_unique
 
 __all__ = ["CoocGraph", "project"]
 
@@ -215,6 +214,11 @@ class CoocGraph:
             g = cls.from_edges(node_ids, src, dst, weights)
         except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from None
+        # Below 2^31 per strength, every integer sum the observables take fits
+        # int64.  Weights below 2^31 keep the strengths' own sums from wrapping,
+        # and the strengths bound the total weight compared below.
+        if weights.max(initial=0) >= 2 ** 31 or g.strengths().max(initial=0) >= 2 ** 31:
+            raise ContractError(f"{path}: a node strength, the sum of its weights, reaches 2^31")
         nodes = declared(path, headers, "nodes", 2 ** 31)
         if nodes is not None and node_ids.size > nodes:
             raise ContractError(f"{path}: more endpoints than declared nodes")
@@ -229,40 +233,6 @@ class CoocGraph:
 # Clique projection
 # ---------------------------------------------------------------------------
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _pair_blocks(counts: np.ndarray, budget: int = sys.maxsize):
-    """Member pairs of groups laid end to end, group ``g`` holding ``counts[g]``.
-
-    Groups of one size m >= 2 are taken together: each yielded ``(pos, iu,
-    ju)`` has one group's member positions per row of ``pos`` and its pairs
-    at ``pos[:, iu]``, ``pos[:, ju]``, at most ``budget`` pairs per block.
-    The slices of a size's pairs concatenate to ``np.triu_indices(m, 1)``.
-    """
-    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
-    for m in sorted_unique(counts).tolist():
-        if m < 2:
-            continue
-        sel = starts[counts == m]
-        pairs = m * (m - 1) // 2
-        rows, cols = max(1, budget // pairs), min(pairs, budget)
-        for lo in range(0, sel.size, rows):
-            pos = sel[lo:lo + rows, None] + np.arange(m)
-            for c in range(0, pairs, cols):
-                yield pos, *_triu_slice(m, c, min(c + cols, pairs))
-
-
-def _triu_slice(m: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``lo:hi`` of ``np.triu_indices(m, 1)``, built without the others."""
-    rows = np.arange(m - 1, dtype=np.int64)
-    first = rows * (2 * m - 1 - rows) // 2     # row i holds pairs first[i]..first[i]+m-2-i
-    span = slice(np.searchsorted(first, lo, "right") - 1, np.searchsorted(first, hi))
-    rows, first = rows[span], first[span]
-    counts = np.minimum(first + m - 1 - rows, hi) - np.maximum(first, lo)
-    return np.repeat(rows, counts), np.arange(lo, hi) - np.repeat(first - rows - 1, counts)
-
-
 def project(group_ids: np.ndarray, members: np.ndarray,
             labels: tuple[str, ...] | None = None) -> CoocGraph:
     """Clique projection of a (group, member) incidence.
@@ -272,14 +242,14 @@ def project(group_ids: np.ndarray, members: np.ndarray,
     :meth:`WalkEnsemble.walk_node_pairs` and :meth:`Corpus.tag_pairs`
     return them.  Each group adds 1
     to the weight of every pair of its members; the vocabulary is the set
-    of members, isolated ones included.
+    of members, isolated ones included.  The pairs' keys are made a block
+    of :func:`~tagwalk.substrate._segment_pairs` at a time.
     """
     members = np.asarray(members, dtype=np.int64)   # pair keys need 64 bits
     node_ids = sorted_unique(members)
     scale = int(node_ids[-1]) + 1 if node_ids.size else 1
-    key_chunks = [_EMPTY]
-    for pos, iu, ju in _pair_blocks(np.unique(group_ids, return_counts=True)[1]):
-        rows = members[pos]
-        key_chunks.append((rows[:, iu] * scale + rows[:, ju]).ravel())
-    keys, weights = np.unique(np.concatenate(key_chunks), return_counts=True)
+    keys = [np.empty(0, dtype=np.int64)]
+    for e, f in _segment_pairs(np.unique(group_ids, return_counts=True)[1]):
+        keys.append(members[e] * scale + members[f])
+    keys, weights = np.unique(np.concatenate(keys), return_counts=True)
     return CoocGraph.from_edges(node_ids, keys // scale, keys % scale, weights, labels)

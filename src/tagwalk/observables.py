@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooc import CoocGraph, _pair_blocks
+from .cooc import CoocGraph
 from .errors import ContractError, FitError, ParameterError
 from .parallel import map_blocks
-from .substrate import _blocks, _upper_entries
+from .substrate import _blocks, _ranges, _segment_pairs, _upper_entries
 
 __all__ = [
     "Distribution",
@@ -59,10 +59,6 @@ SIMILARITY_BLOCK_PROBES = 1 << 17
 # The exact path yields its pairs in row blocks of about this many, and adds
 # wedge products about this many at a time.
 SIMILARITY_BATCH_WEDGES = 1 << 16
-
-# Clustering tests wedges (two-paths whose middle node ranks lowest) for
-# closure in blocks of at most this many, which bounds its extra memory.
-CLUSTERING_BLOCK_PATHS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +168,9 @@ def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     from its lower to its higher end in (degree, position) order, so each
     triangle is found once, as a closed wedge of out-neighbours at its
     lowest node (compact-forward; Latapy, TCS 2008).  Its sum_i C(out_i, 2)
-    wedges go through :meth:`CoocGraph.find_edges` in blocks of at most
-    ``CLUSTERING_BLOCK_PATHS``; the triangle counts per adjacency entry are exact.
+    wedges, the pairs of each out-list, go through :meth:`CoocGraph.find_edges`
+    a block of :func:`~tagwalk.substrate._segment_pairs` at a time; the
+    triangle counts per adjacency entry are exact.
     """
     _, neighbors, weights = g.adjacency()
     k = g.degrees()
@@ -182,14 +179,10 @@ def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     outgoing = np.repeat(rank, k) < rank[neighbors]
     out = np.flatnonzero(outgoing)            # out-lists, row by row, each ascending
     c = np.zeros(neighbors.size, dtype=np.int64)   # triangles counted on each entry
-    for pos, iu, ju in _pair_blocks(g.neighbor_sums(outgoing), CLUSTERING_BLOCK_PATHS):
-        ends = neighbors[out[pos]]
-        hit, closing = g.find_edges(ends[:, iu].ravel(), ends[:, ju].ravel())
-        np.add.at(c, closing, 1)
-        row, p = np.divmod(hit, iu.size)
-        row *= pos.shape[1]     # each closed wedge's two out-entries, counted in the block
-        c[out[pos]] += np.bincount(np.concatenate([row + iu[p], row + ju[p]]),
-                                   minlength=pos.size).reshape(pos.shape)
+    for e, f in _segment_pairs(g.neighbor_sums(outgoing)):
+        e, f = out[e], out[f]           # a wedge's two out-entries
+        hit, closing = g.find_edges(neighbors[e], neighbors[f])
+        np.add.at(c, np.concatenate([closing, e[hit], f[hit]]), 1)
     # t_ij is c at (i, j) plus c at (j, i): a row's own entries and those naming it
     plain, weighted = (np.add(g.neighbor_sums(v), np.bincount(neighbors, v, n),
                               dtype=np.float64) for v in (c, weights * c))
@@ -257,7 +250,7 @@ def exact_similarities(g: CoocGraph):
         later = indptr[np.searchsorted(indptr, mine, side="right")] - mine - 1
         for a, b in _blocks(later, SIMILARITY_BATCH_WEDGES):
             e, n = mine[a:b], later[a:b]
-            f = np.arange(n.sum()) + np.repeat(e + 1 - np.cumsum(n) + n, n)
+            f = _ranges(e + 1, n)
             ye = y[e]       # pair (y_e, j) sits at first[y_e] - y_e - 1 + j
             np.add.at(sims, np.repeat(first[ye] - ye - (1 + first[lo]), n) + y[f],
                       np.repeat(unit[e], n) * unit[f])
@@ -279,7 +272,7 @@ def _cosines(g: CoocGraph, inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     n = k[short]
     start = indptr[short] - np.cumsum(n) + n    # probe p of pair q reads entry p + start[q]
     # only the probes' columns wait out the lookup; each hit's pair is found again
-    cols = neighbors[np.arange(n.sum()) + np.repeat(start, n)]
+    cols = neighbors[_ranges(indptr[short], n)]
     pos, t = g.find_edges(np.repeat(other, n), cols)   # the probes that hit
     del cols
     owner = np.searchsorted(np.cumsum(n), pos, side="right")

@@ -59,6 +59,26 @@ def _blocks(costs: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``[starts[i], starts[i] + counts[i])`` laid end to end."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _segment_pairs(counts: np.ndarray):
+    """Every pair ``(e, f)``, e < f, of items in one segment, segment s holding ``counts[s]``
+    of the items laid end to end: e ascending, and for each e the later items f of its segment.
+
+    So a segment of m items starting at item a gives ``np.triu_indices(m, 1)`` plus a.
+    Yields int64 ``(e, f)`` in blocks cut by :func:`_blocks` at ``_PAIR_BLOCK`` pairs:
+    a block holds at most that many plus its first item's.
+    """
+    later = np.repeat(np.cumsum(counts), counts)      # each item's segment end
+    later -= np.arange(1, later.size + 1)
+    for lo, hi in _blocks(later, _PAIR_BLOCK):
+        n = later[lo:hi]
+        yield np.repeat(np.arange(lo, hi), n), _ranges(np.arange(lo + 1, hi + 1), n)
+
+
 def _upper_entries(indptr: np.ndarray, indices: np.ndarray):
     """Per slice of rows of about ``_KEY_BLOCK`` entries, the entries (i, j), i < j, of a
     symmetric CSR: their positions in ``indices``, ascending, and their rows i."""
@@ -246,6 +266,9 @@ _VECTOR_MIN = 64
 # Edges that from_edge_pairs turns into keys at a time, and about the
 # adjacency entries that _upper_entries and bfs_rings take at a time.
 _KEY_BLOCK = 1 << 16
+# About the pairs that _segment_pairs yields at a time, for the clique
+# projection and the clustering wedges: their scratch memory is one block's.
+_PAIR_BLOCK = 1 << 14
 
 
 def generate_watts_strogatz(n: int, k: int, p_rewire: float, seed: int) -> SubstrateGraph:
@@ -437,8 +460,7 @@ def bfs_rings(graph: SubstrateGraph, origin: int) -> RingProfile:
         counts = indptr[frontier + 1] - starts
         shell = []
         for lo, hi in _blocks(counts, _KEY_BLOCK):
-            n = counts[lo:hi]
-            nbrs = indices[np.arange(n.sum()) + np.repeat(starts[lo:hi] - np.cumsum(n) + n, n)]
+            nbrs = indices[_ranges(starts[lo:hi], counts[lo:hi])]
             nbrs = sorted_unique(nbrs[~seen[nbrs]])
             seen[nbrs] = True
             shell.append(nbrs)

@@ -405,6 +405,40 @@ def test_cooc_edges_that_disagree_with_their_header_exit_2(tmp_path, capsys, fie
                                        f"{field}={declared[field]}, the file holds {got}\n")
 
 
+@pytest.mark.parametrize("edges", [
+    "0\t2\t4000000000\n1\t2\t4000000000\n",        # w^2 wraps int64
+    "# nodes=12\n" + "".join(f"0\t{j}\t900000000000000000\n" for j in range(1, 12)),
+], ids=["squares_wrap", "strength_wraps"])
+def test_cooc_edges_whose_strength_reaches_2_31_exit_2(tmp_path, capsys, edges):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "cooc.edges"
+    path.write_text(edges)
+    assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"tagwalk: error: {path}: a node strength, "
+                                       f"the sum of its weights, reaches 2^31\n")
+
+
+def test_cooc_edges_just_below_the_strength_bound_give_exact_results(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    # node 2's strength is 2^31 - 1; nodes 0 and 1 share their one neighbour
+    (out / "cooc.edges").write_text(f"0\t2\t{2 ** 30}\n1\t2\t{2 ** 30 - 1}\n")
+    assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 0
+    obs_dir = out / "observables"
+    assert (obs_dir / "strength_dist.csv").read_text() == (
+        f"value,count\n{2 ** 30 - 1},1\n{2 ** 30},1\n{2 ** 31 - 1},1\n")
+    assert (obs_dir / "weight_dist.csv").read_text() == (
+        f"value,count\n{2 ** 30 - 1},1\n{2 ** 30},1\n")
+    assert (obs_dir / "s_of_k.csv").read_text() == (
+        f"k,mean_s,n\n1.0,{(2 ** 31 - 1) / 2},2\n2.0,{float(2 ** 31 - 1)},1\n")
+    counts = [line.split(",")[2] for line in
+              (obs_dir / "similarity_hist.csv").read_text().splitlines()[1:]]
+    assert counts == ["2"] + ["0"] * 18 + ["1"]    # (0, 1) alike; (0, 2), (1, 2) disjoint
+
+
 @pytest.mark.parametrize("stage", ["stats", "theory"])
 @pytest.mark.parametrize("bad", ["12,abc", "12", "12,5,1", "-1,5", "1\udcc3,5"],
                          ids=["non_integer", "short_row", "long_row", "negative",

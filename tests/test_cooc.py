@@ -12,6 +12,7 @@ from naive_reference import (adjacency_dict, build_from_traces, cooc_edges, merg
 import tagwalk.cooc as cooc
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ContractError, ParameterError
+import tagwalk.substrate as substrate
 from tagwalk.substrate import generate_watts_strogatz
 from tagwalk.walker import PowerLawLength, simulate_walks
 
@@ -73,6 +74,10 @@ def test_projection_matches_naive_counting(traces, count_origin):
     want = naive_cooc_weights(traces, origin=traces[0][0] if traces else None,
                               count_origin=count_origin)
     assert weight_map(g) == want
+    for budget in (1, 7):       # walks whose pairs are split across blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(substrate, "_PAIR_BLOCK", budget)
+            assert weight_map(build_from_traces(traces, count_origin=count_origin)) == want
     CoocGraph.from_edges(g.node_ids, *cooc_edges(g))       # the edges held pass the checks
     # total weight identity: sum over walks of C(distinct, 2)
     assert g.total_weight == sum(want.values())
@@ -332,18 +337,19 @@ def test_read_edge_list_names_bad_line(tmp_path, bad, message):
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7, 64, 1000, 2 ** 20])
-def test_pair_slices_concatenate_to_triu_indices(budget):
-    # one group of every size 0..60, then a second of each size 2..11
+def test_pair_slices_concatenate_to_triu_indices(budget, monkeypatch):
+    # one segment of every size 0..60, then a second of each size 2..11
     counts = np.concatenate([np.arange(0, 61), np.arange(2, 12)])
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
-    pieces = {start: [] for start in starts[counts >= 2].tolist()}
-    for pos, iu, ju in cooc._pair_blocks(counts, budget):
-        assert pos.shape[0] * iu.size <= budget
-        for row in pos:
-            assert np.array_equal(row, row[0] + np.arange(pos.shape[1]))
-            pieces[int(row[0])].append((iu, ju))
-    for start, m in zip(starts.tolist(), counts.tolist()):
-        if m >= 2:
-            want = np.triu_indices(m, k=1)
-            for got, axis in zip(want, (0, 1)):
-                assert np.array_equal(np.concatenate([p[axis] for p in pieces[start]]), got)
+    monkeypatch.setattr(substrate, "_PAIR_BLOCK", budget)
+    blocks = list(substrate._segment_pairs(counts))
+    for e, f in blocks:
+        # at most the budget plus the pairs of the block's first item, whose
+        # own pairs come first if it has any
+        first = np.count_nonzero(e == e[0]) if e.size else 0
+        assert e.size == f.size and e.size - first <= budget
+    for side, got in enumerate(zip(*blocks)):
+        got = np.concatenate(got)
+        want = np.concatenate([start + np.triu_indices(m, 1)[side]
+                               for start, m in zip(starts, counts)])
+        assert got.dtype == np.int64 and np.array_equal(got, want)

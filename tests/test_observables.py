@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -15,12 +16,13 @@ from hypothesis import strategies as st
 import tagwalk
 import tagwalk.cooc as cooc
 import tagwalk.observables as obs
+import tagwalk.substrate as substrate
 from naive_reference import (adjacency_dict, build_from_traces, cooc_edges, log_binned,
                              low_sample, naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_knn,
                              sample_size, scipy_similarities,
                              spgemm_clustering_of_k, takes_exact_path)
-from tagwalk.cooc import CoocGraph, _pair_blocks
+from tagwalk.cooc import CoocGraph
 from tagwalk.errors import FitError, ParameterError
 from tagwalk.observables import (cosine_similarity_distribution,
                                  clustering_of_k,
@@ -183,11 +185,12 @@ def test_clustering_matches_networkx(graph):
 @pytest.mark.parametrize("graph", [hub_ring(300), random_cliques(3)],
                          ids=["hub_ring", "cliques"])
 def test_clustering_blocks_are_bit_identical(graph, monkeypatch):
-    whole = clustering_of_k(graph)  # one block: budget far above sum k^2
-    assert int((graph.degrees() ** 2).sum()) <= obs.CLUSTERING_BLOCK_PATHS
+    # one block: a budget above sum k^2, so above every wedge count
+    monkeypatch.setattr(substrate, "_PAIR_BLOCK", int((graph.degrees() ** 2).sum()) + 1)
+    whole = clustering_of_k(graph)
     # the hub row alone has 3 * 299 = 897 two-paths, a ring row 305
     for budget in (700, 1):
-        monkeypatch.setattr(obs, "CLUSTERING_BLOCK_PATHS", budget)
+        monkeypatch.setattr(substrate, "_PAIR_BLOCK", budget)
         for got, want in zip(clustering_of_k(graph), whole):
             assert np.array_equal(got.x, want.x)
             assert np.array_equal(got.y, want.y)
@@ -208,8 +211,23 @@ def test_clustering_memory_stays_below_full_product(monkeypatch):
             tracemalloc.stop()
 
     assert peak() < a2_bytes / 3
-    monkeypatch.setattr(obs, "CLUSTERING_BLOCK_PATHS", 1 << 16)
+    monkeypatch.setattr(substrate, "_PAIR_BLOCK", 1 << 16)
     assert peak() < a2_bytes / 30
+
+
+def test_clustering_scratch_memory_is_one_block():
+    # K_211,211 (see below) has 211 C(211, 2) = 4.67e6 wedges, 285 blocks
+    m = 211
+    g = cooc_graph(range(2 * m), [(i, j) for i in range(m) for j in range(m, 2 * m)])
+    g.adjacency(), g.degrees(), g.strengths(), g._edge_table
+    tracemalloc.start()
+    try:
+        clustering_of_k(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pass's arrays per adjacency entry, plus about 80 bytes per wedge of a block
+    assert peak < 40 * g.adjacency()[1].size + 128 * substrate._PAIR_BLOCK
 
 
 ORACLE_GRAPHS = {
@@ -233,27 +251,30 @@ def assert_matches_oracle(graph, want=None):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
 
 
-@pytest.mark.parametrize("budget", [1, 700, obs.CLUSTERING_BLOCK_PATHS])
+# 1 << 20 leaves every graph here in one block
+@pytest.mark.parametrize("budget", [1, 700, 1 << 20])
 @pytest.mark.parametrize("name", ORACLE_GRAPHS)
 def test_clustering_matches_spgemm_oracle(name, budget, monkeypatch):
-    monkeypatch.setattr(obs, "CLUSTERING_BLOCK_PATHS", budget)
+    monkeypatch.setattr(substrate, "_PAIR_BLOCK", budget)
     assert_matches_oracle(ORACLE_GRAPHS[name])
 
 
 @pytest.mark.parametrize("budget", [1, 700, 5000])
 def test_clustering_blocks_stay_within_budget(budget, monkeypatch):
-    sizes = []
+    sizes, beyond = [], []
 
-    def recorded(counts, limit):
-        for pos, iu, ju in _pair_blocks(counts, limit):
-            sizes.append(pos.shape[0] * iu.size)
-            yield pos, iu, ju
+    def recorded(counts):
+        for e, f in substrate._segment_pairs(counts):
+            sizes.append(e.size)
+            # a block holds at most the budget plus its first item's pairs
+            beyond.append(e.size - np.count_nonzero(e == e[0]) if e.size else 0)
+            yield e, f
 
-    monkeypatch.setattr(obs, "CLUSTERING_BLOCK_PATHS", budget)
-    monkeypatch.setattr(obs, "_pair_blocks", recorded)
+    monkeypatch.setattr(substrate, "_PAIR_BLOCK", budget)
+    monkeypatch.setattr(obs, "_segment_pairs", recorded)
     g = ORACLE_GRAPHS["hub_ring"]
     assert_matches_oracle(g)
-    assert max(sizes) <= budget
+    assert max(beyond) <= budget and max(sizes) <= budget + 2
     # the hub ranks last; 297 ring nodes point to two others, one to three
     assert sum(sizes) == 297 * 1 + 3
 
@@ -278,6 +299,9 @@ def test_projection_and_clustering_keep_nothing_after_they_return():
         tracemalloc.start()
         try:
             result = call()
+            # A full collection empties CPython's free lists: after one, 80
+            # keyword calls leave 80 dict-key blocks (9.6 kB) traced in them.
+            gc.collect()
             return result, tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -334,9 +358,9 @@ def weighted_graphs(draw):
 @settings(max_examples=80, deadline=None)
 def test_clustering_matches_spgemm_oracle_on_any_graph(graph):
     want = spgemm_clustering_of_k(graph)
-    for budget in (1, 700, obs.CLUSTERING_BLOCK_PATHS):
+    for budget in (1, 700, substrate._PAIR_BLOCK):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(obs, "CLUSTERING_BLOCK_PATHS", budget)
+            mp.setattr(substrate, "_PAIR_BLOCK", budget)
             assert_matches_oracle(graph, want)
 
 

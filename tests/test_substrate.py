@@ -394,6 +394,15 @@ def test_bfs_rings_match_networkx_shells(seed, block, monkeypatch):
         assert bfs_rings(g, origin).sizes.tolist() == want.tolist()
 
 
+@given(st.lists(st.tuples(st.integers(-5, 50), st.integers(0, 6)), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_ranges_concatenate_aranges(spans):
+    starts, counts = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    want = [np.arange(s, s + n) for s, n in spans]
+    got = substrate._ranges(starts, counts)
+    assert got.dtype == np.int64 and np.array_equal(got, np.concatenate([[], *want]))
+
+
 def traced_peak(call) -> int:
     tracemalloc.start()
     try:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError
 from .formats import declared, read_int_table, write_int_rows
 from .substrate import _segment_pairs, _upper_entries, sorted_unique
 
@@ -45,19 +45,17 @@ class CoocGraph:
     ``node_ids`` lists every vocabulary member (isolated ones included),
     sorted ascending.  Node position ``i`` links to the positions
     ``neighbors[indptr[i]:indptr[i+1]]``, ascending, with ``entry_weights``:
-    the symmetric CSR is the only stored form of the edges.  ``labels``,
-    when present, maps a vocabulary of strings onto ids 0..len(labels)-1.
+    the symmetric CSR is the only stored form of the edges.
     """
 
     node_ids: np.ndarray          # int64, sorted, unique
     indptr: np.ndarray            # int64, length node_count + 1
     neighbors: np.ndarray         # int32 positions (int64 from 2**31 nodes)
     entry_weights: np.ndarray     # int64, >= 1, one per adjacency entry
-    labels: tuple[str, ...] | None = None
 
     @classmethod
     def from_edges(cls, node_ids: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                   weights: np.ndarray, labels: tuple[str, ...] | None = None) -> "CoocGraph":
+                   weights: np.ndarray) -> "CoocGraph":
         """The graph of the sorted, unique edges ``src[e] < dst[e]`` (ids) of weights >= 1."""
         if node_ids.size and np.any(np.diff(node_ids) <= 0):
             raise ContractError("node_ids must be sorted and unique")
@@ -85,7 +83,7 @@ class CoocGraph:
         np.cumsum(np.bincount(rows, minlength=node_ids.size), out=indptr[1:])
         order += src.size       # [eu, ev][p] is rows[(p + m) % 2m], [w, w][p] is w[(p + m) % m]
         return cls(node_ids, *_read_only(indptr, rows.take(order, mode="wrap"),
-                                         weights.take(order, mode="wrap")), labels)
+                                         weights.take(order, mode="wrap")))
 
     @property
     def node_count(self) -> int:
@@ -99,10 +97,6 @@ class CoocGraph:
     def total_weight(self) -> int:
         return sum(int(self.entry_weights[entries].sum())
                    for entries, _ in _upper_entries(self.indptr, self.neighbors))
-
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The symmetric adjacency, ``(indptr, neighbors, entry_weights)``."""
-        return self.indptr, self.neighbors, self.entry_weights
 
     # Arrays derived from the adjacency are cached read-only on first use, for every observable.
 
@@ -193,15 +187,6 @@ class CoocGraph:
                 write_int_rows(fh, np.stack([ids[rows], ids[self.neighbors[entries]],
                                              self.entry_weights[entries]], axis=1), b"\t\t\n")
 
-    def write_labels(self, path) -> None:
-        """Companion id-to-label table for graphs built from tag posts."""
-        if self.labels is None:
-            raise ParameterError("graph carries no labels")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("id\tlabel\n")
-            for i, lab in enumerate(self.labels):
-                fh.write(f"{i}\t{lab}\n")
-
     @classmethod
     def read_edge_list(cls, path) -> "CoocGraph":
         """The graph of a ``cooc.edges`` file, checked against its header's fields."""
@@ -233,8 +218,7 @@ class CoocGraph:
 # Clique projection
 # ---------------------------------------------------------------------------
 
-def project(group_ids: np.ndarray, members: np.ndarray,
-            labels: tuple[str, ...] | None = None) -> CoocGraph:
+def project(group_ids: np.ndarray, members: np.ndarray) -> CoocGraph:
     """Clique projection of a (group, member) incidence.
 
     ``members`` must be grouped by ``group_ids`` (non-decreasing) and be
@@ -252,4 +236,4 @@ def project(group_ids: np.ndarray, members: np.ndarray,
     for e, f in _segment_pairs(np.unique(group_ids, return_counts=True)[1]):
         keys.append(members[e] * scale + members[f])
     keys, weights = np.unique(np.concatenate(keys), return_counts=True)
-    return CoocGraph.from_edges(node_ids, keys // scale, keys % scale, weights, labels)
+    return CoocGraph.from_edges(node_ids, keys // scale, keys % scale, weights)

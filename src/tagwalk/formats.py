@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 
-__all__ = ["format_cell", "write_csv", "read_csv", "sha256_of", "write_json",
+__all__ = ["write_csv", "read_csv", "sha256_of", "write_json",
            "read_int_rows", "read_int_table", "declared", "write_int_rows"]
 
 # What a data line of an integer table may hold, and the magnitude bound
@@ -41,21 +41,16 @@ _DIGIT_GROUPS = np.stack([np.tile(np.repeat(_DIGITS, 10 ** (3 - k)), 10 ** k)
 _POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)
 
 
-def format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        raise ParameterError("booleans have no CSV cell form")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def write_csv(path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
+    """``header``, then one row per position of the equal-length ``columns``.
 
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    Arrays become Python numbers through ``.tolist()``, and every cell is
+    written with ``str``: a float in its shortest round-trip form.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(cell) for cell in row) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

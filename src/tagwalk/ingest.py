@@ -85,13 +85,9 @@ class RejectionReport:
     def total_lines(self) -> int:
         return self.malformed + self.no_tags + self.bad_timestamp + self.accepted
 
-    def as_rows(self) -> list[tuple[str, int]]:
-        return [("bad_timestamp", self.bad_timestamp),
-                ("malformed", self.malformed),
-                ("no_tags", self.no_tags)]
-
     def write_csv(self, path) -> None:
-        write_csv(path, ["reason", "count"], self.as_rows())
+        write_csv(path, ["reason", "count"], [["bad_timestamp", "malformed", "no_tags"],
+                                              [self.bad_timestamp, self.malformed, self.no_tags]])
 
 
 @dataclass(frozen=True)
@@ -123,6 +119,12 @@ class Corpus:
         """
         return (np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.offsets)),
                 self.tag_ids)
+
+    def write_labels(self, path) -> None:
+        """The id-to-tag table: a header, then ``i<TAB>vocabulary[i]`` per tag id."""
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("id\tlabel\n")
+            fh.writelines(f"{i}\t{tag}\n" for i, tag in enumerate(self.vocabulary))
 
     def write_jsonl(self, path) -> None:
         """One line per post, the bytes of ``json.dumps`` with sorted keys."""

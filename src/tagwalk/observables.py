@@ -44,13 +44,11 @@ __all__ = [
     "assert_accounting",
 ]
 
-# Cosine similarity takes its exact path on at most this many live nodes,
-# whatever the pair budget, and above it wherever the exact cost is at most
-# EXACT_COST_MULTIPLE times the sampled one (see _exact_similarity_pays).
-# On 2 cores with numpy 2.4 the exact pass cost about 12-21 ns per wedge and
-# the sampled one about 60 ns of CPU per probe (37 ns of wall on 2 threads),
-# so the wall-clock break-even lies near 3.
-EXACT_SIMILARITY_LIMIT = 2000
+# Cosine similarity takes its exact path wherever the exact cost is at most
+# this many times the sampled one (see _exact_similarity_pays).  On 2 cores
+# with numpy 2.4 the exact pass cost about 12-21 ns per wedge and the
+# sampled one about 60 ns of CPU per probe (37 ns of wall on 2 threads), so
+# the wall-clock break-even lies near 3.
 EXACT_COST_MULTIPLE = 3
 # Sampled pairs are drawn 65,536 at a time (the draws fix the sample).  A
 # pair probes min(k_a, k_b) entries, and a draw is intersected in blocks of
@@ -149,14 +147,13 @@ def s_of_k(g: CoocGraph) -> BinnedSeries:
 
 def knn_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     """Mean plain and weighted nearest-neighbor degree per degree class."""
-    _, neighbors, weights = g.adjacency()
     k = g.degrees()
-    k_nb = k[neighbors]
+    k_nb = k[g.neighbors]
     keep = k >= 1
     plain = np.zeros(k.size)
     weighted = np.zeros(k.size)
     plain[keep] = g.neighbor_sums(k_nb)[keep] / k[keep]
-    weighted[keep] = g.neighbor_sums(weights * k_nb)[keep] / g.strengths()[keep]
+    weighted[keep] = g.neighbor_sums(g.entry_weights * k_nb)[keep] / g.strengths()[keep]
     return _class_means(k, plain, keep), _class_means(k, weighted, keep)
 
 
@@ -172,7 +169,7 @@ def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     a block of :func:`~tagwalk.substrate._segment_pairs` at a time; the
     triangle counts per adjacency entry are exact.
     """
-    _, neighbors, weights = g.adjacency()
+    neighbors = g.neighbors
     k = g.degrees()
     n = k.size
     rank = k * n + np.arange(n)               # (degree, position) as one key
@@ -185,7 +182,7 @@ def clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
         np.add.at(c, np.concatenate([closing, e[hit], f[hit]]), 1)
     # t_ij is c at (i, j) plus c at (j, i): a row's own entries and those naming it
     plain, weighted = (np.add(g.neighbor_sums(v), np.bincount(neighbors, v, n),
-                              dtype=np.float64) for v in (c, weights * c))
+                              dtype=np.float64) for v in (c, g.entry_weights * c))
     keep = k >= 2
     kk = k[keep]
     plain[keep] /= kk * (kk - 1)
@@ -208,11 +205,10 @@ def _inverse_norms(g: CoocGraph) -> np.ndarray:
 
     Entry j of node i's unit weight row is ``inv[i] * w_ij``.
     """
-    indptr, _, weights = g.adjacency()
-    total = np.zeros(weights.size + 1, dtype=np.int64)    # running sums of w^2, in place
-    np.square(weights, out=total[1:])
+    total = np.zeros(g.entry_weights.size + 1, dtype=np.int64)    # running sums of w^2
+    np.square(g.entry_weights, out=total[1:])
     np.cumsum(total, out=total)
-    squares = np.diff(total[indptr])
+    squares = np.diff(total[g.indptr])
     return np.divide(1.0, np.sqrt(squares), out=np.zeros(squares.size), where=squares > 0)
 
 
@@ -229,20 +225,20 @@ def exact_similarities(g: CoocGraph):
     to the first and adds the product of every pair of c's entries, in
     batches of about ``SIMILARITY_BATCH_WEDGES`` products.
     """
-    indptr, neighbors, weights = g.adjacency()
+    indptr, neighbors = g.indptr, g.neighbors
     k = g.degrees()
     y = (np.cumsum(k > 0, dtype=np.int32) - 1)[neighbors]   # live position of each entry's column
     m = np.count_nonzero(k)
     x = np.arange(m + 1, dtype=np.int64)
     first = x * (2 * m - x - 1) // 2                # pair (x, x + 1) sits at first[x]
-    rows = _blocks(m - 1 - x[:-1], SIMILARITY_BATCH_WEDGES)
+    rows = list(_blocks(m - 1 - x[:-1], SIMILARITY_BATCH_WEDGES))
     block = np.repeat(np.arange(len(rows), dtype=np.int32), [hi - lo for lo, hi in rows])[y]
     # the entries descending, grouped by the row block of their column, last block first
     entries = np.argsort(block, kind="stable")[::-1].astype(np.int32)
     starts = (y.size - np.cumsum(np.bincount(block, minlength=len(rows)))).tolist()
     del block
     unit = _inverse_norms(g)[neighbors]
-    unit *= weights                                 # entry e of row c is y_e's weight at c
+    unit *= g.entry_weights                         # entry e of row c is y_e's weight at c
     for (lo, hi), start, stop in zip(rows, starts, [y.size] + starts):
         sims = np.zeros(first[hi] - first[lo])
         mine = entries[start:stop]
@@ -265,14 +261,14 @@ def _cosines(g: CoocGraph, inv: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     :meth:`CoocGraph.find_edges` and sums the products at the common
     neighbours with ``np.add.reduceat``, neighbours ascending; 0.0 if none.
     """
-    indptr, neighbors, weights = g.adjacency()
+    indptr, weights = g.indptr, g.entry_weights
     k = g.degrees()
     flip = k[a] > k[b]
     short, other = np.where(flip, b, a), np.where(flip, a, b)
     n = k[short]
     start = indptr[short] - np.cumsum(n) + n    # probe p of pair q reads entry p + start[q]
     # only the probes' columns wait out the lookup; each hit's pair is found again
-    cols = neighbors[_ranges(indptr[short], n)]
+    cols = g.neighbors[_ranges(indptr[short], n)]
     pos, t = g.find_edges(np.repeat(other, n), cols)   # the probes that hit
     del cols
     owner = np.searchsorted(np.cumsum(n), pos, side="right")
@@ -319,7 +315,7 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int, threads: in
             lo, hi = cut
             sims[lo:hi] = _cosines(g, inv, i[lo:hi], j[lo:hi])
 
-        map_blocks(block, _blocks(np.minimum(k[i], k[j]), block_probes), threads)
+        map_blocks(block, list(_blocks(np.minimum(k[i], k[j]), block_probes)), threads)
         remaining -= i.size
         del i, j, ok        # the next draw need not meet this one's arrays
         yield sims
@@ -329,18 +325,18 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int, threads: in
 def _exact_similarity_pays(k: np.ndarray, pair_budget: int) -> bool:
     """Whether cosine similarity takes its exact path on a graph of degrees ``k``.
 
-    It does on at most ``EXACT_SIMILARITY_LIMIT`` live nodes, and wherever
-    the exact cost, sum_c C(k_c, 2) wedges plus the C(m, 2) pairs of the m
-    live nodes, is at most ``EXACT_COST_MULTIPLE`` times the sampled cost,
-    ``pair_budget`` x E[min(k_a, k_b)] probes over uniform pairs of
-    distinct live nodes.  With the live degrees ascending, that expectation
-    is sum_i k_(i) (m - 1 - i) / C(m, 2); the costs are compared
-    cross-multiplied, in Python integers, so no rounding decides.
+    It does wherever the exact cost, sum_c C(k_c, 2) wedges plus the C(m, 2)
+    pairs of the m live nodes, is at most ``EXACT_COST_MULTIPLE`` times the
+    sampled cost, ``pair_budget`` x E[min(k_a, k_b)] probes over uniform
+    pairs of distinct live nodes.  With the live degrees ascending, that
+    expectation is sum_i k_(i) (m - 1 - i) / C(m, 2); the costs are compared
+    cross-multiplied, in Python integers, so no rounding decides.  A pair
+    has at most min(k_a, k_b) common neighbours and every live degree is at
+    least 1, so the wedges are at most the probes and the probes at least
+    the pairs: every graph of at most 1.5 x ``pair_budget`` pairs goes exact.
     """
     live = np.sort(k[k > 0])
     m = live.size
-    if m <= EXACT_SIMILARITY_LIMIT:
-        return True
     pairs = m * (m - 1) // 2
     wedges = int((live * (live - 1) // 2).sum())
     probes = int((live * np.arange(m - 1, -1, -1)).sum())     # C(m, 2) x E[min(k_a, k_b)]

@@ -16,6 +16,7 @@ alone.
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
 import typing
@@ -260,20 +261,20 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
     for name, dist in [("degree_dist", pk), ("strength_dist", ps),
                        ("weight_dist", pw)]:
         write_csv(obs_dir / f"{name}.csv", ["value", "count"],
-                  zip(dist.values, dist.counts))
+                  [dist.values, dist.counts])
     series = observables.s_of_k(g)
     write_csv(obs_dir / "s_of_k.csv", ["k", "mean_s", "n"],
-              zip(series.x, series.y, series.n))
+              [series.x, series.y, series.n])
     plain, weighted = observables.knn_of_k(g)
     write_csv(obs_dir / "knn_of_k.csv", ["k", "knn", "knn_w", "n"],
-              zip(plain.x, plain.y, weighted.y, plain.n))
+              [plain.x, plain.y, weighted.y, plain.n])
     if flags.clustering:
         plain, weighted = observables.clustering_of_k(g)
         write_csv(obs_dir / "clustering_of_k.csv", ["k", "c", "c_w", "n"],
-                  zip(plain.x, plain.y, weighted.y, plain.n))
+                  [plain.x, plain.y, weighted.y, plain.n])
     products, weights, binned = observables.weight_vs_kikj(g)
     write_csv(obs_dir / "weight_vs_product.csv", ["kikj", "mean_w", "n"],
-              zip(binned.x, binned.y, binned.n))
+              [binned.x, binned.y, binned.n])
     fits["weight_product_plateau"] = fits["weight_product_tail"] = None
     if products.size:
         decile = np.quantile(products, 0.10)
@@ -286,12 +287,12 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
         g, pair_budget=flags.similarity_pair_budget,
         seed=derive_seed(cfg.seed, _SIM_SALT), threads=threads)
     write_csv(obs_dir / "similarity_hist.csv", ["bin_lo", "bin_hi", "count"],
-              zip(hist.edges[:-1], hist.edges[1:], hist.counts))
+              [hist.edges[:-1], hist.edges[1:], hist.counts])
     fits["similarity_mode"] = (float(hist.mode_center())
                                if hist.counts.sum() else None)
     if counts is not None:
         ranks, ordered = observables.frequency_rank(counts)
-        write_csv(obs_dir / "frequency_rank.csv", ["rank", "count"], zip(ranks, ordered))
+        write_csv(obs_dir / "frequency_rank.csv", ["rank", "count"], [ranks, ordered])
         fits["zipf"] = _fit_or_none(ranks, ordered, (1, ZIPF_FIT_MAX_RANK))
     zipf = fits.get("zipf")
     fits["zipf_heaps_product"] = (abs(zipf["exponent"]) * fits["heaps"]["exponent"]
@@ -357,16 +358,13 @@ def _walk(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph, traces: bool)
     ens, pairs, heaps, freqs = walker.run_ensemble(graph, cfg.walk)
     if traces:
         ens.write_traces(out / "traces.txt")
-    write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(*heaps))
+    write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], heaps)
     return pairs, heaps, freqs
 
 
-def _cooc(out: Path, pairs: tuple[np.ndarray, np.ndarray],
-          labels: tuple[str, ...] | None = None) -> cooc.CoocGraph:
-    g = cooc.project(*pairs, labels)
+def _cooc(out: Path, pairs: tuple[np.ndarray, np.ndarray]) -> cooc.CoocGraph:
+    g = cooc.project(*pairs)
     g.write_edge_list(out / "cooc.edges")
-    if labels is not None:
-        g.write_labels(out / "cooc_labels.tsv")
     return g
 
 
@@ -383,12 +381,12 @@ def _theory(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph,
     if not cfg.walk.count_origin:
         predicted = predicted - 1.0  # the origin ring contributes exactly 1
     write_csv(theory_dir / "prediction.csv", ["n_rw", "prediction"],
-              zip(n_values, predicted))
+              [n_values, predicted])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(predicted > 0, simulated / predicted, np.nan)
     write_csv(theory_dir / "comparison.csv",
               ["n_rw", "simulated", "predicted", "ratio"],
-              zip(n_values, simulated, predicted, ratio))
+              [n_values, simulated, predicted, ratio])
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> Path:
@@ -477,8 +475,9 @@ def run_ingest(cfg: IngestConfig, out_dir, strict: bool = False, threads: int = 
     # the stream's (post, tag) pairs take the path of a walk ensemble's pairs
     pairs, n = stream.tag_pairs(), len(stream)
     heaps = walker.heaps_curve(*pairs, n, np.arange(1, n + 1))
-    write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], zip(*heaps))
-    g = _cooc(out, pairs, stream.vocabulary)
+    write_csv(out / "heaps.csv", ["n_rw", "n_distinct"], heaps)
+    g = _cooc(out, pairs)
+    stream.write_labels(out / "cooc_labels.tsv")   # the graph's ids are vocabulary positions
     _stats(cfg, out, g, heaps, walker.node_frequencies(pairs[1], len(stream.vocabulary)),
            n, threads)
     provenance = {"source": source.input, "lines": report.total_lines,
@@ -518,13 +517,17 @@ def _compare_csv(left: Path, right: Path, name: str, out: Path,
     dest = out / name
     dest.parent.mkdir(parents=True, exist_ok=True)
     write_csv(dest, [lh[0]] + [f"{side}_{c}" for c in shared for side in ("left", "right")],
-              joined)
+              zip(*joined))
     if not joined:
         warnings.append(f"{name}: no common x values")
 
 
 def _read_fits(directory: Path) -> dict:
-    """Fitted exponents of an artifact directory; empty when it has none."""
+    """Fitted exponents of an artifact directory, by key; empty when it has none.
+
+    A key holds null, a finite number (not a bool), or an object whose
+    ``exponent`` is one of those; anything else raises ``ContractError``.
+    """
     path = directory / "fits.json"
     if not path.exists():
         return {}
@@ -534,7 +537,16 @@ def _read_fits(directory: Path) -> dict:
         raise ContractError(f"{path}: {exc}") from None
     if not isinstance(fits, dict):
         raise ContractError(f"{path}: expected a JSON object")
-    return fits
+    exponents = {}
+    for key, value in fits.items():
+        if isinstance(value, dict):
+            value = value.get("exponent", ...)
+        if not (value is None or type(value) is int
+                or type(value) is float and math.isfinite(value)):
+            raise ContractError(f"{path}: fit {key!r} is neither null, a finite number "
+                                f"nor an object with such an exponent")
+        exponents[key] = value
+    return exponents
 
 
 def compare(left_dir, right_dir, out_dir) -> Path:
@@ -542,9 +554,13 @@ def compare(left_dir, right_dir, out_dir) -> Path:
 
     Joins ``heaps.csv`` and every ``observables/*.csv`` of either side on
     its x column and diffs the fitted exponents; files present on only one
-    side are listed as warnings in summary.json rather than failing.
+    side are listed as warnings in summary.json rather than failing.  A
+    side that is not a directory raises ``ContractError``.
     """
     left, right, out = Path(left_dir), Path(right_dir), Path(out_dir)
+    for side in (left, right):
+        if not side.is_dir():
+            raise ContractError(f"{side}: not a directory")
     out.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
     _compare_csv(left, right, "heaps.csv", out, warnings)
@@ -556,10 +572,6 @@ def compare(left_dir, right_dir, out_dir) -> Path:
     lfits, rfits = _read_fits(left), _read_fits(right)
     for key in sorted(set(lfits) | set(rfits)):
         lv, rv = lfits.get(key), rfits.get(key)
-        if isinstance(lv, dict):
-            lv = lv.get("exponent")
-        if isinstance(rv, dict):
-            rv = rv.get("exponent")
         if lv is None or rv is None:
             warnings.append(f"fit '{key}' unavailable on "
                             f"{'left' if lv is None else 'right'}")

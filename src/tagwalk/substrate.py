@@ -46,17 +46,21 @@ def sorted_unique(x) -> np.ndarray:
     return x[keep]
 
 
-def _blocks(costs: np.ndarray, budget: int) -> list[tuple[int, int]]:
-    """The items, item i costing ``costs[i]``, cut into non-empty slices ``(lo, hi)``.
+def _blocks(costs: np.ndarray, budget: int):
+    """Yields the items, item i costing ``costs[i]`` >= 0, as slices ``(lo, hi)`` that tile them.
 
-    A slice ends before the item whose running cost passes the next multiple
-    of ``budget``, so a slice costs at most ``budget`` plus its first item.
+    A slice takes items while their cost, summed from its start, stays
+    within ``budget``, and always takes at least one: it costs at most
+    ``budget`` or holds one item.
     """
     ends = np.cumsum(costs)
-    total = int(ends[-1]) if ends.size else 0
-    cuts = np.searchsorted(ends, np.arange(budget, total, budget), side="right").tolist()
-    bounds = sorted({0, *cuts, costs.size})
-    return list(zip(bounds[:-1], bounds[1:]))
+    del costs           # so that a caller's temporary goes while the slices are taken
+    lo = 0
+    while lo < ends.size:
+        limit = (ends.item(lo - 1) if lo else 0) + budget
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -70,7 +74,7 @@ def _segment_pairs(counts: np.ndarray):
 
     So a segment of m items starting at item a gives ``np.triu_indices(m, 1)`` plus a.
     Yields int64 ``(e, f)`` in blocks cut by :func:`_blocks` at ``_PAIR_BLOCK`` pairs:
-    a block holds at most that many plus its first item's.
+    a block holds at most that many, or the pairs of one item.
     """
     later = np.repeat(np.cumsum(counts), counts)      # each item's segment end
     later -= np.arange(1, later.size + 1)
@@ -82,9 +86,8 @@ def _segment_pairs(counts: np.ndarray):
 def _upper_entries(indptr: np.ndarray, indices: np.ndarray):
     """Per slice of rows of about ``_KEY_BLOCK`` entries, the entries (i, j), i < j, of a
     symmetric CSR: their positions in ``indices``, ascending, and their rows i."""
-    k = np.diff(indptr)
-    for lo, hi in _blocks(k, _KEY_BLOCK):
-        rows = np.repeat(np.arange(lo, hi, dtype=indices.dtype), k[lo:hi])
+    for lo, hi in _blocks(np.diff(indptr), _KEY_BLOCK):
+        rows = np.repeat(np.arange(lo, hi, dtype=indices.dtype), np.diff(indptr[lo:hi + 1]))
         upper = np.flatnonzero(rows < indices[indptr[lo]:indptr[hi]])
         yield upper + indptr[lo], rows[upper]
 

@@ -25,7 +25,7 @@ def focus_stream(tagsets, focus_tag="t") -> Corpus:
 def focus_graph(tagsets, focus_tag="t") -> CoocGraph:
     """Co-occurrence graph of :func:`focus_stream`, by the ingest path."""
     stream = focus_stream(tagsets, focus_tag)
-    return project(*stream.tag_pairs(), stream.vocabulary)
+    return project(*stream.tag_pairs())
 
 
 @pytest.fixture

@@ -52,7 +52,7 @@ def naive_vocabulary(traces, origin=None, count_origin=True):
     return vocab
 
 
-def adjacency_dict(weights):
+def neighbor_weights(weights):
     """{node: {neighbor: weight}} view of a pair-weight map."""
     adj: dict[int, dict[int, int]] = {}
     for (i, j), w in weights.items():
@@ -303,10 +303,9 @@ def naive_write_substrate(graph, path) -> None:
 
 def cooc_edges(g: CoocGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges of ``g`` as ``(src, dst, weights)`` in ids, ``src < dst``, sorted."""
-    indptr, neighbors, weights = g.adjacency()
-    rows = np.repeat(np.arange(g.node_count), np.diff(indptr))
-    upper = rows < neighbors
-    return g.node_ids[rows[upper]], g.node_ids[neighbors[upper]], weights[upper]
+    rows = np.repeat(np.arange(g.node_count), np.diff(g.indptr))
+    upper = rows < g.neighbors
+    return g.node_ids[rows[upper]], g.node_ids[g.neighbors[upper]], g.entry_weights[upper]
 
 
 def naive_write_cooc(g, path) -> None:
@@ -346,12 +345,6 @@ def naive_write_jsonl(corpus, path) -> None:
 
 def merge(g1: CoocGraph, g2: CoocGraph) -> CoocGraph:
     """Union of node sets with edge weights added."""
-    if (g1.labels is None) != (g2.labels is None):
-        raise ParameterError("cannot merge labeled with unlabeled graph")
-    labels = g1.labels
-    if labels is not None:
-        if g2.labels != labels:
-            raise ParameterError("merge requires identical label vocabularies")
     node_ids = np.union1d(g1.node_ids, g2.node_ids)
     scale = int(node_ids[-1]) + 1 if node_ids.size else 1
     (s1, d1, w1), (s2, d2, w2) = cooc_edges(g1), cooc_edges(g2)
@@ -359,7 +352,7 @@ def merge(g1: CoocGraph, g2: CoocGraph) -> CoocGraph:
     uniq, inv = np.unique(keys, return_inverse=True)
     weights = np.zeros(uniq.size, dtype=np.int64)
     np.add.at(weights, inv, np.concatenate([w1, w2]))
-    return CoocGraph.from_edges(node_ids, uniq // scale, uniq % scale, weights, labels)
+    return CoocGraph.from_edges(node_ids, uniq // scale, uniq % scale, weights)
 
 
 def low_sample(series: BinnedSeries, threshold: int = 3) -> np.ndarray:
@@ -468,13 +461,14 @@ def _ensemble_from_sequences(traces: Iterable[Sequence[int]],
                         offsets=offsets, nodes=flat)
 
 
-def build_from_posts(posts: Iterable[Sequence[str]], focus_tag: str) -> CoocGraph:
+def build_from_posts(posts: Iterable[Sequence[str]],
+                     focus_tag: str) -> tuple[CoocGraph, tuple[str, ...]]:
     """Project posts' tag sets into a co-occurrence graph around ``focus_tag``.
 
     All posts must contain the focus tag; the focus tag itself is dropped
     from every clique.  Nodes are indices into the sorted tag vocabulary,
-    carried in ``labels``.  The focus stream of ``ingest.filter_by_tag``
-    through ``cooc.project`` must give the same graph.
+    returned with the graph.  The focus stream of ``ingest.filter_by_tag``
+    through ``cooc.project`` must give the same graph and vocabulary.
     """
     tag_sets: list[list[str]] = []
     vocab: set[str] = set()
@@ -490,7 +484,7 @@ def build_from_posts(posts: Iterable[Sequence[str]], focus_tag: str) -> CoocGrap
     group_ids = np.repeat(np.arange(len(tag_sets), dtype=np.int64),
                           [len(t) for t in tag_sets])
     members = np.asarray([index[t] for ts in tag_sets for t in ts], dtype=np.int64)
-    return project(group_ids, members, labels)
+    return project(group_ids, members), labels
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +495,7 @@ def build_from_posts(posts: Iterable[Sequence[str]], focus_tag: str) -> CoocGrap
 def _weight_matrix(g: CoocGraph):
     """The cached adjacency as an integer scipy matrix, sharing its arrays."""
     from scipy.sparse import csr_matrix
-    indptr, neighbors, weights = g.adjacency()
-    return csr_matrix((weights, neighbors, indptr), shape=(g.node_count,) * 2)
+    return csr_matrix((g.entry_weights, g.neighbors, g.indptr), shape=(g.node_count,) * 2)
 
 
 def _normalized_rows(g: CoocGraph):
@@ -523,15 +516,15 @@ def _normalized_rows(g: CoocGraph):
 def takes_exact_path(g: CoocGraph, pair_budget: int = 10 ** 6) -> bool:
     """The cosine path rule, by counting pairs by their smaller degree.
 
-    Exact on at most ``obs.EXACT_SIMILARITY_LIMIT`` live nodes, or where
-    the wedges sum_c C(k_c, 2) plus the pairs C(m, 2) number at most
-    ``obs.EXACT_COST_MULTIPLE`` times ``pair_budget`` x the mean over pairs
-    of min(k_a, k_b).  The pairs whose smaller degree is d are the pairs of
+    Exact where the wedges sum_c C(k_c, 2) plus the pairs C(m, 2) number at
+    most ``obs.EXACT_COST_MULTIPLE`` times ``pair_budget`` x the mean over
+    pairs of min(k_a, k_b), and on fewer than two live nodes, which have no
+    pairs to sample.  The pairs whose smaller degree is d are the pairs of
     nodes of degree >= d less those of nodes of degree > d.
     """
     k = [int(d) for d in g.degrees() if d > 0]
     m = len(k)
-    if m <= obs.EXACT_SIMILARITY_LIMIT:
+    if m < 2:
         return True
     pairs = m * (m - 1) // 2
     wedges = sum(d * (d - 1) // 2 for d in k)
@@ -591,7 +584,7 @@ def spgemm_clustering_of_k(g: CoocGraph) -> tuple[BinnedSeries, BinnedSeries]:
     W = _weight_matrix(g)
     A = W.copy()
     A.data[:] = 1
-    paths = np.cumsum(g.neighbor_sums(k[g.adjacency()[1]]))  # two-paths from rows 0..i
+    paths = np.cumsum(g.neighbor_sums(k[g.neighbors]))  # two-paths from rows 0..i
     plain = np.zeros(k.size)
     weighted = np.zeros(k.size)
     lo = 0

@@ -16,10 +16,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from naive_reference import (adjacency_dict, build_from_traces, cooc_edges, distinct_count,
+from naive_reference import (build_from_traces, cooc_edges, distinct_count,
                              naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_degree,
-                             naive_knn, naive_strength, naive_vocabulary)
+                             naive_knn, naive_strength, naive_vocabulary, neighbor_weights)
 from tagwalk.cli import main
 from tagwalk.cooc import CoocGraph
 from tagwalk.formats import read_csv
@@ -231,7 +231,7 @@ def test_10_observables_match_naive_references(capsys):
         assert int(curve[-1]) == len(vocab), ctx
 
         # degrees, strengths, and their histograms (exact integers)
-        adj = adjacency_dict(want)
+        adj = neighbor_weights(want)
         deg = [int(d) for d in cg.degrees()]
         stren = [int(s) for s in cg.strengths()]
         assert deg == [naive_degree(adj, v) for v in ids], ctx

@@ -154,6 +154,11 @@ BAD_VALUES = [
               "walk.lengths.exponent must be a finite number"),
     bad_value(37, {"graph": {"type": "watts_strogatz", "n": 60, "k": 4}},
               "missing required key 'graph.p_rewire'"),
+    bad_value(38, {"graph": {"type": "regular_tree", "z": 0, "depth": 2}}, "graph.z must be >= 1"),
+    bad_value(39, {"graph": {"type": "regular_tree", "z": 2, "depth": -1}},
+              "graph.depth must be >= 0"),
+    bad_value(40, {"graph": {"type": "erdos_renyi", "n": 0, "mean_degree": 1}},
+              "graph.n must be >= 1"),
 ]
 
 
@@ -545,7 +550,6 @@ def sampled_similarity_count(out):
 def test_stats_and_ingest_are_byte_identical_on_any_thread_count(tmp_path, monkeypatch,
                                                                    command):
     # cosine similarity takes its sampled path, the one that runs on threads
-    monkeypatch.setattr(observables, "EXACT_SIMILARITY_LIMIT", 1)
     monkeypatch.setattr(observables, "EXACT_COST_MULTIPLE", 0)
     budget = {"observables": {"similarity_pair_budget": 150_000}}   # three draws
     if command == "stats":
@@ -998,6 +1002,44 @@ def test_compare_fits_that_are_no_object_exit_2(tmp_path, capsys):
     assert main(["compare", str(run), str(run), "--out", str(tmp_path / "rep")]) == 2
     assert capsys.readouterr().err == (
         f"tagwalk: error: {run / 'fits.json'}: expected a JSON object\n")
+
+
+@pytest.mark.parametrize("side", ["missing", "file"])
+def test_compare_side_that_is_no_directory_exits_2(tmp_path, capsys, side):
+    run, other = tmp_path / "run", tmp_path / "other"
+    run.mkdir()
+    if side == "file":
+        other.write_text("not an artifact directory\n")
+    rep = tmp_path / "rep"
+    assert main(["compare", str(run), str(other), "--out", str(rep)]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: {other}: not a directory\n"
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("value", ['"x"', "true", "[1]", "NaN", '{"exponent": "x"}',
+                                   '{"exponent": false}', '{"stderr": 0.1}'],
+                         ids=["string", "bool", "list", "nan", "string_exponent",
+                              "bool_exponent", "no_exponent"])
+def test_compare_fits_of_no_usable_value_exit_2(tmp_path, capsys, value):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "fits.json").write_text(f'{{"heaps": null, "zipf": {value}}}')
+    assert main(["compare", str(run), str(run), "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err == (
+        f"tagwalk: error: {run / 'fits.json'}: fit 'zipf' is neither null, a finite "
+        f"number nor an object with such an exponent\n")
+
+
+def test_compare_reads_null_numbers_and_exponents(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "fits.json").write_text(json.dumps({
+        "a": None, "b": 2, "c": -1.5, "d": {"exponent": None}, "e": {"exponent": 3}}))
+    summary = json.loads((compare(run, run, tmp_path / "rep") / "summary.json").read_text())
+    assert summary["fits"] == {"b": {"left": 2, "right": 2, "difference": 0},
+                               "c": {"left": -1.5, "right": -1.5, "difference": 0.0},
+                               "e": {"left": 3, "right": 3, "difference": 0}}
+    assert summary["warnings"] == ["fit 'a' unavailable on left", "fit 'd' unavailable on left"]
 
 
 def test_compare_warns_on_csvs_that_share_no_column_or_no_x(tmp_path):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from conftest import focus_graph
-from naive_reference import (adjacency_dict, build_from_traces, cooc_edges, merge,
-                             naive_cooc_weights)
+from conftest import focus_graph, focus_stream
+from naive_reference import (build_from_traces, cooc_edges, merge, naive_cooc_weights,
+                             neighbor_weights)
 import tagwalk.cooc as cooc
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ContractError, ParameterError
@@ -94,7 +94,7 @@ def test_empty_trace_rejected():
 
 def test_single_post_triangle():
     g = focus_graph([{"t", "a", "b", "c"}], "t")
-    assert g.labels == ("a", "b", "c")
+    assert focus_stream([{"t", "a", "b", "c"}], "t").vocabulary == ("a", "b", "c")
     assert weight_map(g) == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
 
 
@@ -129,16 +129,11 @@ def test_merge_with_empty_is_identity():
     assert weight_map(merged) == weight_map(g)
 
 
-def test_merge_label_compatibility():
+def test_merge_of_focus_graphs_adds_weights():
+    # ids are positions in each stream's vocabulary, here the same one
     a = focus_graph([{"t", "x", "y"}], "t")
     b = focus_graph([{"t", "x", "y"}], "t")
-    c = focus_graph([{"t", "x", "z"}], "t")
-    merged = merge(a, b)
-    assert weight_map(merged) == {(0, 1): 2}
-    with pytest.raises(ParameterError):
-        merge(a, c)
-    with pytest.raises(ParameterError):
-        merge(a, build_from_traces([[0, 1]]))
+    assert weight_map(merge(a, b)) == {(0, 1): 2}
 
 
 @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6),
@@ -160,7 +155,7 @@ def test_merge_is_concatenation(t1, t2):
 def test_degrees_and_strengths_match_adjacency():
     traces = [[0, 1, 2], [1, 2, 3], [0, 2]]
     g = build_from_traces(traces)
-    adj = adjacency_dict(naive_cooc_weights(traces))
+    adj = neighbor_weights(naive_cooc_weights(traces))
     for pos, node in enumerate(g.node_ids.tolist()):
         assert g.degrees()[pos] == len(adj.get(node, {}))
         assert g.strengths()[pos] == sum(adj.get(node, {}).values())
@@ -207,7 +202,7 @@ def test_adjacency_is_the_canonical_csr_and_shared():
     want = csr_matrix((w, (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
                       shape=(n, n))
     want.sort_indices()
-    indptr, neighbors, weights = g.adjacency()
+    indptr, neighbors, weights = g.indptr, g.neighbors, g.entry_weights
     assert np.array_equal(indptr, want.indptr)
     assert np.array_equal(neighbors, want.indices)
     assert np.array_equal(weights, want.data)
@@ -217,14 +212,13 @@ def test_adjacency_is_the_canonical_csr_and_shared():
     for derived in (g.degrees(), g.strengths(), indptr, neighbors, weights):
         assert not derived.flags.writeable
     assert g.degrees() is g.degrees()
-    assert all(a is b for a, b in zip(g.adjacency(), g.adjacency()))
 
 
 @pytest.mark.parametrize("dtype", [bool, np.int32, np.int64, np.float64])
 def test_neighbor_sums_hold_one_copy_of_their_values(dtype):
     # one walk over 300 nodes: 89,700 adjacency entries over 300 rows
     g = build_from_traces([list(range(300))])
-    indptr, neighbors, _ = g.adjacency()
+    indptr, neighbors = g.indptr, g.neighbors
     values = (np.arange(neighbors.size) % 7 * 0.25).astype(dtype)
     want = np.concatenate([[0], np.cumsum(values)])
     want = want[indptr[1:]] - want[indptr[:-1]]
@@ -254,7 +248,7 @@ def test_find_edges_matches_the_edge_set(seed, table_bytes, dtype, monkeypatch):
     src, dst, _ = cooc_edges(g)
     edges = set(zip(np.searchsorted(g.node_ids, src).tolist(),
                     np.searchsorted(g.node_ids, dst).tolist()))
-    indptr, neighbors, _ = g.adjacency()
+    indptr, neighbors = g.indptr, g.neighbors
     rows, cols = rng.integers(0, n, (2, 4000)).astype(dtype)
     hit, entries = g.find_edges(rows, cols)
     assert hit.tolist() == [p for p, (r, c) in enumerate(zip(rows, cols))
@@ -282,13 +276,10 @@ def test_edge_list_round_trip(tmp_path):
 
 
 def test_labels_file(tmp_path):
-    g = focus_graph([{"t", "b", "a"}], "t")
+    # the focus stream names the graph's ids: position i of its vocabulary
     path = tmp_path / "labels.tsv"
-    g.write_labels(path)
+    focus_stream([{"t", "b", "a"}], "t").write_labels(path)
     assert path.read_text() == "id\tlabel\n0\ta\n1\tb\n"
-    unlabeled = build_from_traces([[0, 1]])
-    with pytest.raises(ParameterError):
-        unlabeled.write_labels(tmp_path / "nope.tsv")
 
 
 def test_read_edge_list_rejects_bad_header(tmp_path):

@@ -61,8 +61,8 @@ def assert_same(got, want):
     pytest.param(lambda: heaps_checkpoints(0), NO_IDS, id="heaps_checkpoints-zero_walks"),
     pytest.param(lambda: project(NO_IDS, NO_IDS),
                  CoocGraph.from_edges(NO_IDS, NO_IDS, NO_IDS, NO_IDS), id="project-empty"),
-    pytest.param(lambda: project(np.zeros(1, dtype=np.int64), np.asarray([5]), ("a",)),
-                 CoocGraph.from_edges(np.asarray([5]), NO_IDS, NO_IDS, NO_IDS, ("a",)),
+    pytest.param(lambda: project(np.zeros(1, dtype=np.int64), np.asarray([5])),
+                 CoocGraph.from_edges(np.asarray([5]), NO_IDS, NO_IDS, NO_IDS),
                  id="project-one_node"),
     pytest.param(lambda: degree_strength_weight_distributions(empty_graph()),
                  (NO_VALUES,) * 3, id="distributions-empty"),

@@ -224,8 +224,8 @@ def test_vocabulary_growth_focus_only_posts():
 
 def test_empirical_cooc_weights_and_labels():
     stream = focus_stream([{"t", "a", "b"}, {"t", "a", "b"}, {"t", "b", "c"}])
-    g = project(*stream.tag_pairs(), stream.vocabulary)
-    assert g.labels == ("a", "b", "c")
+    g = project(*stream.tag_pairs())
+    assert stream.vocabulary == ("a", "b", "c")
     pairs = {(int(i), int(j)): int(w) for i, j, w in zip(*cooc_edges(g))}
     assert pairs == {(0, 1): 2, (1, 2): 1}
     _, d = growth(stream)
@@ -265,13 +265,13 @@ def test_posts_from_traces_round_trip(tmp_path):
     assert n.tolist() == walks.tolist()
     assert d.tolist() == distinct.tolist()
 
-    emp = project(*stream.tag_pairs(), stream.vocabulary)
+    emp = project(*stream.tag_pairs())
     syn = build_from_traces(ens, count_origin=False)
     assert emp.edge_count == syn.edge_count
     assert np.array_equal(cooc_edges(emp)[2], cooc_edges(syn)[2])
     # zero-padded labels sort numerically
     want_labels = tuple(f"n{int(v):02d}" for v in syn.node_ids)
-    assert emp.labels == want_labels
+    assert tuple(stream.vocabulary[i] for i in emp.node_ids) == want_labels
 
 
 tag_sets = st.frozensets(st.sampled_from(["t", "a", "b", "c", "é", "t2"]), max_size=5)
@@ -286,8 +286,8 @@ def test_focus_stream_matches_python_loops(posts):
     kept = [tags for _, tags in sorted(posts, key=lambda p: p[0]) if "t" in tags]
     assert len(stream) == len(kept)
 
-    got, want = project(*stream.tag_pairs(), stream.vocabulary), build_from_posts(kept, "t")
-    assert got.labels == want.labels
+    got, (want, labels) = project(*stream.tag_pairs()), build_from_posts(kept, "t")
+    assert stream.vocabulary == labels
     assert np.array_equal(got.node_ids, want.node_ids)
     for a, b in zip(cooc_edges(got), cooc_edges(want)):
         assert np.array_equal(a, b)

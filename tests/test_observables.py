@@ -17,9 +17,9 @@ import tagwalk
 import tagwalk.cooc as cooc
 import tagwalk.observables as obs
 import tagwalk.substrate as substrate
-from naive_reference import (adjacency_dict, build_from_traces, cooc_edges, log_binned,
+from naive_reference import (build_from_traces, cooc_edges, log_binned,
                              low_sample, naive_class_means, naive_clustering,
-                             naive_cooc_weights, naive_cosine, naive_knn,
+                             naive_cooc_weights, naive_cosine, naive_knn, neighbor_weights,
                              sample_size, scipy_similarities,
                              spgemm_clustering_of_k, takes_exact_path)
 from tagwalk.cooc import CoocGraph
@@ -116,7 +116,7 @@ def test_uniform_weights_reduce_to_unweighted(seed):
             seen.add(key)
             unique_traces.append(t)
     g = build_from_traces(unique_traces)
-    assert np.all(g.adjacency()[2] == 1)
+    assert np.all(g.entry_weights == 1)
     for a, b in (knn_of_k(g), clustering_of_k(g)):
         assert np.array_equal(a.x, b.x)
         assert a.y == pytest.approx(b.y.tolist(), abs=1e-12)
@@ -126,7 +126,7 @@ def test_uniform_weights_reduce_to_unweighted(seed):
 def test_class_observables_match_naive(seed):
     g = random_cooc(seed)
     traces = None  # naive built from the weight map directly
-    adj = adjacency_dict({(int(i), int(j)): int(w) for i, j, w in zip(*cooc_edges(g))})
+    adj = neighbor_weights({(int(i), int(j)): int(w) for i, j, w in zip(*cooc_edges(g))})
     ids = g.node_ids.tolist()
     for weighted, got, got_c in zip((False, True), knn_of_k(g), clustering_of_k(g)):
         want = naive_class_means(
@@ -219,7 +219,7 @@ def test_clustering_scratch_memory_is_one_block():
     # K_211,211 (see below) has 211 C(211, 2) = 4.67e6 wedges, 285 blocks
     m = 211
     g = cooc_graph(range(2 * m), [(i, j) for i in range(m) for j in range(m, 2 * m)])
-    g.adjacency(), g.degrees(), g.strengths(), g._edge_table
+    g.degrees(), g.strengths(), g._edge_table
     tracemalloc.start()
     try:
         clustering_of_k(g)
@@ -227,7 +227,7 @@ def test_clustering_scratch_memory_is_one_block():
     finally:
         tracemalloc.stop()
     # the pass's arrays per adjacency entry, plus about 80 bytes per wedge of a block
-    assert peak < 40 * g.adjacency()[1].size + 128 * substrate._PAIR_BLOCK
+    assert peak < 40 * g.neighbors.size + 128 * substrate._PAIR_BLOCK
 
 
 ORACLE_GRAPHS = {
@@ -288,7 +288,7 @@ def test_clustering_matches_spgemm_oracle_through_a_colliding_table(name, table_
     monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
     graph = replace(ORACLE_GRAPHS[name])     # builds its own table
     if graph.edge_count:
-        assert graph._edge_table.mask + 1 < graph.adjacency()[1].size
+        assert graph._edge_table.mask + 1 < graph.neighbors.size
     assert_matches_oracle(graph)
 
 
@@ -309,12 +309,13 @@ def test_projection_and_clustering_keep_nothing_after_they_return():
     g, held = held_after(lambda: cooc.project(np.zeros(1237, dtype=np.int64),
                                               np.arange(1237)))
     assert g.edge_count == 1237 * 1236 // 2
-    assert held < sum(a.nbytes for a in (g.node_ids, *g.adjacency())) + 10_000
+    assert held < sum(a.nbytes for a in (g.node_ids, g.indptr, g.neighbors,
+                                         g.entry_weights)) + 10_000
     # K_211,211: all degrees tie, so each node of the first side points to
     # all 211 of the second, and the second side points nowhere
     m = 211
     g = cooc_graph(range(2 * m), [(i, j) for i in range(m) for j in range(m, 2 * m)])
-    g.adjacency(), g.degrees(), g.strengths(), g._edge_table
+    g.degrees(), g.strengths(), g._edge_table
     (plain, weighted), held = held_after(lambda: clustering_of_k(g))
     assert plain.x.tolist() == [m] and plain.y.tolist() == [0.0] == weighted.y.tolist()
     assert held < 10_000
@@ -327,7 +328,6 @@ def test_a_graph_at_rest_holds_its_csr_and_per_node_arrays():
     degree_strength_weight_distributions(g), s_of_k(g), knn_of_k(g), clustering_of_k(g)
     weight_vs_kikj(g), cosine_similarity_distribution(g), assert_accounting(g)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
         mp.setattr(obs, "EXACT_COST_MULTIPLE", 0)
         assert cosine_similarity_distribution(g, pair_budget=1000).sampled
     held = {}
@@ -340,7 +340,7 @@ def test_a_graph_at_rest_holds_its_csr_and_per_node_arrays():
             for item in value:
                 collect(item)
     collect(tuple(v for name, v in vars(g).items() if name != "_edge_table"))
-    entries = g.adjacency()[1].size
+    entries = g.neighbors.size
     assert entries > 20 * g.node_count
     assert sum(held.values()) <= 12 * entries + 5 * 8 * (g.node_count + 1)
 
@@ -416,7 +416,7 @@ def test_exact_similarities_hand_values(hand_graph):
 
 
 def test_similarity_matches_naive(hand_graph):
-    adj = adjacency_dict({(int(i), int(j)): int(w)
+    adj = neighbor_weights({(int(i), int(j)): int(w)
                           for i, j, w in zip(*cooc_edges(hand_graph))})
     assert naive_cosine(adj, 0, 2) == pytest.approx(6.0 / np.sqrt(60.0))
     assert naive_cosine(adj, 2, 3) == pytest.approx(0.0)
@@ -432,7 +432,6 @@ def test_similarity_identical_vectors_hit_top_bin():
 def test_similarity_sampling_path(monkeypatch):
     g = random_cooc(9)
     exact = cosine_similarity_distribution(g)
-    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 5)
     monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     sampled = cosine_similarity_distribution(g, pair_budget=40_000, seed=1)
     assert sampled.sampled and sampled.pair_count == 40_000
@@ -444,7 +443,6 @@ def test_similarity_sampling_path(monkeypatch):
 
 def test_similarity_sample_does_not_depend_on_block_size(monkeypatch):
     g = random_cooc(9)
-    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 5)
     monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     counts = []
     for probes in (1 << 20, obs.SIMILARITY_BLOCK_PROBES, 999):
@@ -454,10 +452,10 @@ def test_similarity_sample_does_not_depend_on_block_size(monkeypatch):
 
 
 def test_similarity_sample_memory_does_not_grow_with_budget(monkeypatch, threads=1):
-    # a ring just above the exact limit: its weight rows are tiny, so the
-    # peak is that of the sampling itself
+    # a ring of 2,100 nodes: its weight rows are tiny, so the peak is that
+    # of the sampling itself
     monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
-    n = obs.EXACT_SIMILARITY_LIMIT + 100
+    n = 2100
     g = build_from_traces([[i, (i + 1) % n] for i in range(n)])
 
     def peak(pair_budget, threads):
@@ -485,9 +483,8 @@ def test_similarity_sample_memory_does_not_grow_with_budget_on_two_threads(monke
 def test_exact_similarity_memory_is_one_block_not_the_triangle():
     # 1,900 live nodes and a hub: the whole triangle alone would take 13.8 MiB
     g = ring_of_hubs(1900, 1)
-    g.adjacency(), g.degrees()
     m = np.count_nonzero(g.degrees())
-    assert m <= obs.EXACT_SIMILARITY_LIMIT
+    assert takes_exact_path(g)
     tracemalloc.start()
     try:
         hist = cosine_similarity_distribution(g)
@@ -567,7 +564,6 @@ def test_exact_similarities_match_scipy_oracle(name, batch, monkeypatch):
 @pytest.mark.parametrize("name", COSINE_GRAPHS)
 def test_sampled_similarities_match_scipy_oracle(name, pairs, probes, monkeypatch):
     graph = COSINE_GRAPHS[name]
-    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
     monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     want = scipy_similarities(graph, pair_budget=pairs, seed=5)
     assert want.size == pairs
@@ -577,7 +573,6 @@ def test_sampled_similarities_match_scipy_oracle(name, pairs, probes, monkeypatc
 
 def test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch, threads=1):
     graph = random_cooc(8)
-    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
     monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     want = scipy_similarities(graph, pair_budget=140_000, seed=9)   # three draws
     draws = list(obs._sampled_similarities(graph, 140_000, 9, threads))
@@ -590,7 +585,6 @@ def test_sampled_similarities_match_scipy_oracle_across_draws(monkeypatch, threa
 @pytest.mark.parametrize("name", COSINE_GRAPHS)
 def test_sampled_similarities_match_scipy_oracle_on_threads(name, threads, monkeypatch):
     graph = COSINE_GRAPHS[name]
-    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
     monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     monkeypatch.setattr(obs, "SIMILARITY_BLOCK_PROBES", 999)    # several blocks per worker
     want = scipy_similarities(graph, pair_budget=3000, seed=5)
@@ -613,13 +607,12 @@ def test_similarity_rejects_no_threads():
 def test_sampled_similarities_survive_a_colliding_table(name, table_bytes, monkeypatch):
     # 0 bytes leaves one slot, which every key shares; 1 byte leaves one
     # slot per one or two entries
-    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
     monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     want = scipy_similarities(COSINE_GRAPHS[name], pair_budget=3000, seed=6)
     monkeypatch.setattr(cooc, "EDGE_TABLE_BYTES", table_bytes)
     graph = replace(COSINE_GRAPHS[name])     # builds its own table
     rows = graph._edge_table
-    assert rows.mask + 1 < graph.adjacency()[1].size   # fewer slots than keys
+    assert rows.mask + 1 < graph.neighbors.size   # fewer slots than keys
     assert rows.shared_ids.size > 1
     assert same_bits(sampled_similarities(graph, 3000, 6), want)
 
@@ -654,7 +647,6 @@ def test_cosine_matches_scipy_oracle_on_any_graph(graph):
     if np.count_nonzero(graph.degrees()) < 2:
         return
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
         mp.setattr(obs, "EXACT_COST_MULTIPLE", 0)
         want = scipy_similarities(graph, pair_budget=600, seed=4)
         for table_bytes in (0, cooc.EDGE_TABLE_BYTES):
@@ -679,10 +671,9 @@ def test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budg
     # the same size holds the same draws, in blocks of as many probes over
     # rows of two entries.
     graph, ring = ring_of_hubs(n, hubs), ring_of_hubs(n, 0)
-    assert n > obs.EXACT_SIMILARITY_LIMIT
+    assert not (takes_exact_path(graph, pair_budget) or takes_exact_path(ring, pair_budget))
 
     def peak(g):
-        g.adjacency()
         g.degrees()
         tracemalloc.start()
         try:
@@ -693,7 +684,7 @@ def test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budg
         finally:
             tracemalloc.stop()
 
-    adjacency = sum(a.nbytes for a in graph.adjacency())
+    adjacency = sum(a.nbytes for a in (graph.indptr, graph.neighbors, graph.entry_weights))
     assert peak(graph) <= 2 * adjacency + peak(ring)
 
 
@@ -704,16 +695,16 @@ def test_similarity_sample_memory_is_the_graph_plus_one_block_on_two_threads(n, 
     test_similarity_sample_memory_is_the_graph_plus_one_block(n, hubs, pair_budget, threads=2)
 
 
-# Cosine takes the exact path on at most EXACT_SIMILARITY_LIMIT live nodes,
-# and above it wherever the exact cost is at most EXACT_COST_MULTIPLE times
-# the sampled one.
+# Cosine takes the exact path wherever the exact cost is at most
+# EXACT_COST_MULTIPLE times the sampled one.  That holds on every graph of
+# at most 1.5 x pair_budget pairs, so the fixed graphs below have more.
 
 def test_similarity_goes_exact_above_the_limit_where_that_is_cheaper():
     # 2,100 nodes in random cliques: about 1e6 wedges and 2.2e6 pairs,
     # against 10^6 sampled pairs of some 20 probes each
     g = random_cliques(1, n_nodes=2100, n_posts=6000)
     m = np.count_nonzero(g.degrees())
-    assert m > obs.EXACT_SIMILARITY_LIMIT and takes_exact_path(g)
+    assert m * (m - 1) // 2 > 1.5 * 10 ** 6 and takes_exact_path(g)
     hist = cosine_similarity_distribution(g)
     want = scipy_similarities(g)
     assert not hist.sampled and hist.pair_count == want.size == m * (m - 1) // 2
@@ -749,25 +740,23 @@ def test_similarity_at_the_cost_boundary_goes_exact_on_any_thread_count(threads)
 @given(cosine_graphs(), st.integers(1, 100))
 @settings(max_examples=60, deadline=None)
 def test_similarity_path_rule_matches_the_counting_oracle(graph, pair_budget):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
-        assert (obs._exact_similarity_pays(graph.degrees(), pair_budget)
-                == takes_exact_path(graph, pair_budget))
+    assert (obs._exact_similarity_pays(graph.degrees(), pair_budget)
+            == takes_exact_path(graph, pair_budget))
 
 
 def test_exact_similarity_memory_is_below_the_estimates(monkeypatch):
-    # A walk graph just above the limit, on which the exact path is the
+    # A walk graph of over 2,000 live nodes, on which the exact path is the
     # cheaper: it must also hold less than the estimate, whose peak
     # includes the edge table it builds.  One draw of pairs holds as much
     # as many (test_similarity_sample_memory_does_not_grow_with_budget).
     walks = simulate_walks(generate_watts_strogatz(20_000, 8, 0.1, seed=1), 0, 20_000,
                            PowerLawLength(2.5, 1, 100), seed=1)
     g = build_from_traces(walks)
-    assert np.count_nonzero(g.degrees()) > obs.EXACT_SIMILARITY_LIMIT
+    assert np.count_nonzero(g.degrees()) > 2000
     assert takes_exact_path(g)
 
     def peak(graph, **kwargs):
-        graph.adjacency(), graph.degrees()
+        graph.degrees()
         tracemalloc.start()
         try:
             hist = cosine_similarity_distribution(graph, **kwargs)
@@ -776,7 +765,6 @@ def test_exact_similarity_memory_is_below_the_estimates(monkeypatch):
             tracemalloc.stop()
 
     exact_sampled, exact = peak(g)
-    monkeypatch.setattr(obs, "EXACT_SIMILARITY_LIMIT", 1)
     monkeypatch.setattr(obs, "EXACT_COST_MULTIPLE", 0)
     sampled_sampled, sampled = peak(replace(g), pair_budget=65_536, seed=2)
     assert not exact_sampled and sampled_sampled
@@ -798,7 +786,7 @@ for command, config in (("run", run), ("ingest", ingest), ("stats", stats)):
 
 def test_commands_run_without_scipy(tmp_path):
     # a fresh interpreter: run on a graph of the exact cosine path, ingest,
-    # and stats on a graph above the limit, each leaving scipy unimported
+    # and stats on a graph of the sampled path, each leaving scipy unimported
     run = tmp_path / "run.json"
     run.write_text(json.dumps({
         "seed": 3, "graph": {"type": "watts_strogatz", "n": 300, "k": 4, "p_rewire": 0.1},
@@ -813,7 +801,7 @@ def test_commands_run_without_scipy(tmp_path):
     stats = tmp_path / "stats.json"
     stats.write_text(json.dumps({**json.loads(run.read_text()),
                                  "observables": {"similarity_pair_budget": 20_000}}))
-    n = obs.EXACT_SIMILARITY_LIMIT + 100
+    n = 2100
     (tmp_path / "stats_out").mkdir()
     cooc_graph(range(n), [(i, i + 1) for i in range(n - 1)]).write_edge_list(
         tmp_path / "stats_out" / "cooc.edges")

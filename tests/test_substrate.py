@@ -403,6 +403,28 @@ def test_ranges_concatenate_aranges(spans):
     assert got.dtype == np.int64 and np.array_equal(got, np.concatenate([[], *want]))
 
 
+@given(st.lists(st.integers(0, 20), max_size=30), st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_blocks_tile_the_items_within_the_budget(costs, budget):
+    slices = list(substrate._blocks(np.array(costs, dtype=np.int64), budget))
+    bounds = [0] + [hi for _, hi in slices]
+    assert [lo for lo, _ in slices] == bounds[:-1] and bounds[-1] == len(costs)
+    for lo, hi in slices:
+        assert lo < hi
+        assert sum(costs[lo:hi]) <= budget or hi - lo == 1
+        # the slice stops only where the next item would pass the budget
+        assert hi == len(costs) or sum(costs[lo:hi + 1]) > budget
+
+
+def test_blocks_memory_does_not_grow_with_total_over_budget():
+    # 16 items of 2^17 each: at budget 1 a list of every cut would hold 2^21 of them
+    costs = np.full(16, 1 << 17, dtype=np.int64)
+    slices = []
+    peak = traced_peak(lambda: slices.extend(substrate._blocks(costs, 1)))
+    assert slices == [(i, i + 1) for i in range(16)]
+    assert peak < 10_000
+
+
 def traced_peak(call) -> int:
     tracemalloc.start()
     try:

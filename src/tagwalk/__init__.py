@@ -16,8 +16,8 @@ from .observables import (clustering_of_k, cosine_similarity_distribution,
                           frequency_rank, knn_of_k, s_of_k, weight_vs_kikj)
 from .pipeline import (ExperimentConfig, IngestConfig, compare, load_config,
                        run_experiment, run_ingest, run_stage)
-from .substrate import (ErdosRenyi, GraphSpec, RegularTree, RingProfile,
-                        SubstrateGraph, WattsStrogatz, bfs_rings, build_graph,
+from .substrate import (ErdosRenyi, RegularTree, RingProfile, SubstrateGraph,
+                        WattsStrogatz, bfs_rings, build_graph,
                         generate_erdos_renyi, generate_regular_tree,
                         generate_watts_strogatz)
 from .theory import (ExponentialRings, PowerLawRings, RingModelSpec,
@@ -33,8 +33,8 @@ __all__ = [
     "FitError", "EvaluationError", "IngestError",
     "ExperimentConfig", "IngestConfig", "load_config",
     "run_experiment", "run_ingest", "run_stage", "compare",
-    "SubstrateGraph", "GraphSpec", "WattsStrogatz", "RegularTree",
-    "ErdosRenyi", "RingProfile", "build_graph", "bfs_rings",
+    "SubstrateGraph", "WattsStrogatz", "RegularTree", "ErdosRenyi",
+    "RingProfile", "build_graph", "bfs_rings",
     "generate_watts_strogatz", "generate_regular_tree", "generate_erdos_renyi",
     "RingModelSpec", "PowerLawRings", "ExponentialRings",
     "n_distinct_random_length",

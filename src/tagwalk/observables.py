@@ -291,10 +291,10 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int, threads: in
     Yields one array per draw of at most 65,536 pairs, drawn on the calling
     thread.  A draw is cut into blocks of about ``SIMILARITY_BLOCK_PROBES //
     threads`` probes, which :func:`map_blocks` spreads over ``threads``
-    threads, each block into its own slice of the draw.  A pair's bits do
-    not depend on its block, so the draws are the same for any ``threads``,
-    and the probes in flight, most of a block's memory, stay those of one
-    single-thread block.
+    threads; the blocks' results, in block order, are joined into the draw.
+    A pair's bits do not depend on its block, so the draws are the same for
+    any ``threads``, and the probes in flight, most of a block's memory,
+    stay those of one single-thread block.
     """
     k = g.degrees()
     inv = _inverse_norms(g)
@@ -309,13 +309,9 @@ def _sampled_similarities(g: CoocGraph, pair_budget: int, seed: int, threads: in
         j = rng.integers(live.size, size=i.size)
         ok = i != j
         i, j = live[i[ok][:take]], live[j[ok][:take]]
-        sims = np.empty(i.size)
-
-        def block(cut: tuple[int, int]) -> None:
-            lo, hi = cut
-            sims[lo:hi] = _cosines(g, inv, i[lo:hi], j[lo:hi])
-
-        map_blocks(block, list(_blocks(np.minimum(k[i], k[j]), block_probes)), threads)
+        cuts = list(_blocks(np.minimum(k[i], k[j]), block_probes))
+        sims = np.concatenate([np.empty(0)] + map_blocks(
+            lambda cut: _cosines(g, inv, i[cut[0]:cut[1]], j[cut[0]:cut[1]]), cuts, threads))
         remaining -= i.size
         del i, j, ok        # the next draw need not meet this one's arrays
         yield sims

@@ -29,8 +29,8 @@ from . import cooc, ingest, observables, theory, walker
 from .errors import ConfigError, ContractError, FitError, ParameterError
 from .formats import read_csv, sha256_of, write_csv, write_json
 from .rng import derive_seed
-from .substrate import (ErdosRenyi, GraphSpec, GraphVariant, RegularTree,
-                        SubstrateGraph, WattsStrogatz, bfs_rings, build_graph)
+from .substrate import (ErdosRenyi, GraphVariant, RegularTree, SubstrateGraph,
+                        WattsStrogatz, bfs_rings, build_graph)
 from .walker import FixedLength, PowerLawLength, WalkConfig, WalkEnsemble
 
 __all__ = [
@@ -113,8 +113,8 @@ class ExperimentConfig(_RunConfig):
                                  "the graph's node count")
 
     @property
-    def graph_spec(self) -> GraphSpec:
-        return GraphSpec(variant=self.graph, seed=derive_seed(self.seed, _GRAPH_SALT))
+    def graph_seed(self) -> int:
+        return derive_seed(self.seed, _GRAPH_SALT)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -231,11 +231,6 @@ def _fit_or_none(x, y, window) -> dict | None:
             "window": [fr.window[0], fr.window[1]], "points": fr.points}
 
 
-def _finite_or_none(value) -> float | None:
-    value = float(value)
-    return value if np.isfinite(value) else None
-
-
 # ---------------------------------------------------------------------------
 # The stats stage (shared by synthetic and empirical runs)
 # ---------------------------------------------------------------------------
@@ -278,8 +273,7 @@ def _stats(cfg: ExperimentConfig | IngestConfig, out: Path, g: cooc.CoocGraph,
     fits["weight_product_plateau"] = fits["weight_product_tail"] = None
     if products.size:
         decile = np.quantile(products, 0.10)
-        fits["weight_product_plateau"] = _finite_or_none(
-            weights[products <= decile].mean())
+        fits["weight_product_plateau"] = float(weights[products <= decile].mean())
         p_max = float(products.max())
         fits["weight_product_tail"] = _fit_or_none(
             binned.x, binned.y, (p_max / 10 ** TAIL_FIT_DECADES, p_max))
@@ -344,7 +338,7 @@ def _read_heaps(path: Path) -> tuple[np.ndarray, np.ndarray]:
 # a stage's inputs from the artifact directory and calls the same function.
 
 def _generate(cfg: ExperimentConfig, out: Path) -> SubstrateGraph:
-    graph = build_graph(cfg.graph_spec)
+    graph = build_graph(cfg.graph, cfg.graph_seed)
     graph.write_edge_list(out / "substrate.edges")
     return graph
 
@@ -403,9 +397,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> Path:
     return out
 
 
-def _substrate(cfg: ExperimentConfig, out: Path) -> SubstrateGraph:
+def _substrate(cfg: ExperimentConfig, out: Path, write: bool = False) -> SubstrateGraph:
+    """``out``'s ``substrate.edges``, which must hold ``walk.origin``; when it
+    is missing, the configured graph, written there when ``write``."""
     path = out / "substrate.edges"
-    return SubstrateGraph.read_edge_list(path) if path.exists() else build_graph(cfg.graph_spec)
+    if not path.exists():
+        return _generate(cfg, out) if write else build_graph(cfg.graph, cfg.graph_seed)
+    graph = SubstrateGraph.read_edge_list(path)
+    if cfg.walk.origin >= graph.node_count:
+        raise ContractError(f"{path}: walk.origin {cfg.walk.origin} is not one "
+                            f"of its {graph.node_count} nodes")
+    return graph
 
 
 def _input(out: Path, name: str, stage: str) -> Path:
@@ -431,9 +433,7 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
     if stage == "generate":
         _generate(cfg, out)
     elif stage == "walk":
-        path = out / "substrate.edges"
-        graph = SubstrateGraph.read_edge_list(path) if path.exists() else _generate(cfg, out)
-        _walk(cfg, out, graph, traces=True)
+        _walk(cfg, out, _substrate(cfg, out, write=True), traces=True)
     elif stage == "cooc":
         ens = WalkEnsemble.read_traces(_input(out, "traces.txt", "walk"),
                                        _substrate(cfg, out), cfg.walk.origin)

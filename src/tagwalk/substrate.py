@@ -19,7 +19,6 @@ from .formats import declared, read_int_table, write_int_rows
 
 __all__ = [
     "SubstrateGraph",
-    "GraphSpec",
     "WattsStrogatz",
     "RegularTree",
     "ErdosRenyi",
@@ -241,21 +240,14 @@ def _check_node_count(variant) -> None:
 GraphVariant = Union[WattsStrogatz, RegularTree, ErdosRenyi]
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    variant: GraphVariant
-    seed: int
-
-
-def build_graph(spec: GraphSpec) -> SubstrateGraph:
-    v = spec.variant
-    if isinstance(v, WattsStrogatz):
-        return generate_watts_strogatz(v.n, v.k, v.p_rewire, spec.seed)
-    if isinstance(v, RegularTree):
-        return generate_regular_tree(v.z, v.depth, spec.seed)
-    if isinstance(v, ErdosRenyi):
-        return generate_erdos_renyi(v.n, v.mean_degree, spec.seed)
-    raise ParameterError(f"unknown graph variant {type(v).__name__}")
+def build_graph(variant: GraphVariant, seed: int) -> SubstrateGraph:
+    if isinstance(variant, WattsStrogatz):
+        return generate_watts_strogatz(variant.n, variant.k, variant.p_rewire, seed)
+    if isinstance(variant, RegularTree):
+        return generate_regular_tree(variant.z, variant.depth)
+    if isinstance(variant, ErdosRenyi):
+        return generate_erdos_renyi(variant.n, variant.mean_degree, seed)
+    raise ParameterError(f"unknown graph variant {type(variant).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +373,13 @@ def _settle_slice(c: np.ndarray, m: np.ndarray, j: int, partner: np.ndarray,
     return t
 
 
-def generate_regular_tree(z: int, depth: int, seed: int = 0) -> SubstrateGraph:
+def generate_regular_tree(z: int, depth: int) -> SubstrateGraph:
     """Rooted tree where every node has ``z+1`` neighbors, truncated at ``depth``.
 
     The root (node 0) has ``z+1`` children and each internal node ``z``
     further children, so the shell at distance ``l >= 1`` holds
-    ``(z+1) * z**(l-1)`` nodes.  Deterministic; ``seed`` is accepted for
-    interface uniformity only.
+    ``(z+1) * z**(l-1)`` nodes.  Deterministic.
     """
-    del seed
     total = RegularTree(z, depth).node_count   # raises ParameterError on a bad parameter
     # nodes are numbered level by level: the root's children are 1..z+1 and
     # node v >= 1 has children z+2+(v-1)*z .. z+1+v*z

@@ -154,15 +154,14 @@ def n_distinct_random_length(spec: RingModelSpec, n_rw):
     while True:
         stop = min(l + block, support_end + 1, RING_CAP + 1)
         ls = np.arange(l, stop)
-        if ls.size:
-            sizes = ring_sizes(spec.rings, ls)
-            last = 0.0
-            for p in range(0, flat.size, POINT_BLOCK):
-                terms = _coverage(sizes, flat[p:p + POINT_BLOCK, None] * tail[ls])
-                total[p:p + POINT_BLOCK] += terms.sum(axis=-1)
-                last = np.maximum(last, terms[:, -1].max())
-            if last < TERM_THRESHOLD:
-                break
+        sizes = ring_sizes(spec.rings, ls)
+        last = 0.0
+        for p in range(0, flat.size, POINT_BLOCK):
+            terms = _coverage(sizes, flat[p:p + POINT_BLOCK, None] * tail[ls])
+            total[p:p + POINT_BLOCK] += terms.sum(axis=-1)
+            last = np.maximum(last, terms[:, -1].max())
+        if last < TERM_THRESHOLD:
+            break
         if stop > support_end:
             break
         if stop > RING_CAP:

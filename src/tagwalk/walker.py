@@ -97,18 +97,15 @@ class WalkConfig:
 
 
 @lru_cache(maxsize=32)
-def _power_law_cdf(dist: PowerLawLength) -> np.ndarray:
-    return np.cumsum(length_pmf(dist)[1])
+def _length_cdf(dist: LengthDist) -> tuple[np.ndarray, np.ndarray]:
+    values, pmf = length_pmf(dist)
+    return values, np.cumsum(pmf)
 
 
 def sample_lengths(dist: LengthDist, u):
     """Map uniforms in [0, 1) to lengths by inverting the distribution's CDF."""
-    u = np.asarray(u)
-    if isinstance(dist, FixedLength):
-        return np.full(u.shape, dist.value, dtype=np.int64)
-    cdf = _power_law_cdf(dist)
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
-    return (dist.l_min + idx).astype(np.int64)
+    values, cdf = _length_cdf(dist)
+    return values[np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)]
 
 
 def length_pmf(dist: LengthDist) -> tuple[np.ndarray, np.ndarray]:

@@ -475,6 +475,26 @@ def test_empty_heaps_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"tagwalk: error: {out / 'heaps.csv'}: empty CSV\n"
 
 
+@pytest.mark.parametrize("stage", ["walk", "theory"])
+def test_origin_outside_external_substrate_exits_2(tmp_path, capsys, stage):
+    # walk.origin 150 fits the configured 200 nodes, not the file's 100
+    cfg = write_config(tmp_path, graph={"type": "watts_strogatz", "n": 200, "k": 4,
+                                        "p_rewire": 0.1},
+                       walk={**BASE["walk"], "origin": 150})
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "substrate.edges"
+    path.write_text("# nodes=100\n" + "".join(f"{i}\t{i + 1}\n" for i in range(99)))
+    if stage == "theory":
+        (out / "heaps.csv").write_text("n_rw,n_distinct\n1,1\n")
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"tagwalk: error: {path}: walk.origin 150 is not one of its 100 nodes\n")
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 @pytest.mark.parametrize("defect", ["wrong_first_node", "step_off_edge"])
 def test_cooc_rejects_traces_off_the_substrate(tmp_path, capsys, defect):
     cfg = write_config(tmp_path)

@@ -12,8 +12,8 @@ from naive_reference import (component_size, edge_arrays, naive_watts_strogatz,
                              validate_substrate)
 from tagwalk import substrate
 from tagwalk.errors import ContractError, ParameterError
-from tagwalk.substrate import (ErdosRenyi, GraphSpec, RegularTree,
-                               SubstrateGraph, WattsStrogatz, bfs_rings,
+from tagwalk.substrate import (ErdosRenyi, RegularTree, SubstrateGraph,
+                               WattsStrogatz, bfs_rings,
                                build_graph, from_edge_pairs,
                                generate_erdos_renyi, generate_regular_tree,
                                generate_watts_strogatz)
@@ -254,13 +254,13 @@ def test_er_seed_determinism():
 
 
 # ---------------------------------------------------------------------------
-# GraphSpec dispatch
+# build_graph: a config's graph variant and seed to its generator
 # ---------------------------------------------------------------------------
 
 def test_build_graph_dispatch():
-    assert build_graph(GraphSpec(WattsStrogatz(20, 4, 0.0), 0)).node_count == 20
-    assert build_graph(GraphSpec(RegularTree(2, 2), 0)).node_count == 10
-    assert build_graph(GraphSpec(ErdosRenyi(5, 1.0), 0)).node_count == 5
+    assert build_graph(WattsStrogatz(20, 4, 0.0), 0).node_count == 20
+    assert build_graph(RegularTree(2, 2), 0).node_count == 10
+    assert build_graph(ErdosRenyi(5, 1.0), 0).node_count == 5
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from naive_reference import exhaustive_visit_probs
 from tagwalk.errors import EvaluationError, ParameterError
 from tagwalk import theory
 from tagwalk.observables import fit_power_law
-from tagwalk.substrate import (bfs_rings, generate_regular_tree,
+from tagwalk.substrate import (RingProfile, bfs_rings, generate_regular_tree,
                                generate_watts_strogatz)
 from tagwalk.theory import (ExponentialRings, PowerLawRings, RingModelSpec,
                             n_distinct_random_length, ring_sizes)
@@ -15,7 +15,7 @@ from tagwalk.walker import FixedLength, PowerLawLength
 from theory_reference import (VisitProbabilities, asymptotic_exponent,
                               asymptotic_log_corrected, estimate_visit_probs,
                               n_distinct_exact, n_distinct_fixed_length,
-                              simulate_mean_distinct)
+                              n_distinct_ring_sum, simulate_mean_distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,20 @@ def test_random_length_degenerates_to_fixed(l_max):
     a = n_distinct_random_length(spec, n)
     b = n_distinct_fixed_length(rings, l_max, n)
     assert a == pytest.approx(b.tolist(), rel=1e-12)
+
+
+@pytest.mark.parametrize("rings", [
+    RingProfile(0, np.asarray([1] + [2] * 300, dtype=np.int64)), PowerLawRings(1.0)],
+    ids=["profile", "power_law"])
+@pytest.mark.parametrize("lengths", [FixedLength(0), FixedLength(255), FixedLength(256),
+                                     PowerLawLength(3.0, 1, 257)],
+                         ids=["fixed0", "fixed255", "fixed256", "power_law257"])
+def test_ring_blocks_end_at_the_support(rings, lengths):
+    # supports that end inside the first 256-ring block, at its last ring,
+    # or one or two rings into the next
+    n = np.asarray([1.0, 1e3, 1e6])
+    got = n_distinct_random_length(RingModelSpec(rings, lengths), n)
+    assert got == pytest.approx(n_distinct_ring_sum(rings, lengths, n).tolist(), rel=1e-12)
 
 
 def test_tree_profile_saturates_at_shell_sum():

@@ -51,6 +51,20 @@ def test_sample_lengths_inverts_cdf():
     assert np.all(fixed == 4)
 
 
+@pytest.mark.parametrize("dist", [FixedLength(0), FixedLength(7),
+                                  PowerLawLength(3.0, 2, 50)],
+                         ids=["fixed0", "fixed7", "power_law"])
+def test_sample_lengths_scalar_uniform(dist):
+    # naive_reference.run_walk passes one Python float per walk
+    for u in (0.0, 0.3, 0.9, 1.0 - 1e-15):
+        one = sample_lengths(dist, np.asarray([u]))
+        assert one.shape == (1,) and one.dtype == np.int64
+        for scalar in (u, np.float64(u), np.asarray(u)):
+            got = sample_lengths(dist, scalar)
+            assert np.ndim(got) == 0 and got.dtype == np.int64
+            assert int(got) == int(one[0])
+
+
 def test_sampled_length_distribution_matches_pmf():
     dist = PowerLawLength(3.0, 1, 1000)
     seeds = walk_seeds(42, 0, 1_000_000)

@@ -1,7 +1,8 @@
 """Theory used only by the test suite to cross-check the ring model.
 
 The exact coverage expectation from per-node visit probabilities, the
-fixed-length ring sum, the asymptotic growth shapes, and Monte Carlo
+fixed-length ring sum, the random-length ring sum over the whole length
+support in one pass, the asymptotic growth shapes, and Monte Carlo
 estimates of visit probabilities and of the mean distinct-node count.
 The theory stage itself needs only :func:`tagwalk.theory.n_distinct_random_length`.
 """
@@ -16,7 +17,7 @@ from tagwalk.errors import ParameterError
 from tagwalk.rng import derive_seed
 from tagwalk.substrate import SubstrateGraph, sorted_unique
 from tagwalk.theory import RingStructure, _coverage, ring_sizes
-from tagwalk.walker import LengthDist, node_frequencies, simulate_walks
+from tagwalk.walker import LengthDist, length_pmf, node_frequencies, simulate_walks
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,17 @@ def n_distinct_fixed_length(rings: RingStructure, l_max: int, n_rw):
     sizes = ring_sizes(rings, np.arange(l_max + 1))
     n = np.asarray(n_rw, dtype=np.float64)
     out = np.sum(_coverage(sizes, n[..., None] * np.ones_like(sizes)), axis=-1)
+    return out if out.ndim else float(out)
+
+
+def n_distinct_ring_sum(rings: RingStructure, lengths: LengthDist, n_rw):
+    """Random-length ring-model expectation, every ring of the length support
+    summed at once: no ring blocks, stopping threshold or cap."""
+    values, pmf = length_pmf(lengths)
+    l = np.arange(int(values[-1]) + 1)
+    tail = np.asarray([1.0 if x <= values[0] else pmf[values >= x].sum() for x in l])
+    n = np.asarray(n_rw, dtype=np.float64)
+    out = np.sum(_coverage(ring_sizes(rings, l), n[..., None] * tail), axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -16,12 +16,10 @@ from .observables import (clustering_of_k, cosine_similarity_distribution,
                           frequency_rank, knn_of_k, s_of_k, weight_vs_kikj)
 from .pipeline import (ExperimentConfig, IngestConfig, compare, load_config,
                        run_experiment, run_ingest, run_stage)
-from .substrate import (ErdosRenyi, RegularTree, RingProfile, SubstrateGraph,
-                        WattsStrogatz, bfs_rings, build_graph,
-                        generate_erdos_renyi, generate_regular_tree,
-                        generate_watts_strogatz)
-from .theory import (ExponentialRings, PowerLawRings, RingModelSpec,
-                     n_distinct_random_length)
+from .substrate import (ErdosRenyi, RegularTree, SubstrateGraph, WattsStrogatz,
+                        bfs_rings, build_graph, generate_erdos_renyi,
+                        generate_regular_tree, generate_watts_strogatz)
+from .theory import RingModelSpec, n_distinct_random_length
 from .walker import (FixedLength, PowerLawLength, WalkConfig, WalkEnsemble,
                      heaps_curve, run_ensemble, simulate_walks)
 
@@ -34,10 +32,9 @@ __all__ = [
     "ExperimentConfig", "IngestConfig", "load_config",
     "run_experiment", "run_ingest", "run_stage", "compare",
     "SubstrateGraph", "WattsStrogatz", "RegularTree", "ErdosRenyi",
-    "RingProfile", "build_graph", "bfs_rings",
+    "build_graph", "bfs_rings",
     "generate_watts_strogatz", "generate_regular_tree", "generate_erdos_renyi",
-    "RingModelSpec", "PowerLawRings", "ExponentialRings",
-    "n_distinct_random_length",
+    "RingModelSpec", "n_distinct_random_length",
     "FixedLength", "PowerLawLength", "WalkConfig", "WalkEnsemble",
     "simulate_walks", "run_ensemble", "heaps_curve",
     "degree_strength_weight_distributions", "s_of_k", "knn_of_k",

@@ -373,7 +373,8 @@ def _theory(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph,
     n_values, simulated = heaps
     predicted = theory.n_distinct_random_length(spec, n_values.astype(np.float64))
     if not cfg.walk.count_origin:
-        predicted = predicted - 1.0  # the origin ring contributes exactly 1
+        # the origin ring contributes exactly 1 once there is a walk, 0 before
+        predicted = predicted - np.minimum(n_values, 1)
     write_csv(theory_dir / "prediction.csv", ["n_rw", "prediction"],
               [n_values, predicted])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -22,7 +22,6 @@ __all__ = [
     "WattsStrogatz",
     "RegularTree",
     "ErdosRenyi",
-    "RingProfile",
     "generate_watts_strogatz",
     "generate_regular_tree",
     "generate_erdos_renyi",
@@ -108,9 +107,6 @@ class SubstrateGraph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
     # -- file format: "# nodes=<n>" header, then "i<TAB>j" per edge, i < j --
 
@@ -421,20 +417,9 @@ def generate_erdos_renyi(n: int, mean_degree: float, seed: int) -> SubstrateGrap
 # Ring decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RingProfile:
-    """Shell populations around an origin: sizes[l] = #nodes at distance l."""
-
-    origin: int
-    sizes: np.ndarray  # int64, sizes[0] == 1
-
-    @property
-    def max_distance(self) -> int:
-        return len(self.sizes) - 1
-
-
-def bfs_rings(graph: SubstrateGraph, origin: int) -> RingProfile:
-    """Breadth-first shell sizes from ``origin``; unreachable nodes excluded.
+def bfs_rings(graph: SubstrateGraph, origin: int) -> np.ndarray:
+    """Breadth-first shell sizes from ``origin`` (int64): entry l counts the
+    nodes at distance l, so entry 0 is 1; unreachable nodes are excluded.
 
     The frontier's rows are gathered about ``_KEY_BLOCK`` entries at a time.
     Each block keeps its unseen neighbours once and marks them seen, so a
@@ -461,4 +446,4 @@ def bfs_rings(graph: SubstrateGraph, origin: int) -> RingProfile:
         if frontier.size == 0:
             break
         sizes.append(int(frontier.size))
-    return RingProfile(origin=origin, sizes=np.asarray(sizes, dtype=np.int64))
+    return np.asarray(sizes, dtype=np.int64)

@@ -15,28 +15,24 @@ equally likely to be visited), this specializes to
 where P_>(l) is the probability that a walk is at least l steps long.
 Asymptotically the random-length form grows as n^((a+1)/(a+b-1)) for
 N_l ~ l^a with length exponent b, and as n/(ln n)^(b-1) for N_l ~ z^l.
-This module evaluates the random-length sum; the test suite's
-``theory_reference`` holds the exact, fixed-length and asymptotic forms
-it is checked against.
+This module evaluates the random-length sum over an array of shell sizes,
+``rings[l] = N_l``, such as ``bfs_rings`` measures on a substrate.  The
+test suite's ``theory_reference`` holds the parametric shells N_l ~ l^a
+and N_l ~ z^l and the exact, fixed-length and asymptotic forms the sum is
+checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
-from .substrate import RingProfile
+from .errors import EvaluationError
 from .walker import LengthDist, length_pmf
 
 __all__ = [
-    "PowerLawRings",
-    "ExponentialRings",
-    "RingStructure",
     "RingModelSpec",
-    "ring_sizes",
     "n_distinct_random_length",
 ]
 
@@ -50,70 +46,17 @@ RING_CAP = 10 ** 5
 # per point and ring of 256 rings, 512 KiB each.
 POINT_BLOCK = 256
 
-# exp(700) is near the float64 ceiling; exponential ring sizes are clipped
-# there, which only matters once the term is already ~n*P_> regardless
-_LOG_CLIP = 700.0
-
-
-# ---------------------------------------------------------------------------
-# Types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PowerLawRings:
-    """Ring sizes N_l = max(1, round(c_n * l**a)); N_0 = 1."""
-
-    a: float = 1.0
-    c_n: float = 1.0
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ParameterError("a must be > 0")
-        if self.c_n <= 0:
-            raise ParameterError("c_n must be > 0")
-
-
-@dataclass(frozen=True)
-class ExponentialRings:
-    """Ring sizes N_l = z**l."""
-
-    z: float
-
-    def __post_init__(self):
-        if self.z <= 1:
-            raise ParameterError("z must be > 1")
-
-
-RingStructure = Union[PowerLawRings, ExponentialRings, RingProfile]
-
 
 @dataclass(frozen=True)
 class RingModelSpec:
-    """Ring structure plus the walk-length distribution feeding it."""
+    """Shell sizes plus the walk-length distribution feeding them.
 
-    rings: RingStructure
-    lengths: LengthDist
-
-
-def ring_sizes(rings: RingStructure, l: np.ndarray) -> np.ndarray:
-    """N_l for the given distances (float64).
-
-    Parametric structures are positive everywhere; a measured profile
-    reports 0 beyond its reachable frontier, so walks longer than the
-    graph's eccentricity simply add no new rings.
+    ``rings[l]`` is N_l, the number of nodes at distance l from the origin
+    (``bfs_rings`` measures them); rings past the array's end are empty.
     """
-    l = np.asarray(l, dtype=np.float64)
-    if isinstance(rings, PowerLawRings):
-        return np.maximum(1.0, np.round(rings.c_n * l ** rings.a))
-    if isinstance(rings, ExponentialRings):
-        return np.exp(np.minimum(l * np.log(rings.z), _LOG_CLIP))
-    if isinstance(rings, RingProfile):
-        idx = l.astype(np.int64)
-        inside = idx <= rings.max_distance
-        out = np.zeros(idx.shape, dtype=np.float64)
-        out[inside] = rings.sizes[idx[inside]]
-        return out
-    raise ParameterError(f"unknown ring structure {type(rings).__name__}")
+
+    rings: np.ndarray
+    lengths: LengthDist
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +81,7 @@ def n_distinct_random_length(spec: RingModelSpec, n_rw):
     the length support ends; configurations still growing at ``RING_CAP``
     raise an evaluation error.
     """
+    rings = np.asarray(spec.rings, dtype=np.float64)
     values, pmf = length_pmf(spec.lengths)
     support_end = int(values[-1])
     n = np.asarray(n_rw, dtype=np.float64)
@@ -153,11 +97,12 @@ def n_distinct_random_length(spec: RingModelSpec, n_rw):
     l = 0
     while True:
         stop = min(l + block, support_end + 1, RING_CAP + 1)
-        ls = np.arange(l, stop)
-        sizes = ring_sizes(spec.rings, ls)
+        sizes = np.zeros(stop - l)
+        inside = rings[l:stop]
+        sizes[:inside.size] = inside
         last = 0.0
         for p in range(0, flat.size, POINT_BLOCK):
-            terms = _coverage(sizes, flat[p:p + POINT_BLOCK, None] * tail[ls])
+            terms = _coverage(sizes, flat[p:p + POINT_BLOCK, None] * tail[l:stop])
             total[p:p + POINT_BLOCK] += terms.sum(axis=-1)
             last = np.maximum(last, terms[:, -1].max())
         if last < TERM_THRESHOLD:

@@ -139,12 +139,6 @@ class WalkEnsemble:
     def walk_count(self) -> int:
         return self.offsets.size - 1
 
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets) - 1
-
-    def trace(self, w: int) -> np.ndarray:
-        return self.nodes[self.offsets[w]:self.offsets[w + 1]]
-
     def walk_node_pairs(self, count_origin: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (walk_id, node) pairs, walk-major, nodes ascending."""
         walk_ids = np.repeat(np.arange(self.walk_count, dtype=np.int64),

@@ -140,7 +140,7 @@ def exhaustive_visit_probs(graph, origin, length):
             for v in visited:
                 probs[v] += prob
             return
-        nbrs = graph.neighbors(cur)
+        nbrs = neighbors_of(graph, cur)
         if nbrs.size == 0:
             for v in visited:
                 probs[v] += prob
@@ -172,7 +172,7 @@ def run_walk(graph, origin, master_seed, walk_index, lengths, non_backtracking=F
     cur = origin
     for t in range(length):
         u = stream_uniform(seed, t + 1)
-        nbrs = graph.neighbors(cur)
+        nbrs = neighbors_of(graph, cur)
         deg = nbrs.size
         if non_backtracking and t > 0:
             k = max(min(int(u * (deg - 1)), deg - 2), 0)
@@ -322,7 +322,7 @@ def naive_write_traces(ens, path) -> None:
     """``WalkEnsemble.write_traces`` as one join per walk."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for w in range(ens.walk_count):
-            fh.write(" ".join(map(str, ens.trace(w).tolist())))
+            fh.write(" ".join(map(str, walk_trace(ens, w).tolist())))
             fh.write("\n")
 
 
@@ -343,6 +343,21 @@ def naive_write_jsonl(corpus, path) -> None:
 # Helpers only the tests use
 # ---------------------------------------------------------------------------
 
+def neighbors_of(graph: SubstrateGraph, node: int) -> np.ndarray:
+    """``node``'s CSR row: its neighbours, ascending."""
+    return graph.indices[graph.indptr[node]:graph.indptr[node + 1]]
+
+
+def walk_trace(ens: WalkEnsemble, w: int) -> np.ndarray:
+    """The nodes walk ``w`` visited in step order, origin first."""
+    return ens.nodes[ens.offsets[w]:ens.offsets[w + 1]]
+
+
+def walk_lengths(ens: WalkEnsemble) -> np.ndarray:
+    """Each walk's step count, one less than its trace's node count."""
+    return np.diff(ens.offsets) - 1
+
+
 def merge(g1: CoocGraph, g2: CoocGraph) -> CoocGraph:
     """Union of node sets with edge weights added."""
     node_ids = np.union1d(g1.node_ids, g2.node_ids)
@@ -358,11 +373,6 @@ def merge(g1: CoocGraph, g2: CoocGraph) -> CoocGraph:
 def low_sample(series: BinnedSeries, threshold: int = 3) -> np.ndarray:
     """Mask of classes backed by fewer than ``threshold`` samples."""
     return series.n < threshold
-
-
-def component_size(rings) -> int:
-    """Nodes reachable from a ring profile's origin, the origin included."""
-    return int(rings.sizes.sum())
 
 
 def sample_size(dist: Distribution) -> int:
@@ -410,7 +420,7 @@ def posts_from_traces(ensemble: WalkEnsemble, user: str = "walker",
 
     lines = []
     for w in range(ensemble.walk_count):
-        tags = sorted({label(int(v)) for v in ensemble.trace(w)})
+        tags = sorted({label(int(v)) for v in walk_trace(ensemble, w)})
         lines.append(json.dumps({"user": user, "resource": f"{resource_prefix}-{w}",
                                  "ts": DEFAULT_TS_MIN + w, "tags": tags}, sort_keys=True))
     return lines, label(ensemble.origin)

@@ -19,7 +19,8 @@ import pytest
 from naive_reference import (build_from_traces, cooc_edges, distinct_count,
                              naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_degree,
-                             naive_knn, naive_strength, naive_vocabulary, neighbor_weights)
+                             naive_knn, naive_strength, naive_vocabulary, neighbor_weights,
+                             walk_trace)
 from tagwalk.cli import main
 from tagwalk.cooc import CoocGraph
 from tagwalk.formats import read_csv
@@ -28,12 +29,12 @@ from tagwalk.observables import (clustering_of_k,
                                  exact_similarities, fit_power_law, knn_of_k,
                                  s_of_k, weight_vs_kikj)
 from tagwalk.substrate import generate_regular_tree, generate_watts_strogatz
-from tagwalk.theory import (ExponentialRings, PowerLawRings, RingModelSpec,
-                            n_distinct_random_length)
+from tagwalk.theory import RingModelSpec, n_distinct_random_length
 from tagwalk.walker import (FixedLength, PowerLawLength, heaps_curve,
                             node_frequencies, simulate_walks)
 from theory_reference import (asymptotic_log_corrected, estimate_visit_probs,
-                              n_distinct_exact, simulate_mean_distinct)
+                              exponential_rings, n_distinct_exact, power_law_rings,
+                              simulate_mean_distinct)
 
 GROWTH_CONFIG = {
     "seed": 5,
@@ -112,8 +113,9 @@ def test_03_power_law_ring_growth_exponents(capsys):
     t0 = time.perf_counter()
     n = np.logspace(2, 7, 51)
     slopes = {}
+    lengths = PowerLawLength(3.0, 1, 10**5)
     for a in (1.0, 2.0):
-        spec = RingModelSpec(PowerLawRings(a), PowerLawLength(3.0, 1, 10**5))
+        spec = RingModelSpec(power_law_rings(a, lengths), lengths)
         y = n_distinct_random_length(spec, n)
         slopes[a] = fit_power_law(n, y, (1e2, 1e7)).exponent
     dt = time.perf_counter() - t0
@@ -126,7 +128,8 @@ def test_03_power_law_ring_growth_exponents(capsys):
 
 def test_04_exponential_ring_log_corrected_growth(capsys):
     t0 = time.perf_counter()
-    spec = RingModelSpec(ExponentialRings(2.0), PowerLawLength(3.0, 1, 10**5))
+    lengths = PowerLawLength(3.0, 1, 10**5)
+    spec = RingModelSpec(exponential_rings(2.0, lengths), lengths)
     n = np.logspace(4, 7, 31)
     y = n_distinct_random_length(spec, n)
     ratio = y / asymptotic_log_corrected(3.0, n)
@@ -212,7 +215,7 @@ def test_10_observables_match_naive_references(capsys):
         g = generate_watts_strogatz(n_nodes, 4, 0.3, seed=graph_seed)
         ens = simulate_walks(g, 0, n_rw, PowerLawLength(2.5, 1, l_max),
                              seed=walk_seed)
-        traces = [ens.trace(w).tolist() for w in range(ens.walk_count)]
+        traces = [walk_trace(ens, w).tolist() for w in range(ens.walk_count)]
         cg = build_from_traces(ens, count_origin=count_origin)
         ctx = f"case {case}: n={n_nodes} n_rw={n_rw} origin={count_origin}"
 

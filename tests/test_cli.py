@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naive_reference import neighbors_of
 from tagwalk import observables, pipeline
 from tagwalk.cli import build_parser, main
 from tagwalk.cooc import CoocGraph
@@ -506,11 +507,11 @@ def test_cooc_rejects_traces_off_the_substrate(tmp_path, capsys, defect):
     lines = traces.read_text().splitlines()
     walk = [int(v) for v in lines[2].split()]
     if defect == "wrong_first_node":
-        walk[0] = int(graph.neighbors(0)[0])
+        walk[0] = int(neighbors_of(graph, 0)[0])
         message = f"walk starts at node {walk[0]}, not at the origin 0"
     else:
         off = next(v for v in range(graph.node_count)
-                   if v != walk[-1] and v not in graph.neighbors(walk[-1]))
+                   if v != walk[-1] and v not in neighbors_of(graph, walk[-1]))
         message = f"step {walk[-1]} -> {off} is not a substrate edge"
         walk.append(off)
     lines[2] = " ".join(map(str, walk))
@@ -776,6 +777,17 @@ def test_prediction_shifts_by_one_without_origin(tmp_path):
     # shells 0..3 of the z=2 tree hold 22 nodes, which the walks saturate
     assert np.all(np.diff(preds[True]) >= 0) and np.all(preds[True] <= 22.0)
     assert preds[True][-1] == pytest.approx(22.0, abs=1e-6)
+
+
+def test_prediction_without_origin_is_zero_before_any_walk(tmp_path):
+    # an external heaps.csv may start at n_rw = 0, where the origin ring adds 0
+    cfg = write_config(tmp_path, walk={**BASE["walk"], "count_origin": False})
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    (out / "heaps.csv").write_text("n_rw,n_distinct\n0,0\n1,1\n")
+    assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "theory" / "prediction.csv")
+    assert float(rows[0][1]) == 0.0 and float(rows[1][1]) > 0.0
 
 
 def test_theory_without_heaps_exits_2(tmp_path, capsys):

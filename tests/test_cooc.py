@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 
 from conftest import focus_graph, focus_stream
 from naive_reference import (build_from_traces, cooc_edges, merge, naive_cooc_weights,
-                             neighbor_weights)
+                             neighbor_weights, walk_trace)
 import tagwalk.cooc as cooc
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ContractError, ParameterError
@@ -60,7 +60,7 @@ def test_build_from_walk_ensemble_matches_sequences():
     graph = generate_watts_strogatz(60, 4, 0.2, seed=4)
     ens = simulate_walks(graph, 0, 150, PowerLawLength(2.5, 1, 25), seed=9)
     direct = build_from_traces(ens)
-    via_lists = build_from_traces([ens.trace(w).tolist()
+    via_lists = build_from_traces([walk_trace(ens, w).tolist()
                                    for w in range(ens.walk_count)])
     assert np.array_equal(direct.node_ids, via_lists.node_ids)
     assert weight_map(direct) == weight_map(via_lists)

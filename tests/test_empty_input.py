@@ -16,7 +16,7 @@ from tagwalk.observables import (BinnedSeries, Distribution, Histogram,
                                  cosine_similarity_distribution,
                                  degree_strength_weight_distributions, knn_of_k,
                                  s_of_k)
-from tagwalk.theory import PowerLawRings, RingModelSpec, n_distinct_random_length
+from tagwalk.theory import RingModelSpec, n_distinct_random_length
 from tagwalk.walker import (PowerLawLength, WalkEnsemble, heaps_checkpoints,
                             simulate_walks)
 
@@ -82,7 +82,7 @@ def assert_same(got, want):
                  id="cosine-one_node"),
     pytest.param(lambda: assert_accounting(empty_graph()), None, id="accounting-empty"),
     pytest.param(lambda: n_distinct_random_length(
-                     RingModelSpec(PowerLawRings(), PowerLawLength(2.0, 1, 5)), np.empty(0)),
+                     RingModelSpec(np.ones(6), PowerLawLength(2.0, 1, 5)), np.empty(0)),
                  np.empty(0), id="theory-empty_grid"),
 ])
 def test_empty_input_results(call, want):

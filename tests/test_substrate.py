@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
-from naive_reference import (component_size, edge_arrays, naive_watts_strogatz,
+from naive_reference import (edge_arrays, naive_watts_strogatz, neighbors_of,
                              validate_substrate)
 from tagwalk import substrate
 from tagwalk.errors import ContractError, ParameterError
@@ -39,7 +39,7 @@ def test_ws_zero_rewire_is_ring_lattice():
     g = generate_watts_strogatz(n, k, 0.0, seed=0)
     for i in range(n):
         expect = sorted({(i + d) % n for d in (-2, -1, 1, 2)})
-        assert g.neighbors(i).tolist() == expect
+        assert neighbors_of(g, i).tolist() == expect
 
 
 def test_ws_full_rewire_departs_from_lattice():
@@ -179,7 +179,7 @@ def test_ws_parameter_errors():
 def test_tree_shells_and_degrees():
     g = generate_regular_tree(z=2, depth=6)
     rings = bfs_rings(g, 0)
-    assert rings.sizes.tolist() == [1, 3, 6, 12, 24, 48, 96]
+    assert rings.tolist() == [1, 3, 6, 12, 24, 48, 96]
     assert g.node_count == 190
     deg = g.degrees()
     assert deg[0] == 3
@@ -194,14 +194,14 @@ def test_tree_depth_zero_and_one():
     assert g0.node_count == 1 and g0.edge_count == 0
     g1 = generate_regular_tree(z=3, depth=1)
     assert g1.node_count == 5 and g1.edge_count == 4
-    assert g1.neighbors(0).tolist() == [1, 2, 3, 4]
+    assert neighbors_of(g1, 0).tolist() == [1, 2, 3, 4]
 
 
 def test_tree_first_shell_sum():
     # distances 0..3 from the root of a z=2 tree hold 1+3+6+12 = 22 nodes
     g = generate_regular_tree(z=2, depth=6)
     rings = bfs_rings(g, 0)
-    assert int(rings.sizes[:4].sum()) == 22
+    assert rings[:4].sum() == 22
 
 
 @pytest.mark.parametrize("z", [1, 2, 3, 7])
@@ -227,8 +227,8 @@ def test_tree_node_count_bound_is_exact(z, depth, nodes):
 def test_er_complete_triangle():
     g = generate_erdos_renyi(3, 2.0, seed=0)
     assert g.edge_count == 3
-    assert g.neighbors(0).tolist() == [1, 2]
-    assert g.neighbors(1).tolist() == [0, 2]
+    assert neighbors_of(g, 0).tolist() == [1, 2]
+    assert neighbors_of(g, 1).tolist() == [0, 2]
 
 
 def test_er_empty_and_bounds():
@@ -268,7 +268,7 @@ def test_build_graph_dispatch():
 # ---------------------------------------------------------------------------
 
 def test_neighbors_sorted_and_degree(path4):
-    assert path4.neighbors(1).tolist() == [0, 2]
+    assert neighbors_of(path4, 1).tolist() == [0, 2]
     assert path4.degree(0) == 1
     assert path4.degrees().tolist() == [1, 2, 2, 1]
     assert path4.edge_count == 3
@@ -344,30 +344,25 @@ def test_edge_pairs_round_trip(n, data):
 
 
 # ---------------------------------------------------------------------------
-# BFS ring profiles
+# BFS shell sizes
 # ---------------------------------------------------------------------------
 
 def test_bfs_rings_path(path4):
     rings = bfs_rings(path4, 0)
-    assert rings.sizes.tolist() == [1, 1, 1, 1]
-    assert rings.max_distance == 3
-    assert component_size(rings) == 4
-    mid = bfs_rings(path4, 1)
-    assert mid.sizes.tolist() == [1, 2, 1]
+    assert rings.dtype == np.int64 and rings.tolist() == [1, 1, 1, 1]
+    assert bfs_rings(path4, 1).tolist() == [1, 2, 1]
 
 
 def test_bfs_rings_star(star5):
     rings = bfs_rings(star5, 0)
-    assert rings.sizes.tolist() == [1, 4]
-    leaf = bfs_rings(star5, 1)
-    assert leaf.sizes.tolist() == [1, 1, 3]
+    assert rings.tolist() == [1, 4]
+    assert bfs_rings(star5, 1).tolist() == [1, 1, 3]
 
 
 def test_bfs_rings_disconnected():
     g = graph_from_pairs(4, [(0, 1), (2, 3)])
     rings = bfs_rings(g, 0)
-    assert rings.sizes.tolist() == [1, 1]
-    assert component_size(rings) == 2
+    assert rings.tolist() == [1, 1]
 
 
 def test_bfs_rings_bad_origin(triangle):
@@ -391,7 +386,7 @@ def test_bfs_rings_match_networkx_shells(seed, block, monkeypatch):
     for origin in (0, hub, int(isolated[0])):
         distances = nx.single_source_shortest_path_length(G, origin)
         want = np.bincount(list(distances.values()))
-        assert bfs_rings(g, origin).sizes.tolist() == want.tolist()
+        assert bfs_rings(g, origin).tolist() == want.tolist()
 
 
 @given(st.lists(st.tuples(st.integers(-5, 50), st.integers(0, 6)), max_size=12))

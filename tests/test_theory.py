@@ -7,15 +7,14 @@ from naive_reference import exhaustive_visit_probs
 from tagwalk.errors import EvaluationError, ParameterError
 from tagwalk import theory
 from tagwalk.observables import fit_power_law
-from tagwalk.substrate import (RingProfile, bfs_rings, generate_regular_tree,
-                               generate_watts_strogatz)
-from tagwalk.theory import (ExponentialRings, PowerLawRings, RingModelSpec,
-                            n_distinct_random_length, ring_sizes)
+from tagwalk.substrate import bfs_rings, generate_regular_tree, generate_watts_strogatz
+from tagwalk.theory import RingModelSpec, n_distinct_random_length
 from tagwalk.walker import FixedLength, PowerLawLength
 from theory_reference import (VisitProbabilities, asymptotic_exponent,
                               asymptotic_log_corrected, estimate_visit_probs,
-                              n_distinct_exact, n_distinct_fixed_length,
-                              n_distinct_ring_sum, simulate_mean_distinct)
+                              exponential_rings, n_distinct_exact,
+                              n_distinct_fixed_length, n_distinct_ring_sum,
+                              power_law_rings, simulate_mean_distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -59,32 +58,35 @@ def test_visit_probabilities_rejects_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# Ring structures
+# Shell sizes
 # ---------------------------------------------------------------------------
 
 def test_ring_sizes_parametric():
-    ls = np.arange(5)
-    assert ring_sizes(PowerLawRings(1.0), ls).tolist() == [1, 1, 2, 3, 4]
-    assert ring_sizes(PowerLawRings(2.0, c_n=2.0), ls).tolist() == [1, 2, 8, 18, 32]
-    assert ring_sizes(ExponentialRings(2.0), ls) == pytest.approx(
-        [1.0, 2.0, 4.0, 8.0, 16.0])
+    fixed4 = FixedLength(4)
+    assert power_law_rings(1.0, fixed4).tolist() == [1, 1, 2, 3, 4]
+    assert power_law_rings(2.0, fixed4, c_n=2.0).tolist() == [1, 2, 8, 18, 32]
+    assert exponential_rings(2.0, fixed4) == pytest.approx([1.0, 2.0, 4.0, 8.0, 16.0])
+    # one ring per distance a walk reaches, up to the evaluator's cap
+    assert power_law_rings(1.0, PowerLawLength(3.0, 2, 9)).size == 10
+    assert exponential_rings(2.0, PowerLawLength(1.05, 1, 200_000)).size == theory.RING_CAP + 1
 
 
 def test_ring_sizes_profile_zero_beyond_frontier():
     g = generate_regular_tree(2, 3)
-    prof = bfs_rings(g, 0)
-    assert prof.sizes.tolist() == [1, 3, 6, 12]
-    out = ring_sizes(prof, np.asarray([0, 2, 3, 4, 10]))
-    assert out.tolist() == [1.0, 6.0, 12.0, 0.0, 0.0]
+    rings = bfs_rings(g, 0)
+    assert rings.dtype == np.int64 and rings.tolist() == [1, 3, 6, 12]
+    # walks of 10 steps run past the last shell, which holds the tree's 22 nodes
+    spec = RingModelSpec(rings, FixedLength(10))
+    assert n_distinct_random_length(spec, 1e9) == 22.0
 
 
 def test_ring_parameter_errors():
     with pytest.raises(ParameterError):
-        PowerLawRings(0.0)
+        power_law_rings(0.0, FixedLength(3))
     with pytest.raises(ParameterError):
-        PowerLawRings(1.0, c_n=-1.0)
+        power_law_rings(1.0, FixedLength(3), c_n=-1.0)
     with pytest.raises(ParameterError):
-        ExponentialRings(1.0)
+        exponential_rings(1.0, FixedLength(3))
 
 
 # ---------------------------------------------------------------------------
@@ -92,25 +94,25 @@ def test_ring_parameter_errors():
 # ---------------------------------------------------------------------------
 
 def test_fixed_length_zero_steps_covers_origin_only():
-    assert n_distinct_fixed_length(PowerLawRings(1.0), 0, 1) == pytest.approx(1.0)
-    assert n_distinct_fixed_length(PowerLawRings(1.0), 0, 100) == pytest.approx(1.0)
+    rings = power_law_rings(1.0, FixedLength(0))
+    assert n_distinct_fixed_length(rings, 0, 1) == pytest.approx(1.0)
+    assert n_distinct_fixed_length(rings, 0, 100) == pytest.approx(1.0)
 
 
 def test_fixed_length_saturates_to_ring_sum():
-    rings = PowerLawRings(1.0)
-    total = ring_sizes(rings, np.arange(4)).sum()
+    rings = power_law_rings(1.0, FixedLength(3))
     assert n_distinct_fixed_length(rings, 3, 10**9) == pytest.approx(
-        float(total), rel=1e-9)
+        float(rings.sum()), rel=1e-9)
 
 
 def test_fixed_length_rejects_negative():
     with pytest.raises(ParameterError):
-        n_distinct_fixed_length(PowerLawRings(1.0), -1, 10)
+        n_distinct_fixed_length(power_law_rings(1.0, FixedLength(0)), -1, 10)
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 3, 7])
 def test_random_length_degenerates_to_fixed(l_max):
-    rings = PowerLawRings(1.3, c_n=2.0)
+    rings = power_law_rings(1.3, FixedLength(l_max), c_n=2.0)
     n = np.asarray([1.0, 10.0, 1e3, 1e6])
     spec = RingModelSpec(rings, FixedLength(l_max))
     a = n_distinct_random_length(spec, n)
@@ -118,15 +120,17 @@ def test_random_length_degenerates_to_fixed(l_max):
     assert a == pytest.approx(b.tolist(), rel=1e-12)
 
 
-@pytest.mark.parametrize("rings", [
-    RingProfile(0, np.asarray([1] + [2] * 300, dtype=np.int64)), PowerLawRings(1.0)],
+@pytest.mark.parametrize("make_rings", [
+    lambda lengths: np.asarray([1] + [2] * 300, dtype=np.int64),
+    lambda lengths: power_law_rings(1.0, lengths)],
     ids=["profile", "power_law"])
 @pytest.mark.parametrize("lengths", [FixedLength(0), FixedLength(255), FixedLength(256),
                                      PowerLawLength(3.0, 1, 257)],
                          ids=["fixed0", "fixed255", "fixed256", "power_law257"])
-def test_ring_blocks_end_at_the_support(rings, lengths):
+def test_ring_blocks_end_at_the_support(make_rings, lengths):
     # supports that end inside the first 256-ring block, at its last ring,
     # or one or two rings into the next
+    rings = make_rings(lengths)
     n = np.asarray([1.0, 1e3, 1e6])
     got = n_distinct_random_length(RingModelSpec(rings, lengths), n)
     assert got == pytest.approx(n_distinct_ring_sum(rings, lengths, n).tolist(), rel=1e-12)
@@ -145,19 +149,24 @@ def test_tree_profile_saturates_at_shell_sum():
 
 
 def test_random_length_monotone_in_n():
-    spec = RingModelSpec(PowerLawRings(1.0), PowerLawLength(3.0, 1, 1000))
+    lengths = PowerLawLength(3.0, 1, 1000)
+    spec = RingModelSpec(power_law_rings(1.0, lengths), lengths)
     n = np.logspace(0, 6, 25)
     out = n_distinct_random_length(spec, n)
     assert np.all(np.diff(out) > 0)
 
 
-@pytest.mark.parametrize("rings", [PowerLawRings(1.0), ExponentialRings(2.0),
+LENGTHS_1000 = PowerLawLength(3.0, 1, 1000)
+
+
+@pytest.mark.parametrize("rings", [power_law_rings(1.0, LENGTHS_1000),
+                                   exponential_rings(2.0, LENGTHS_1000),
                                    bfs_rings(generate_regular_tree(2, 6), 0)],
                          ids=["power_law", "exponential", "bfs"])
 @pytest.mark.parametrize("n", [1e4, np.logspace(0, 6, 60).reshape(3, 20)],
                          ids=["scalar", "grid"])
 def test_point_blocks_leave_every_bit(monkeypatch, rings, n):
-    spec = RingModelSpec(rings, PowerLawLength(3.0, 1, 1000))
+    spec = RingModelSpec(rings, LENGTHS_1000)
     want = n_distinct_random_length(spec, n)
     for block in (1, 7):
         monkeypatch.setattr(theory, "POINT_BLOCK", block)
@@ -183,7 +192,8 @@ def test_ring_sum_memory_does_not_grow_with_the_points():
 @pytest.mark.parametrize("a", [1.0, 2.0])
 @pytest.mark.parametrize("b", [2.5, 3.0, 3.5])
 def test_power_law_regime_matches_asymptotic_exponent(a, b):
-    spec = RingModelSpec(PowerLawRings(a), PowerLawLength(b, 1, 10**5))
+    lengths = PowerLawLength(b, 1, 10**5)
+    spec = RingModelSpec(power_law_rings(a, lengths), lengths)
     n = np.logspace(2, 7, 51)
     y = n_distinct_random_length(spec, n)
     fit = fit_power_law(n, y, (1e4, 1e7))
@@ -191,7 +201,8 @@ def test_power_law_regime_matches_asymptotic_exponent(a, b):
 
 
 def test_exponential_regime_matches_log_corrected_shape():
-    spec = RingModelSpec(ExponentialRings(2.0), PowerLawLength(3.0, 1, 10**5))
+    lengths = PowerLawLength(3.0, 1, 10**5)
+    spec = RingModelSpec(exponential_rings(2.0, lengths), lengths)
     n = np.logspace(4, 7, 31)
     y = n_distinct_random_length(spec, n)
     shape = asymptotic_log_corrected(3.0, n)
@@ -201,7 +212,8 @@ def test_exponential_regime_matches_log_corrected_shape():
 
 
 def test_slow_decay_raises_evaluation_error():
-    spec = RingModelSpec(PowerLawRings(1.0), PowerLawLength(1.05, 1, 200_000))
+    lengths = PowerLawLength(1.05, 1, 200_000)
+    spec = RingModelSpec(power_law_rings(1.0, lengths), lengths)
     with pytest.raises(EvaluationError):
         n_distinct_random_length(spec, 1e6)
 

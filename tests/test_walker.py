@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
-from naive_reference import distinct_count, naive_vocabulary, run_walk
+from naive_reference import (distinct_count, naive_vocabulary, neighbors_of, run_walk,
+                             walk_lengths, walk_trace)
 from tagwalk import walker
 from tagwalk.errors import ContractError, ParameterError
 from tagwalk.observables import fit_power_law
@@ -93,13 +94,13 @@ def test_k2_single_walk_covers_both_nodes(k2):
     ens = simulate_walks(k2, 0, 1, FixedLength(1), seed=0)
     n, d = heaps_curve(*ens.walk_node_pairs(), ens.walk_count)
     assert (n.tolist(), d.tolist()) == ([1], [2])
-    assert ens.trace(0).tolist() == [0, 1]
+    assert walk_trace(ens, 0).tolist() == [0, 1]
 
 
 def test_zero_step_walk_is_origin_only(triangle):
     ens = simulate_walks(triangle, 2, 3, FixedLength(0), seed=9)
     for w in range(3):
-        assert ens.trace(w).tolist() == [2]
+        assert walk_trace(ens, w).tolist() == [2]
     assert distinct_count(ens) == 1
     assert distinct_count(ens, count_origin=False) == 0
 
@@ -107,9 +108,9 @@ def test_zero_step_walk_is_origin_only(triangle):
 def test_steps_land_on_neighbors(path4):
     ens = simulate_walks(path4, 0, 50, FixedLength(6), seed=4)
     for w in range(50):
-        t = ens.trace(w)
+        t = walk_trace(ens, w)
         for a, b in zip(t[:-1], t[1:]):
-            assert b in path4.neighbors(int(a))
+            assert b in neighbors_of(path4, int(a))
 
 
 def test_run_walk_replays_ensemble_traces():
@@ -118,7 +119,7 @@ def test_run_walk_replays_ensemble_traces():
     ens = simulate_walks(g, 3, 200, dist, seed=77)
     for w in (0, 1, 57, 123, 199):
         solo = run_walk(g, 3, 77, w, dist)
-        assert np.array_equal(solo, ens.trace(w))
+        assert np.array_equal(solo, walk_trace(ens, w))
 
 
 def test_run_walk_replays_non_backtracking():
@@ -127,7 +128,7 @@ def test_run_walk_replays_non_backtracking():
     ens = simulate_walks(g, 5, 100, dist, seed=13, non_backtracking=True)
     for w in (0, 42, 99):
         solo = run_walk(g, 5, 13, w, dist, non_backtracking=True)
-        assert np.array_equal(solo, ens.trace(w))
+        assert np.array_equal(solo, walk_trace(ens, w))
 
 
 def test_non_backtracking_never_reverses():
@@ -135,7 +136,7 @@ def test_non_backtracking_never_reverses():
     ens = simulate_walks(g, 0, 300, FixedLength(20), seed=21,
                          non_backtracking=True)
     for w in range(300):
-        t = ens.trace(w)
+        t = walk_trace(ens, w)
         for i in range(2, t.size):
             assert t[i] != t[i - 2]
 
@@ -145,12 +146,12 @@ def test_non_backtracking_on_leaf_must_return(path4):
     ens = simulate_walks(path4, 0, 10, FixedLength(2), seed=5,
                          non_backtracking=True)
     for w in range(10):
-        assert ens.trace(w).tolist() == [0, 1, 2]
+        assert walk_trace(ens, w).tolist() == [0, 1, 2]
 
 
 def test_step_choice_is_uniform(triangle):
     ens = simulate_walks(triangle, 0, 20000, FixedLength(1), seed=31)
-    first = np.asarray([ens.trace(w)[1] for w in range(20000)])
+    first = np.asarray([walk_trace(ens, w)[1] for w in range(20000)])
     frac = (first == 1).mean()
     assert abs(frac - 0.5) < 0.02
 
@@ -159,7 +160,7 @@ def test_isolated_origin_truncates_with_warning(caplog):
     g = graph_from_pairs(3, [(1, 2)])
     with caplog.at_level(logging.WARNING):
         ens = simulate_walks(g, 0, 5, FixedLength(3), seed=0)
-    assert all(ens.trace(w).tolist() == [0] for w in range(5))
+    assert all(walk_trace(ens, w).tolist() == [0] for w in range(5))
     assert any("isolated" in r.message for r in caplog.records)
 
 
@@ -185,7 +186,7 @@ def test_walk_count_and_lengths():
     g = generate_watts_strogatz(50, 4, 0.0, seed=0)
     ens = simulate_walks(g, 0, 40, FixedLength(5), seed=1)
     assert ens.walk_count == 40
-    assert np.all(ens.lengths() == 5)
+    assert np.all(walk_lengths(ens) == 5)
 
 
 def test_empty_ensemble():
@@ -193,7 +194,7 @@ def test_empty_ensemble():
     ens = simulate_walks(g, 0, 0, FixedLength(5), seed=1)
     assert ens.walk_count == 0
     assert distinct_count(ens) == 0
-    assert ens.lengths().size == 0
+    assert walk_lengths(ens).size == 0
 
 
 def test_parameter_errors(triangle):
@@ -212,7 +213,7 @@ def test_walk_node_pairs_match_python_sets(seed, n_rw):
     ens = simulate_walks(g, 2, n_rw, PowerLawLength(2.0, 1, 15), seed=seed)
     wids, nodes = ens.walk_node_pairs()
     got = set(zip(wids.tolist(), nodes.tolist()))
-    want = {(w, int(v)) for w in range(n_rw) for v in set(ens.trace(w).tolist())}
+    want = {(w, int(v)) for w in range(n_rw) for v in set(walk_trace(ens, w).tolist())}
     assert got == want
     # excluding the origin removes exactly the origin entries
     wids2, nodes2 = ens.walk_node_pairs(count_origin=False)
@@ -244,7 +245,7 @@ def test_heaps_curve_matches_brute_force():
         n2, d2 = heaps_curve(*ens.walk_node_pairs(count_origin=count_origin), 120,
                              checkpoints=np.arange(1, 121))
         for idx in (0, 10, 59, 119):
-            traces = [ens.trace(w) for w in range(idx + 1)]
+            traces = [walk_trace(ens, w) for w in range(idx + 1)]
             want = len(naive_vocabulary(traces, origin=1,
                                         count_origin=count_origin))
             assert d2[idx] == want
@@ -278,7 +279,7 @@ def test_run_ensemble_bundles_everything():
     ens, (wids, nodes), (n, d), freqs = run_ensemble(g, cfg)
     assert ens.walk_count == 64
     assert set(zip(wids.tolist(), nodes.tolist())) == \
-        {(w, v) for w in range(64) for v in ens.trace(w).tolist() if v != 0}
+        {(w, v) for w in range(64) for v in walk_trace(ens, w).tolist() if v != 0}
     assert n[-1] == 64
     assert freqs[0] == 0                        # origin excluded
     assert d[-1] == distinct_count(ens, count_origin=False)

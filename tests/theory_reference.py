@@ -1,9 +1,10 @@
 """Theory used only by the test suite to cross-check the ring model.
 
-The exact coverage expectation from per-node visit probabilities, the
-fixed-length ring sum, the random-length ring sum over the whole length
-support in one pass, the asymptotic growth shapes, and Monte Carlo
-estimates of visit probabilities and of the mean distinct-node count.
+The parametric shell sizes N_l ~ l^a and N_l ~ z^l, the exact coverage
+expectation from per-node visit probabilities, the fixed-length ring sum,
+the random-length ring sum over the whole length support in one pass, the
+asymptotic growth shapes, and Monte Carlo estimates of visit probabilities
+and of the mean distinct-node count.
 The theory stage itself needs only :func:`tagwalk.theory.n_distinct_random_length`.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from tagwalk.errors import ParameterError
 from tagwalk.rng import derive_seed
 from tagwalk.substrate import SubstrateGraph, sorted_unique
-from tagwalk.theory import RingStructure, _coverage, ring_sizes
+from tagwalk.theory import RING_CAP, _coverage
 from tagwalk.walker import LengthDist, length_pmf, node_frequencies, simulate_walks
 
 
@@ -49,24 +50,49 @@ def n_distinct_exact(p, n_rw):
     return out if out.ndim else float(out)
 
 
-def n_distinct_fixed_length(rings: RingStructure, l_max: int, n_rw):
+def _distances(lengths: LengthDist) -> np.ndarray:
+    """l = 0 .. the length support's end, as far as the evaluator's cap."""
+    return np.arange(min(int(length_pmf(lengths)[0][-1]), RING_CAP) + 1, dtype=np.float64)
+
+
+def power_law_rings(a: float, lengths: LengthDist, c_n: float = 1.0) -> np.ndarray:
+    """Shell sizes N_l = max(1, round(c_n * l**a)), so N_0 = 1, for every
+    distance a walk of ``lengths`` reaches."""
+    if a <= 0:
+        raise ParameterError("a must be > 0")
+    if c_n <= 0:
+        raise ParameterError("c_n must be > 0")
+    return np.maximum(1.0, np.round(c_n * _distances(lengths) ** a))
+
+
+def exponential_rings(z: float, lengths: LengthDist) -> np.ndarray:
+    """Shell sizes N_l = z**l for every distance a walk of ``lengths``
+    reaches; the exponent is clipped at 700, near the float64 ceiling,
+    where the term is already about n * P_>(l)."""
+    if z <= 1:
+        raise ParameterError("z must be > 1")
+    return np.exp(np.minimum(_distances(lengths) * np.log(z), 700.0))
+
+
+def n_distinct_fixed_length(rings, l_max: int, n_rw):
     """Ring-model expectation when every walk has exactly ``l_max`` steps."""
     if l_max < 0:
         raise ParameterError("l_max must be >= 0")
-    sizes = ring_sizes(rings, np.arange(l_max + 1))
+    sizes = np.asarray(rings, dtype=np.float64)[:l_max + 1]  # missing rings add 0
     n = np.asarray(n_rw, dtype=np.float64)
     out = np.sum(_coverage(sizes, n[..., None] * np.ones_like(sizes)), axis=-1)
     return out if out.ndim else float(out)
 
 
-def n_distinct_ring_sum(rings: RingStructure, lengths: LengthDist, n_rw):
+def n_distinct_ring_sum(rings, lengths: LengthDist, n_rw):
     """Random-length ring-model expectation, every ring of the length support
     summed at once: no ring blocks, stopping threshold or cap."""
     values, pmf = length_pmf(lengths)
     l = np.arange(int(values[-1]) + 1)
     tail = np.asarray([1.0 if x <= values[0] else pmf[values >= x].sum() for x in l])
+    sizes = np.asarray(rings, dtype=np.float64)[:l.size]
     n = np.asarray(n_rw, dtype=np.float64)
-    out = np.sum(_coverage(ring_sizes(rings, l), n[..., None] * tail), axis=-1)
+    out = np.sum(_coverage(sizes, n[..., None] * tail[:sizes.size]), axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -2,10 +2,13 @@
 
 Input is JSON Lines, one post per line, with fields ``user`` (string),
 ``resource`` (string), ``ts`` (integer epoch seconds), ``tags`` (array of
-strings).  Cleaning lowercases tags, drops duplicate tags within a post,
-rejects posts with no tags left, and rejects timestamps outside a validity
-window or outside the int64 range.  The cleaned corpus is held as columns,
-ordered by timestamp with input order breaking ties.
+strings).  Cleaning lowercases each tag with ``str.lower``, drops duplicate
+tags within a post, rejects posts with no tags left, and rejects timestamps
+outside a validity window or outside the int64 range.  The log is read in
+blocks of whole lines: each line is decoded and checked alone, and a
+block's strings are interned and its tags lowercased together.  The cleaned
+corpus is held as columns, ordered by timestamp with input order breaking
+ties.
 
 Analysis of a cleaned corpus is organized around one focus tag.  The posts
 containing it form a stream: a (post, tag) incidence of the same form as a
@@ -22,7 +25,9 @@ import json
 import re
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -44,6 +49,10 @@ DEFAULT_TS_MIN = 978307200
 
 # Corpus.write_jsonl joins this many posts per write.
 WRITE_BLOCK_POSTS = 4096
+
+# parse_posts reads this many lines per block.  A block's strings stay alive
+# until it is interned, and blocks past a few hundred lines gain no speed.
+PARSE_BLOCK_LINES = 512
 
 # The string escaper of json.dumps with ensure_ascii=True, quotes included.
 _quote = json.encoder.encode_basestring_ascii
@@ -147,35 +156,6 @@ class Corpus:
                                               self.user_ids[lo:hi].tolist())))
 
 
-def _clean_line(raw: bytes, lo: int, hi: int) -> tuple[str, str, int, set[str]] | str:
-    """Parse one input line into ``(user, resource, ts, tags)`` or a rejection reason."""
-    try:
-        line = raw.decode()     # strict UTF-8; json.loads skips JSON whitespace only
-        obj = json.loads(line)
-    except (ValueError, RecursionError):    # also: an int of over 4300 digits, deep nesting
-        return "malformed"
-    if not isinstance(obj, dict):
-        return "malformed"
-    user = obj.get("user")
-    resource = obj.get("resource")
-    ts = obj.get("ts")
-    tags = obj.get("tags")
-    if not (isinstance(user, str) and isinstance(resource, str)):
-        return "malformed"
-    if not isinstance(ts, int) or isinstance(ts, bool):
-        return "malformed"
-    if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
-        return "malformed"
-    if "\\" in line and any(map(_NOT_A_LABEL.search, tags)):
-        return "malformed"
-    folded = {t.lower() for t in tags if t}
-    if not folded:
-        return "no_tags"
-    if not (lo <= ts <= hi):
-        return "bad_timestamp"
-    return user, resource, ts, folded
-
-
 def parse_posts(source, window: ValidityWindow | None = None,
                 strict: bool = False) -> tuple[Corpus, RejectionReport]:
     """Read, clean, and time-order the JSON-Lines post log at path ``source``.
@@ -183,50 +163,83 @@ def parse_posts(source, window: ValidityWindow | None = None,
     A line ends at ``\n`` only, as JSON Lines defines it; a ``\r`` before
     it or between two JSON tokens is whitespace.
     Malformed lines are counted and skipped, or abort with ``source:line``
-    when ``strict``.
+    when ``strict``.  A malformed line is checked for before a post with no
+    tags, and that before a timestamp outside ``window``.  Users and
+    resources get ids in order of first appearance in an accepted post.
     """
     window = window or ValidityWindow()
     lo, hi = window.resolve()
+    scan = json.JSONDecoder().scan_once     # json.loads without its wrapper
     report = RejectionReport()
-    # strings are interned as they are read; the columns hold their ids
-    users: dict[str, int] = {}
-    resources: dict[str, int] = {}
-    tags: dict[str, int] = {}
+    # the columns hold ids of interned strings: looking a new string up
+    # gives it the next id.  The empty tag is id 0 until the sort below
+    # drops it.
+    users, resources, tags = (defaultdict(count().__next__) for _ in range(3))
+    tags[""]
     ts, user_ids, resource_ids, counts, tag_ids = (array("q") for _ in range(5))
+    lineno = 0
     with open(source, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            outcome = _clean_line(line, lo, hi)
-            if isinstance(outcome, str):
-                if outcome == "malformed" and strict:
+        while block := list(islice(fh, PARSE_BLOCK_LINES)):
+            block_users, block_resources, block_ts, block_counts, block_tags = [], [], [], [], []
+            for lineno, raw in enumerate(block, lineno + 1):
+                try:
+                    line = raw.decode().strip(" \t\n\r")     # strict UTF-8, JSON whitespace
+                    post, end = scan(line, 0)
+                except (ValueError, StopIteration, RecursionError):
+                    post = None     # also: nested too deep, an int of over 4300 digits
+                # the scanner gives exact dicts, lists, strs, ints, floats, bools and None
+                if type(post) is dict and end == len(line):
+                    user, resource = post.get("user"), post.get("resource")
+                    stamp, names = post.get("ts"), post.get("tags")
+                    if (type(user) is str and type(resource) is str and type(stamp) is int
+                            and type(names) is list and all(map(str.__instancecheck__, names))
+                            and not ("\\" in line and any(map(_NOT_A_LABEL.search, names)))):
+                        if not any(names):
+                            report.no_tags += 1
+                        elif not lo <= stamp <= hi:
+                            report.bad_timestamp += 1
+                        else:
+                            block_users.append(user)
+                            block_resources.append(resource)
+                            block_ts.append(stamp)
+                            block_counts.append(len(names))
+                            block_tags += names
+                        continue
+                if strict:
                     raise IngestError(f"malformed post at {source}:{lineno}")
-                setattr(report, outcome, getattr(report, outcome) + 1)
-                continue
-            user, resource, stamp, folded = outcome
-            report.accepted += 1
-            ts.append(stamp)
-            user_ids.append(users.setdefault(user, len(users)))
-            resource_ids.append(resources.setdefault(resource, len(resources)))
-            counts.append(len(folded))
-            tag_ids.extend([tags.setdefault(t, len(tags)) for t in folded])
+                report.malformed += 1
+            ts.fromlist(block_ts)
+            counts.fromlist(block_counts)
+            user_ids.fromlist(list(map(users.__getitem__, block_users)))
+            resource_ids.fromlist(list(map(resources.__getitem__, block_resources)))
+            tag_ids.fromlist(list(map(tags.__getitem__, map(str.lower, block_tags))))
 
     ts, user_ids, resource_ids, counts, tag_ids = (
         np.frombuffer(a, dtype=np.int64) for a in (ts, user_ids, resource_ids, counts, tag_ids))
-    vocabulary = tuple(sorted(tags))
-    # rank[i]: the place in the vocabulary of the tag interned as i
-    rank = np.argsort(np.fromiter(map(tags.get, vocabulary), np.int64, len(tags)))
+    report.accepted = ts.size
+    labels = sorted(tags)   # the empty tag first
+    # rank[i]: the place in labels of the tag interned as i
+    rank = np.argsort(np.fromiter(map(tags.get, labels), np.int64, len(tags)))
     order = np.argsort(ts, kind="stable")
     # one sort by (new post position, tag rank) moves each post's tags to
-    # its place and puts them in ascending order
-    scale = max(len(tags), 1)
+    # its place in ascending order; of each run of equal keys the first is
+    # kept, unless it is the empty tag's
+    scale = len(tags)
     keys = np.repeat(np.argsort(order), counts)
     keys *= scale
     keys += rank[tag_ids]
+    del tag_ids     # frees the raw tag column before the dedup below copies keys
     keys.sort()
+    keep = keys % scale != 0
+    keep[1:] &= keys[1:] != keys[:-1]
+    keys = keys[keep]
+    counts = np.bincount(keys // scale, minlength=ts.size)
     keys %= scale
+    keys -= 1
     corpus = Corpus(ts=ts[order], user_ids=user_ids[order], resource_ids=resource_ids[order],
-                    offsets=np.concatenate([[0], np.cumsum(counts[order])]), tag_ids=keys,
+                    offsets=np.concatenate([[0], np.cumsum(counts)]), tag_ids=keys,
                     users=tuple(users), resources=tuple(resources),
-                    vocabulary=vocabulary)
+                    vocabulary=tuple(labels[1:]))
     return corpus, report
 
 

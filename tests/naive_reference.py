@@ -445,6 +445,44 @@ def corpus_of(posts: Sequence[tuple[str, str, int, Iterable[str]]]) -> Corpus:
                   vocabulary=tuple(vocabulary))
 
 
+def clean_log(path, lo: int, hi: int):
+    """What ``parse_posts`` reads from the log at ``path``, one ``json.loads`` per line.
+
+    Returns the accepted posts as ``(user, resource, ts, tags)`` in time
+    order, ties in input order, with ``tags`` the sorted distinct lowercased
+    tags; the users and the resources in order of first appearance in an
+    accepted post; and the counts ``(malformed, no_tags, bad_timestamp)``.
+    """
+    posts, rejects = [], Counter()
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                post = json.loads(raw.decode())
+            except (ValueError, RecursionError):
+                post = None
+            if not (isinstance(post, dict) and isinstance(post.get("user"), str)
+                    and isinstance(post.get("resource"), str)
+                    and isinstance(post.get("ts"), int) and not isinstance(post["ts"], bool)
+                    and isinstance(post.get("tags"), list)
+                    and all(isinstance(t, str) and not set(t) & {"\n", "\r"}
+                            and not any("\ud800" <= c <= "\udfff" for c in t)
+                            for t in post["tags"])):
+                rejects["malformed"] += 1
+                continue
+            tags = tuple(sorted({t.lower() for t in post["tags"] if t}))
+            if not tags:
+                rejects["no_tags"] += 1
+            elif not lo <= post["ts"] <= hi:
+                rejects["bad_timestamp"] += 1
+            else:
+                posts.append((post["user"], post["resource"], post["ts"], tags))
+    users = tuple(dict.fromkeys(user for user, _, _, _ in posts))
+    resources = tuple(dict.fromkeys(resource for _, resource, _, _ in posts))
+    posts.sort(key=lambda post: post[2])
+    return posts, users, resources, (rejects["malformed"], rejects["no_tags"],
+                                     rejects["bad_timestamp"])
+
+
 def build_from_traces(traces: WalkEnsemble | Iterable[Sequence[int]],
                       count_origin: bool = True,
                       node_count: int | None = None) -> CoocGraph:

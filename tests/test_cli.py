@@ -3,13 +3,17 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tagwalk
 from naive_reference import neighbors_of
 from tagwalk import observables, pipeline
 from tagwalk.cli import build_parser, main
@@ -947,6 +951,30 @@ def test_ingest_rerun_is_byte_identical(tmp_path):
     assert main(["ingest", "--config", str(cfg), "--out", str(a)]) == 0
     assert main(["ingest", "--config", str(cfg), "--out", str(b)]) == 0
     assert tree_hash(a) == tree_hash(b)
+
+
+def test_ingest_is_byte_identical_across_hash_seeds(tmp_path):
+    # set and dict order follow the string hash, which PYTHONHASHSEED picks
+    spellings = ["walks", "Walks", "WALKS", "wALKS"]
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps({
+        "user": f"U{i % 7}", "resource": f"r{i % 23}", "ts": 1_000_000_000 + i % 31,
+        "tags": [spellings[i % 4], spellings[(i + 1) % 4], f"Tag{i % 11}", f"TAG{i % 5}",
+                 "\u039f\u0394\u039f\u03a3"[:i % 5]]})
+        + "\n" for i in range(300)), encoding="utf-8")
+    cfg = tmp_path / "ingest.json"
+    cfg.write_text(json.dumps({"seed": 4, "ingest": {"input": str(log), "focus_tag": "walks"}}))
+    src = str(Path(tagwalk.__file__).resolve().parents[1])
+    trees = []
+    for seed in ("0", "1"):
+        trees.append(tmp_path / f"out{seed}")
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "tagwalk.cli", "ingest", "--config",
+                               str(cfg), "--out", str(trees[-1]), "--threads", "1"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    assert tree_hash(trees[0]) == tree_hash(trees[1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import focus_graph, focus_stream
-from naive_reference import build_from_posts, build_from_traces, cooc_edges, posts_from_traces
+from naive_reference import (build_from_posts, build_from_traces, clean_log, cooc_edges,
+                             posts_from_traces)
+from tagwalk import ingest
+from tagwalk.cli import main
 from tagwalk.cooc import project
 from tagwalk.errors import IngestError, ParameterError
 from tagwalk.formats import sha256_of
-from tagwalk.ingest import (DEFAULT_TS_MIN, ValidityWindow, filter_by_tag,
-                            parse_posts)
+from tagwalk.ingest import (DEFAULT_TS_MIN, PARSE_BLOCK_LINES, ValidityWindow,
+                            filter_by_tag, parse_posts)
 from tagwalk.pipeline import load_config, run_ingest
 from tagwalk.substrate import generate_watts_strogatz
 from tagwalk.walker import (PowerLawLength, heaps_curve, node_frequencies,
@@ -56,6 +60,17 @@ def test_tags_fold_case_and_deduplicate():
     assert report.accepted == 1
     assert corpus.vocabulary == ("design", "web")
     assert corpus.tag_ids.tolist() == [0, 1]
+
+
+def test_tags_fold_one_by_one_with_full_unicode_lowercase():
+    tags = ["\u039f\u0394\u039f\u03a3", "\u03a3\u0391", "\u0130x", "", "Web", "WEB"]
+    corpus, report = parse_lines([line(tags=tags)])
+    assert report.accepted == 1
+    assert corpus.vocabulary == tuple(sorted({t.lower() for t in tags if t}))
+    # a final sigma, a sigma before a letter, and a capital that folds to two code points
+    assert corpus.vocabulary == ("i\u0307x", "web", "\u03bf\u03b4\u03bf\u03c2",
+                                 "\u03c3\u03b1")
+    assert corpus.offsets.tolist() == [0, 4]
 
 
 def test_empty_and_blank_tags_reject():
@@ -180,6 +195,78 @@ def test_parse_memory_per_post(tmp_path):
     # columns plus interned strings take about 220 bytes a post; an object
     # and a frozenset per post took about 970
     assert peak / report.accepted < 400
+
+
+def test_blocks_hold_whole_lines(tmp_path, capsys):
+    # two blocks and three lines: block 1 ends in a CRLF line, block 2
+    # opens with a malformed line, and the last line has no line feed
+    n = 2 * PARSE_BLOCK_LINES + 3
+    lines = [line(resource=f"r{i}", ts=T0 + i % 97).encode() + b"\n" for i in range(n)]
+    lines[PARSE_BLOCK_LINES - 1] = lines[PARSE_BLOCK_LINES - 1].replace(b"\n", b"\r\n")
+    lines[PARSE_BLOCK_LINES] = b"broken\n"
+    lines[-1] = lines[-1].rstrip(b"\n")
+    path = tmp_path / "posts.jsonl"
+    path.write_bytes(b"".join(lines))
+    corpus, report = parse_posts(path, WINDOW)
+    assert report.total_lines == n
+    assert (report.malformed, report.accepted) == (1, n - 1)
+    assert corpus.resources == tuple(f"r{i}" for i in range(n) if i != PARSE_BLOCK_LINES)
+    config = tmp_path / "ingest.json"
+    config.write_text(json.dumps({"seed": 1, "ingest": {
+        "input": str(path), "focus_tag": "a", "ts_min": T0, "ts_max": T0 + 10_000}}))
+    assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--strict"]) == 2
+    assert capsys.readouterr().err == (
+        f"tagwalk: error: malformed post at {path}:{PARSE_BLOCK_LINES + 1}\n")
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3, PARSE_BLOCK_LINES])
+def test_ids_follow_first_appearance_in_accepted_posts(monkeypatch, block_lines):
+    monkeypatch.setattr(ingest, "PARSE_BLOCK_LINES", block_lines)
+    lines = [json.dumps({"user": "m", "resource": "rm", "ts": "late", "tags": ["a"]}),
+             line(user="n", resource="rn", tags=[""]),
+             line(user="b", resource="rb", ts=T0 - 1),
+             line(user="u2", resource="r2", ts=T0 + 9),
+             line(user="u1", resource="r1", ts=T0 + 1),
+             line(user="m", resource="r2", ts=T0 + 5),
+             line(user="u2", resource="r3", ts=T0 + 2)]
+    corpus, report = parse_lines(lines)
+    assert (report.malformed, report.no_tags, report.bad_timestamp) == (1, 1, 1)
+    # input order, not time order; names seen only on rejected lines get no id
+    assert corpus.users == ("u2", "u1", "m")
+    assert corpus.resources == ("r2", "r1", "r3")
+    assert [corpus.users[u] for u in corpus.user_ids] == ["u1", "u2", "m", "u2"]
+
+
+SPELLINGS = ["web", "Web", "WEB", "", "\u039f\u0394\u039f\u03a3", "\u03a3\u0391",
+             "\u0130x", "stra\u00dfe", "tab\there", "a\\b", "c\nd", "e\rf", "g\ud800", 7]
+POST_LINES = st.builds(
+    lambda user, resource, ts, tags, cr: json.dumps(
+        {"user": user, "resource": resource, "ts": ts, "tags": tags},
+        ensure_ascii=False).encode("utf-8", "surrogatepass") + b"\r" * cr,
+    st.sampled_from(["u1", "u2", "U1"]), st.sampled_from(["r1", "r2", "r3"]),
+    st.sampled_from([T0 - 1, T0, T0 + 5, T0 + 10_000, T0 + 10_001, True, 1.5]),
+    st.lists(st.sampled_from(SPELLINGS), max_size=5), st.booleans())
+LOG_LINES = POST_LINES | st.sampled_from([
+    b"", b"broken", b"[1, 2]", b"{} {}", b"\xef\xbb\xbf{}", b'{"user": "u\xff"}',
+    b'{"user": 1, "resource": "r", "ts": %d, "tags": ["a"]}' % T0,
+    b'{"user": "u", "resource": "r", "ts": %d, "tags": "a"}' % T0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LOG_LINES, max_size=12), st.booleans(), st.integers(1, 4))
+def test_parse_matches_one_json_loads_per_line(lines, final_line_feed, block_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "posts.jsonl"
+        path.write_bytes(b"\n".join(lines) + (b"\n" if final_line_feed and lines else b""))
+        with mock.patch.object(ingest, "PARSE_BLOCK_LINES", block_lines):
+            corpus, report = parse_posts(path, WINDOW)
+        posts, users, resources, rejects = clean_log(path, *WINDOW.resolve())
+    assert posts_of(corpus) == posts
+    assert (corpus.users, corpus.resources) == (users, resources)
+    assert corpus.vocabulary == tuple(sorted({t for _, _, _, tags in posts for t in tags}))
+    assert (report.malformed, report.no_tags, report.bad_timestamp) == rejects
+    assert report.accepted == len(posts)
 
 
 def test_validity_window():

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, ParameterError
 
 __all__ = ["write_csv", "read_csv", "sha256_of", "write_json",
-           "read_int_rows", "read_int_table", "declared", "write_int_rows"]
+           "read_int_rows", "read_int_table", "read_headers", "declared", "write_int_rows"]
 
 # What a data line of an integer table may hold, and the magnitude bound
 # that keeps every accepted field clear of int64 overflow.
@@ -137,31 +137,49 @@ def read_int_table(path, columns: int) -> tuple[list[str], np.ndarray]:
     return headers, np.concatenate(blocks, out=table)
 
 
+def read_headers(path) -> list[str]:
+    """The header lines of a :func:`read_int_rows` file, read without parsing its rows."""
+    return [header for block, _ in _line_blocks(path) for header in _headers(block)[1]]
+
+
 def _row_blocks(path):
     """Per block of whole lines: its headers, fields, and each data row's count and line."""
+    for block, number in _line_blocks(path):
+        yield _parse_block(path, block, number)
+
+
+def _line_blocks(path):
+    """The file in blocks of whole lines, each with the number of its first line."""
     number, pending = 1, []
     with open(path, "rb") as fh:
         while chunk := fh.read(READ_BLOCK_BYTES):
             cut = chunk.rfind(b"\n") + 1
             if cut:
                 block, pending = b"".join(pending + [chunk[:cut]]), [chunk[cut:]]
-                yield _parse_block(path, block, number)
+                yield block, number
                 number += block.count(b"\n")
             else:
                 pending.append(chunk)
     if any(pending):
-        yield _parse_block(path, b"".join(pending), number)
+        yield b"".join(pending), number
 
 
-def _parse_block(path, data: bytes, number: int):
+def _headers(data: bytes) -> tuple[list[tuple[int, int]], list[str]]:
+    """Where each header line of a block of whole lines starts and ends, its
+    line end excluded, and its text."""
     raw = np.frombuffer(data, dtype=np.uint8)
     heads = np.flatnonzero(raw == ord("#"))
     heads = heads[(heads == 0) | (raw[heads - 1] == ord("\n"))].tolist()
+    # a last line without a newline ends at len(data): find gives -1 there
+    spans = [(head, data.find(b"\n", head) % (len(data) + 1)) for head in heads]
+    return spans, [data[head:end].decode("ascii", "surrogateescape").rstrip("\r")
+                   for head, end in spans]
+
+
+def _parse_block(path, data: bytes, number: int):
+    spans, headers = _headers(data)
     blanked = bytearray(data)
-    headers = []
-    for head in heads:
-        end = data.find(b"\n", head) % (len(data) + 1)   # -1 (no newline) -> len
-        headers.append(data[head:end].decode("ascii", "surrogateescape").rstrip("\r"))
+    for head, end in spans:
         blanked[head:end] = b" " * (end - head)
     text = bytes(blanked)
     if not data.isascii() or text.translate(None, _DATA_BYTES):

@@ -30,7 +30,7 @@ from .errors import ConfigError, ContractError, FitError, ParameterError
 from .formats import read_csv, sha256_of, write_csv, write_json
 from .rng import derive_seed
 from .substrate import (ErdosRenyi, GraphVariant, RegularTree, SubstrateGraph,
-                        WattsStrogatz, bfs_rings, build_graph)
+                        WattsStrogatz, bfs_rings, build_graph, read_node_count)
 from .walker import FixedLength, PowerLawLength, WalkConfig, WalkEnsemble
 
 __all__ = [
@@ -398,16 +398,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> Path:
     return out
 
 
-def _substrate(cfg: ExperimentConfig, out: Path, write: bool = False) -> SubstrateGraph:
+def _substrate(cfg: ExperimentConfig, out: Path, write: bool = False,
+               edges: bool = True) -> SubstrateGraph | int:
     """``out``'s ``substrate.edges``, which must hold ``walk.origin``; when it
-    is missing, the configured graph, written there when ``write``."""
+    is missing, the configured graph, written there when ``write``.  Without
+    ``edges``, only the node count: the file's ``nodes=`` header, or the
+    configured graph's count, and no graph is built."""
     path = out / "substrate.edges"
     if not path.exists():
+        if not edges:
+            return cfg.graph.node_count
         return _generate(cfg, out) if write else build_graph(cfg.graph, cfg.graph_seed)
-    graph = SubstrateGraph.read_edge_list(path)
-    if cfg.walk.origin >= graph.node_count:
+    graph = SubstrateGraph.read_edge_list(path) if edges else read_node_count(path)
+    n = graph.node_count if edges else graph
+    if cfg.walk.origin >= n:
         raise ContractError(f"{path}: walk.origin {cfg.walk.origin} is not one "
-                            f"of its {graph.node_count} nodes")
+                            f"of its {n} nodes")
     return graph
 
 
@@ -438,14 +444,16 @@ def run_stage(cfg: ExperimentConfig, out_dir, stage: str, threads: int = 1) -> P
     elif stage == "cooc":
         ens = WalkEnsemble.read_traces(_input(out, "traces.txt", "walk"),
                                        _substrate(cfg, out), cfg.walk.origin)
-        _cooc(out, ens.walk_node_pairs(count_origin=count_origin))
+        pairs = ens.walk_node_pairs(count_origin=count_origin)
+        del ens  # only the pairs are projected
+        _cooc(out, pairs)
     elif stage == "stats":
         g = cooc.CoocGraph.read_edge_list(_input(out, "cooc.edges", "cooc"))
         heaps_path, traces_path = out / "heaps.csv", out / "traces.txt"
         heaps = _read_heaps(heaps_path) if heaps_path.exists() else None
         freqs = None
         if traces_path.exists():
-            ens = WalkEnsemble.read_traces(traces_path, _substrate(cfg, out),
+            ens = WalkEnsemble.read_traces(traces_path, _substrate(cfg, out, edges=False),
                                            cfg.walk.origin)
             freqs = walker.node_frequencies(
                 ens.walk_node_pairs(count_origin=count_origin)[1], ens.node_count)

@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .formats import declared, read_int_table, write_int_rows
+from .formats import declared, read_headers, read_int_table, write_int_rows
 
 __all__ = [
     "SubstrateGraph",
@@ -26,6 +26,7 @@ __all__ = [
     "generate_regular_tree",
     "generate_erdos_renyi",
     "build_graph",
+    "read_node_count",
     "bfs_rings",
     "sorted_unique",
 ]
@@ -120,22 +121,49 @@ class SubstrateGraph:
     @classmethod
     def read_edge_list(cls, path) -> "SubstrateGraph":
         headers, edges = read_int_table(path, 2)
-        n = declared(path, headers, "nodes", 2 ** 31)
-        if n is None:
-            raise ContractError(f"{path}: missing '# nodes=' header")
+        n = _declared_nodes(path, headers)
         try:
             return from_edge_pairs(n, edges)
         except ContractError as exc:
             raise ContractError(f"{path}: {exc}") from None
 
     def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Whether each ``(a[i], b[i])`` is an edge; int64 ids in ``[0, node_count)``."""
-        n = self.node_count
-        # the row-major keys of every entry, then a sentinel above every query
-        keys = np.repeat(np.arange(n + 1, dtype=np.int64) * n, np.append(self.degrees(), 1))
-        keys[:-1] += self.indices
-        query = a * n + b
-        return keys[np.searchsorted(keys, query)] == query
+        """Whether each ``(a[i], b[i])`` is an edge; int64 ids in ``[0, node_count)``.
+
+        Each probe bisects row ``a[i]`` of ``indices`` for ``b[i]``, about
+        ``_KEY_BLOCK`` probes at a time, in as many rounds as the longest row
+        probed has bits.  So its memory scales with one block of probes, not
+        with the graph.
+        """
+        found = np.empty(a.size, dtype=bool)
+        for lo in range(0, a.size, _KEY_BLOCK):
+            rows, target = a[lo:lo + _KEY_BLOCK], b[lo:lo + _KEY_BLOCK]
+            first, end = self.indptr[rows], self.indptr[rows + 1]
+            count = end - first
+            # the row's first entry >= target, or its end, lies in
+            # [first, first + count], and each round halves count
+            while count.any():
+                half = count >> 1
+                right = (half < count) & (self.indices.take(first + half, mode="clip") < target)
+                np.add(first, half + 1, out=first, where=right)
+                count = np.where(right, count - half - 1, half)
+            hit = first < end
+            hit[hit] = self.indices[first[hit]] == target[hit]
+            found[lo:lo + _KEY_BLOCK] = hit
+        return found
+
+
+def read_node_count(path) -> int:
+    """The node count that an edge list's ``nodes=`` header declares, read
+    without its edges, which are therefore not checked."""
+    return _declared_nodes(path, read_headers(path))
+
+
+def _declared_nodes(path, headers: list[str]) -> int:
+    n = declared(path, headers, "nodes", 2 ** 31)
+    if n is None:
+        raise ContractError(f"{path}: missing '# nodes=' header")
+    return n
 
 
 def from_edge_pairs(n: int, edges: np.ndarray) -> SubstrateGraph:

@@ -159,15 +159,17 @@ class WalkEnsemble:
             write_int_rows(fh, self.nodes, seps)
 
     @classmethod
-    def read_traces(cls, path, graph: SubstrateGraph, origin: int) -> "WalkEnsemble":
+    def read_traces(cls, path, graph: SubstrateGraph | int, origin: int) -> "WalkEnsemble":
         """Load a trace file of walks on ``graph`` that all start at ``origin``.
 
-        Ids must lie in ``[0, graph.node_count)`` and each step must follow
-        an edge; violations raise ``ContractError`` at ``path:line``.  An
-        empty file holds no walks, and is read only if ``origin`` is a node.
+        ``graph`` is the substrate, or only its node count.  Ids must lie in
+        ``[0, node_count)``, and when the substrate is given each step must
+        follow one of its edges; violations raise ``ContractError`` at
+        ``path:line``.  An empty file holds no walks, and is read only if
+        ``origin`` is a node.
         """
         _, nodes, lengths, lines = read_int_rows(path)
-        limit = graph.node_count
+        limit = graph if isinstance(graph, int) else graph.node_count
         if lengths.size == 0 and not 0 <= origin < limit:
             raise ContractError(f"{path}: no walks found and no origin in [0, {limit}) given")
         offsets = np.concatenate([[0], np.cumsum(lengths)])
@@ -182,13 +184,14 @@ class WalkEnsemble:
         bad = offsets[:-1][nodes[offsets[:-1]] != origin]
         if bad.size:
             raise fail(bad[0], f"walk starts at node {nodes[bad[0]]}, not at the origin {origin}")
-        steps = np.ones(nodes.size, dtype=bool)
-        steps[offsets[1:] - 1] = False      # no step from the last node of a walk
-        steps = np.flatnonzero(steps)
-        bad = steps[~graph.has_edges(nodes[steps], nodes[steps + 1])]
-        if bad.size:
-            raise fail(bad[0], f"step {nodes[bad[0]]} -> {nodes[bad[0] + 1]} "
-                               "is not a substrate edge")
+        if not isinstance(graph, int):
+            steps = np.ones(nodes.size, dtype=bool)
+            steps[offsets[1:] - 1] = False      # no step from the last node of a walk
+            steps = np.flatnonzero(steps)
+            bad = steps[~graph.has_edges(nodes[steps], nodes[steps + 1])]
+            if bad.size:
+                raise fail(bad[0], f"step {nodes[bad[0]]} -> {nodes[bad[0] + 1]} "
+                                   "is not a substrate edge")
         return cls(origin=int(origin), node_count=limit, offsets=offsets,
                    nodes=nodes.astype(np.int32))
 

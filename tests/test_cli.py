@@ -480,7 +480,7 @@ def test_empty_heaps_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"tagwalk: error: {out / 'heaps.csv'}: empty CSV\n"
 
 
-@pytest.mark.parametrize("stage", ["walk", "theory"])
+@pytest.mark.parametrize("stage", ["walk", "theory", "stats"])
 def test_origin_outside_external_substrate_exits_2(tmp_path, capsys, stage):
     # walk.origin 150 fits the configured 200 nodes, not the file's 100
     cfg = write_config(tmp_path, graph={"type": "watts_strogatz", "n": 200, "k": 4,
@@ -492,6 +492,9 @@ def test_origin_outside_external_substrate_exits_2(tmp_path, capsys, stage):
     path.write_text("# nodes=100\n" + "".join(f"{i}\t{i + 1}\n" for i in range(99)))
     if stage == "theory":
         (out / "heaps.csv").write_text("n_rw,n_distinct\n1,1\n")
+    if stage == "stats":
+        (out / "cooc.edges").write_text("150\t151\t1\n")
+        (out / "traces.txt").write_text("150 151\n")
     before = sorted(p.name for p in out.iterdir())
     capsys.readouterr()
     assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
@@ -523,6 +526,82 @@ def test_cooc_rejects_traces_off_the_substrate(tmp_path, capsys, defect):
     capsys.readouterr()
     assert main(["cooc", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"tagwalk: error: {traces}:3: {message}\n"
+
+
+def staged_through_cooc(tmp_path, cfg):
+    out = tmp_path / "out"
+    for stage in ("generate", "walk", "cooc"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def test_stats_reads_neither_substrate_edges_nor_a_built_graph(tmp_path, monkeypatch):
+    # the same bytes from the substrate's nodes= header and from the config alone
+    cfg = write_config(tmp_path, emit_traces=True)
+    out = staged_through_cooc(tmp_path, cfg)
+    bare = tmp_path / "bare"
+    shutil.copytree(out, bare)
+    (bare / "substrate.edges").unlink()
+
+    def no_graph(*args):
+        raise AssertionError("stats loaded or built the substrate graph")
+    monkeypatch.setattr(pipeline, "build_graph", no_graph)
+    monkeypatch.setattr(SubstrateGraph, "read_edge_list", no_graph)
+    for directory in (out, bare):
+        assert main(["stats", "--config", str(cfg), "--out", str(directory)]) == 0
+    assert (bare / "observables" / "frequency_rank.csv").exists()
+    (out / "substrate.edges").unlink()
+    assert tree_hash(out) == tree_hash(bare)
+
+
+@pytest.mark.parametrize("defect, substrate", [
+    ("wrong_first_node", "file"),
+    ("wrong_first_node", "config"),
+    ("id_past_nodes", "file"),
+    ("id_past_nodes", "config"),
+])
+def test_stats_rejects_traces_at_their_line(tmp_path, capsys, defect, substrate):
+    out = staged_through_cooc(tmp_path, write_config(tmp_path))
+    if substrate == "file":
+        # the file's 60 nodes bound the ids, not the config's 200
+        cfg = write_config(tmp_path, "big.json", graph={**BASE["graph"], "n": 200})
+    else:
+        cfg = write_config(tmp_path)
+        (out / "substrate.edges").unlink()
+    traces = out / "traces.txt"
+    lines = traces.read_text().splitlines()
+    walk = lines[2].split()
+    if defect == "wrong_first_node":
+        walk[0] = "1"
+        message = "walk starts at node 1, not at the origin 0"
+    else:
+        walk.append("60")
+        message = "node id 60 outside [0, 60)"
+    lines[2] = " ".join(walk)
+    traces.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: {traces}:3: {message}\n"
+    assert not (out / "fits.json").exists()
+
+
+def test_a_step_off_the_substrate_passes_stats_and_fails_cooc(tmp_path, capsys):
+    # cooc, whose projection is built from the steps, alone checks them
+    cfg = write_config(tmp_path)
+    out = staged_through_cooc(tmp_path, cfg)
+    graph = SubstrateGraph.read_edge_list(out / "substrate.edges")
+    traces = out / "traces.txt"
+    lines = traces.read_text().splitlines()
+    last = int(lines[2].split()[-1])
+    off = next(v for v in range(graph.node_count)
+               if v != last and v not in neighbors_of(graph, last))
+    lines[2] += f" {off}"
+    traces.write_text("\n".join(lines) + "\n")
+    assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["cooc", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"tagwalk: error: {traces}:3: step {last} -> {off} is not a substrate edge\n")
 
 
 def test_missing_ingest_input_exits_2(tmp_path):

@@ -22,7 +22,7 @@ from tagwalk import formats
 from tagwalk.cli import main
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ContractError
-from tagwalk.formats import read_int_rows, read_int_table
+from tagwalk.formats import read_headers, read_int_rows, read_int_table
 from tagwalk.substrate import SubstrateGraph, generate_watts_strogatz
 from tagwalk.walker import PowerLawLength, WalkEnsemble, simulate_walks
 
@@ -232,6 +232,18 @@ pieces = st.sampled_from([b"0", b"7", b"12", b"-3", b"+", b"-", b" ", b"\t", b"\
 def test_row_reader_matches_line_by_line_reference(workdir, data, block):
     with blocks_of(block):
         assert_rows_match_reference(workdir / "rows.txt", data)
+
+
+@given(st.lists(pieces, max_size=40).map(b"".join), blocks)
+@settings(max_examples=200, deadline=None)
+def test_header_reader_matches_line_by_line_reference(workdir, data, block):
+    # every header line, whatever the data lines hold
+    path = workdir / "headers.txt"
+    path.write_bytes(data)
+    expected = [line.decode("ascii", "surrogateescape").rstrip("\r")
+                for line in data.split(b"\n") if line.startswith(b"#")]
+    with blocks_of(block):
+        assert read_headers(path) == expected
 
 
 @pytest.mark.parametrize("data", [

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tagwalk.substrate import (ErdosRenyi, RegularTree, SubstrateGraph,
                                WattsStrogatz, bfs_rings,
                                build_graph, from_edge_pairs,
                                generate_erdos_renyi, generate_regular_tree,
-                               generate_watts_strogatz)
+                               generate_watts_strogatz, read_node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +331,70 @@ def test_edge_list_keeps_isolated_nodes(tmp_path):
     assert back.degree(4) == 0
 
 
+@pytest.mark.parametrize("text, count", [
+    ("# nodes=5\n0\t1\n", 5),
+    ("0\t1\n# nodes=7\n1\t2\n", 7),
+    ("# nodes=3\n0\t1\n# edges=1 nodes=9\n", 9),
+], ids=["first_line", "between_edges", "last_of_two"])
+def test_node_count_is_the_one_the_edge_reader_takes(tmp_path, text, count):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    assert read_node_count(path) == SubstrateGraph.read_edge_list(path).node_count == count
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0\t1\n", "missing '# nodes=' header"),
+    ("# nodes=-3\n", "bad nodes='-3' in header"),
+    ("# nodes=2147483648\n", "bad nodes='2147483648' in header"),
+], ids=["missing", "negative", "past_int32"])
+def test_node_count_header_errors(tmp_path, text, message):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    with pytest.raises(ContractError) as err:
+        read_node_count(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_node_count_reads_no_edge(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("# nodes=4\n0\t9\nfoo\n2\t2\n")
+    assert read_node_count(path) == 4
+
+
+@st.composite
+def probed_graphs(draw):
+    """A graph with a hub row, an isolated node (at times the first or the last)
+    and, unless a draw falls on a self pair or the isolated node, an edge at
+    each of its first and last nodes."""
+    n = draw(st.integers(3, 30))
+    hub, lonely = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    pairs += [(hub, v) for v in draw(st.sets(ends, min_size=n // 2))]
+    pairs += [(0, draw(ends)), (n - 1, draw(ends))]
+    edges = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j and lonely not in (i, j)})
+    return n, edges
+
+
+@given(probed_graphs(), st.sampled_from([substrate._KEY_BLOCK, 1, 2, 7]))
+@settings(max_examples=150, deadline=None)
+def test_has_edges_matches_a_set_of_edges(graph, block):
+    n, edges = graph
+    g = graph_from_pairs(n, edges)
+    # every ordered pair: the edges both ways, absent pairs and self pairs
+    a, b = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    with mock.patch.object(substrate, "_KEY_BLOCK", block):
+        got = g.has_edges(a, b)
+    linked = set(edges) | {(j, i) for i, j in edges}
+    assert got.tolist() == [(i, j) in linked for i, j in zip(a.tolist(), b.tolist())]
+
+
+def test_has_edges_with_no_edges_and_no_probes():
+    g = graph_from_pairs(3, [])
+    assert g.has_edges(np.array([0, 2, 1]), np.array([2, 0, 1])).tolist() == [False] * 3
+    assert g.has_edges(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)).size == 0
+
+
 @given(st.integers(min_value=2, max_value=12), st.data())
 @settings(max_examples=60, deadline=None)
 def test_edge_pairs_round_trip(n, data):
@@ -440,6 +505,21 @@ def test_bfs_rings_memory_is_one_block_per_shell(ws_200k):
     # int64, so a shell gathered whole, with its index arrays, passes the bound.
     g, graph_bytes = ws_200k
     assert traced_peak(lambda: bfs_rings(g, 0)) < 0.75 * graph_bytes
+
+
+def test_has_edges_memory_does_not_grow_with_the_graph(ws_200k):
+    # the same 50k probes, half of them edges of the small graph: a key per
+    # adjacency entry would take 1.2 MiB at n=20k and 12.2 MiB at n=200k
+    small = generate_watts_strogatz(20_000, 8, 0.1, seed=1)
+    rng = np.random.default_rng(3)
+    a = rng.integers(20_000, size=50_000)
+    picks = small.indptr[a] + rng.integers(0, small.degrees()[a])
+    b = np.where(np.arange(a.size) % 2 == 0, small.indices[picks], rng.integers(20_000, size=a.size))
+    found = {}
+    peaks = [traced_peak(lambda: found.setdefault(g.node_count, g.has_edges(a, b)))
+             for g in (small, ws_200k[0])]
+    assert found[20_000][::2].all()
+    assert abs(peaks[0] - peaks[1]) < 2 ** 20
 
 
 def test_write_edge_list_memory_is_one_block(ws_200k, tmp_path):

@@ -54,36 +54,27 @@ class CoocGraph:
     entry_weights: np.ndarray     # int64, >= 1, one per adjacency entry
 
     @classmethod
-    def from_edges(cls, node_ids: np.ndarray, src: np.ndarray, dst: np.ndarray,
+    def from_edges(cls, node_ids: np.ndarray, eu: np.ndarray, ev: np.ndarray,
                    weights: np.ndarray) -> "CoocGraph":
-        """The graph of the sorted, unique edges ``src[e] < dst[e]`` (ids) of weights >= 1."""
-        if node_ids.size and np.any(np.diff(node_ids) <= 0):
-            raise ContractError("node_ids must be sorted and unique")
-        if node_ids.size and node_ids[0] < 0:
-            raise ContractError(f"negative node id {node_ids[0]}")
-        if not (src.size == dst.size == weights.size):
-            raise ContractError("edge arrays disagree in length")
-        if np.any(weights < 1):
-            raise ContractError("weights must be >= 1")
-        if np.any(src >= dst):
-            raise ContractError("edges must satisfy src < dst")
-        if np.any((src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))):
-            raise ContractError("edges must be sorted and unique")
-        if not (np.isin(src, node_ids).all() and np.isin(dst, node_ids).all()):
-            raise ContractError("edge endpoint outside node set")
-        pos = np.int32 if node_ids.size < 2 ** 31 else np.int64
-        eu, ev = (np.searchsorted(node_ids, ends).astype(pos) for ends in (src, dst))
-        # Row i lists first the edges (j, i), then the edges (i, j).  Edges
-        # are sorted by (src, dst), so a stable sort by row leaves each row
-        # ascending: every j of the first part is below i, every j after it above.
-        rows = np.concatenate([ev, eu])
-        del eu, ev
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(node_ids.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=node_ids.size), out=indptr[1:])
-        order += src.size       # [eu, ev][p] is rows[(p + m) % 2m], [w, w][p] is w[(p + m) % m]
-        return cls(node_ids, *_read_only(indptr, rows.take(order, mode="wrap"),
-                                         weights.take(order, mode="wrap")))
+        """The graph of the sorted, unique edges ``eu[e] < ev[e]`` (positions in ``node_ids``) of
+        weights >= 1, as :func:`project` makes them and :meth:`read_edge_list` checks them."""
+        n = node_ids.size
+        # Row i lists first the edges (j, i), then the edges (i, j).  Sorted by
+        # (eu, ev), the edges are the upper entries in row order already, and
+        # a stable sort by ev puts the lower entries in row order too.
+        counts = np.stack([np.bincount(ev, minlength=n), np.bincount(eu, minlength=n)], axis=1)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts.sum(axis=1), out=indptr[1:])
+        upper = np.repeat(np.tile([False, True], n), counts.ravel())
+        neighbors = np.empty(upper.size, dtype=np.int32 if n < 2 ** 31 else np.int64)
+        entry_weights = np.empty(upper.size, dtype=np.int64)
+        neighbors[upper] = ev
+        entry_weights[upper] = weights
+        lower = np.argsort(ev, kind="stable")
+        np.logical_not(upper, out=upper)
+        neighbors[upper] = eu[lower]
+        entry_weights[upper] = weights[lower]
+        return cls(node_ids, *_read_only(indptr, neighbors, entry_weights))
 
     @property
     def node_count(self) -> int:
@@ -195,10 +186,17 @@ class CoocGraph:
         # isolated vocabulary members are not recoverable from an edge list;
         # the node set is the set of edge endpoints
         node_ids = np.union1d(sorted_unique(src), sorted_unique(dst))
-        try:
-            g = cls.from_edges(node_ids, src, dst, weights)
-        except ContractError as exc:
-            raise ContractError(f"{path}: {exc}") from None
+        if node_ids.size and node_ids[0] < 0:
+            raise ContractError(f"{path}: negative node id {node_ids[0]}")
+        if np.any(weights < 1):
+            raise ContractError(f"{path}: weights must be >= 1")
+        if np.any(src >= dst):
+            raise ContractError(f"{path}: edges must satisfy src < dst")
+        if np.any((src[1:] < src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))):
+            raise ContractError(f"{path}: edges must be sorted and unique")
+        for ends in (src, dst):                 # ids to positions, in the table's columns
+            ends[:] = np.searchsorted(node_ids, ends)
+        g = cls.from_edges(node_ids, src, dst, weights)
         # Below 2^31 per strength, every integer sum the observables take fits
         # int64.  Weights below 2^31 keep the strengths' own sums from wrapping,
         # and the strengths bound the total weight compared below.
@@ -224,16 +222,19 @@ def project(group_ids: np.ndarray, members: np.ndarray) -> CoocGraph:
     ``members`` must be grouped by ``group_ids`` (non-decreasing) and be
     distinct and ascending inside each group, as
     :meth:`WalkEnsemble.walk_node_pairs` and :meth:`Corpus.tag_pairs`
-    return them.  Each group adds 1
-    to the weight of every pair of its members; the vocabulary is the set
-    of members, isolated ones included.  The pairs' keys are made a block
-    of :func:`~tagwalk.substrate._segment_pairs` at a time.
+    return them.  Each group adds 1 to the weight of every pair of its
+    members; the vocabulary is the set of members, isolated ones included.
+    The pairs' keys, in vocabulary positions, are made a block of
+    :func:`~tagwalk.substrate._segment_pairs` at a time.
     """
-    members = np.asarray(members, dtype=np.int64)   # pair keys need 64 bits
     node_ids = sorted_unique(members)
-    scale = int(node_ids[-1]) + 1 if node_ids.size else 1
-    keys = [np.empty(0, dtype=np.int64)]
-    for e, f in _segment_pairs(np.unique(group_ids, return_counts=True)[1]):
-        keys.append(members[e] * scale + members[f])
-    keys, weights = np.unique(np.concatenate(keys), return_counts=True)
-    return CoocGraph.from_edges(node_ids, keys // scale, keys % scale, weights)
+    m = node_ids.size
+    members = np.searchsorted(node_ids, members)    # positions, int64 for the pair keys
+    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        members[e] * m + members[f]
+        for e, f in _segment_pairs(np.unique(group_ids, return_counts=True)[1])])
+    del members                                     # the unique holds only the keys
+    keys, weights = np.unique(keys, return_counts=True)
+    eu, ev = (ends.astype(np.int32 if m < 2 ** 31 else np.int64) for ends in np.divmod(keys, m))
+    del keys
+    return CoocGraph.from_edges(node_ids, eu, ev, weights)

@@ -141,14 +141,12 @@ class WalkEnsemble:
 
     def walk_node_pairs(self, count_origin: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Deduplicated (walk_id, node) pairs, walk-major, nodes ascending."""
-        walk_ids = np.repeat(np.arange(self.walk_count, dtype=np.int64),
-                             np.diff(self.offsets))
-        nodes = self.nodes.astype(np.int64)
+        n = self.node_count
+        keys = np.repeat(np.arange(self.walk_count, dtype=np.int64) * n, np.diff(self.offsets))
+        keys += self.nodes
         if not count_origin:
-            keep = nodes != self.origin
-            walk_ids, nodes = walk_ids[keep], nodes[keep]
-        keys = sorted_unique(walk_ids * self.node_count + nodes)
-        return keys // self.node_count, keys % self.node_count
+            keys = keys[self.nodes != self.origin]
+        return np.divmod(sorted_unique(keys), n)
 
     # -- trace file: one walk per line, node ids space-separated --
 

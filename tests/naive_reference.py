@@ -308,6 +308,28 @@ def cooc_edges(g: CoocGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g.node_ids[rows[upper]], g.node_ids[g.neighbors[upper]], g.entry_weights[upper]
 
 
+def graph_from_ids(node_ids, src, dst, weights) -> CoocGraph:
+    """``CoocGraph.from_edges`` of the sorted edges ``src < dst`` given in ids of ``node_ids``."""
+    node_ids = np.asarray(node_ids, dtype=np.int64)
+    pos = np.int32 if node_ids.size < 2 ** 31 else np.int64
+    return CoocGraph.from_edges(node_ids, *(np.searchsorted(node_ids, ends).astype(pos)
+                                            for ends in (src, dst)), weights)
+
+
+def argsort_from_edges(node_ids, eu, ev, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``indptr``, ``neighbors`` and ``entry_weights`` of ``CoocGraph.from_edges``, by one
+    stable argsort of all 2m adjacency entries by row."""
+    pos = np.int32 if node_ids.size < 2 ** 31 else np.int64
+    # Row i lists first the edges (j, i), then the edges (i, j).  Edges are
+    # sorted by (eu, ev), so a stable sort by row leaves each row ascending.
+    rows = np.concatenate([ev, eu]).astype(pos)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(node_ids.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=node_ids.size), out=indptr[1:])
+    order += eu.size        # [eu, ev][p] is rows[(p + m) % 2m], [w, w][p] is w[(p + m) % m]
+    return indptr, rows.take(order, mode="wrap"), weights.take(order, mode="wrap")
+
+
 def naive_write_cooc(g, path) -> None:
     """``CoocGraph.write_edge_list`` as one f-string per edge."""
     src, dst, weights = cooc_edges(g)
@@ -367,7 +389,7 @@ def merge(g1: CoocGraph, g2: CoocGraph) -> CoocGraph:
     uniq, inv = np.unique(keys, return_inverse=True)
     weights = np.zeros(uniq.size, dtype=np.int64)
     np.add.at(weights, inv, np.concatenate([w1, w2]))
-    return CoocGraph.from_edges(node_ids, uniq // scale, uniq % scale, weights)
+    return graph_from_ids(node_ids, uniq // scale, uniq % scale, weights)
 
 
 def low_sample(series: BinnedSeries, threshold: int = 3) -> np.ndarray:

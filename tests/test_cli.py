@@ -392,6 +392,22 @@ def test_negative_cooc_node_id_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"tagwalk: error: {path}: negative node id -5\n"
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0\t1\t1\n0\t2\t0\n", "weights must be >= 1"),
+    ("0\t1\t1\n2\t1\t1\n", "edges must satisfy src < dst"),
+    ("0\t2\t1\n0\t1\t1\n", "edges must be sorted and unique"),
+    ("0\t1\t1\n0\t1\t2\n", "edges must be sorted and unique"),
+], ids=["zero_weight", "swapped_ends", "out_of_order", "repeated_row"])
+def test_cooc_edges_that_break_the_edge_contract_exit_2(tmp_path, capsys, body, message):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "cooc.edges"
+    path.write_text(body)
+    assert main(["stats", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"tagwalk: error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("field", ["edges", "total_weight"])
 def test_cooc_edges_that_disagree_with_their_header_exit_2(tmp_path, capsys, field):
     # a file cut at a line end still parses; only the header's counts tell

@@ -17,12 +17,11 @@ import tagwalk
 import tagwalk.cooc as cooc
 import tagwalk.observables as obs
 import tagwalk.substrate as substrate
-from naive_reference import (build_from_traces, cooc_edges, log_binned,
+from naive_reference import (build_from_traces, cooc_edges, graph_from_ids, log_binned,
                              low_sample, naive_class_means, naive_clustering,
                              naive_cooc_weights, naive_cosine, naive_knn, neighbor_weights,
                              sample_size, scipy_similarities,
                              spgemm_clustering_of_k, takes_exact_path)
-from tagwalk.cooc import CoocGraph
 from tagwalk.errors import FitError, ParameterError
 from tagwalk.observables import (cosine_similarity_distribution,
                                  clustering_of_k,
@@ -153,8 +152,7 @@ def random_cliques(seed, n_nodes=40, n_posts=120):
 def cooc_graph(node_ids, pairs):
     """Graph on ``node_ids`` with edges ``pairs`` (i < j), weighted i % 3 + j % 5 + 1."""
     src, dst = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T.copy()
-    return CoocGraph.from_edges(np.asarray(node_ids, dtype=np.int64).reshape(-1),
-                                src, dst, src % 3 + dst % 5 + 1)
+    return graph_from_ids(node_ids, src, dst, src % 3 + dst % 5 + 1)
 
 
 def hub_ring(n):
@@ -636,7 +634,7 @@ def cosine_graphs(draw):
     src, dst = np.array(chosen, dtype=np.int64).reshape(-1, 2).T.copy()
     weights = np.array(draw(st.lists(st.integers(1, 60), min_size=len(chosen),
                                      max_size=len(chosen))), dtype=np.int64)
-    return CoocGraph.from_edges(np.arange(n, dtype=np.int64), src, dst, weights)
+    return graph_from_ids(np.arange(n), src, dst, weights)
 
 
 @seed(20091)

@@ -16,7 +16,7 @@ import tagwalk.formats as formats
 import tagwalk.ingest as ingest
 import tagwalk.substrate as substrate
 from conftest import graph_from_pairs
-from naive_reference import (corpus_of, naive_write_cooc, naive_write_jsonl,
+from naive_reference import (corpus_of, graph_from_ids, naive_write_cooc, naive_write_jsonl,
                              naive_write_substrate, naive_write_traces)
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ParameterError
@@ -108,8 +108,8 @@ def cooc_graphs(draw):
                             max_size=len(keys)))
     src = np.asarray([i for i, _ in keys], dtype=np.int64)
     dst = np.asarray([j for _, j in keys], dtype=np.int64)
-    return CoocGraph.from_edges(np.unique(np.concatenate([src, dst])), src, dst,
-                                np.asarray(weights, dtype=np.int64))
+    return graph_from_ids(np.unique(np.concatenate([src, dst])), src, dst,
+                          np.asarray(weights, dtype=np.int64))
 
 
 @given(cooc_graphs(), blocks)

@@ -31,8 +31,11 @@ _NO_INTS = np.empty(0, dtype=np.int64)
 # end, so their scratch memory scales with one block, not with the file.
 READ_BLOCK_BYTES = 1 << 18
 # write_int_rows renders this many fields at a time, which bounds its
-# scratch memory whatever the size of the file.
-WRITE_BLOCK_FIELDS = 1 << 17
+# scratch memory whatever the size of the file.  It is small because `run`
+# writes substrate.edges on a thread of its own: that thread allocates from
+# its own malloc arena, so its scratch adds to the peak instead of reusing
+# memory that the graph's build freed.
+WRITE_BLOCK_FIELDS = 1 << 14
 # Row g is the zero-padded 4-digit ASCII form of g, viewed as one uint32;
 # digit k (from the left) steps through 0-9 in runs of 10**(3-k) rows.
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
@@ -91,8 +94,16 @@ def sha256_of(path) -> str:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                          encoding="ascii")
+    """``payload`` as indented JSON with sorted keys; a file that already holds
+    those bytes is left untouched, its modification time included."""
+    path = Path(path)
+    data = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    path.write_bytes(data)
 
 
 # ---------------------------------------------------------------------------

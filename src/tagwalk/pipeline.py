@@ -20,6 +20,7 @@ import math
 import re
 import sys
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -385,15 +386,28 @@ def _theory(cfg: ExperimentConfig, out: Path, graph: SubstrateGraph,
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> Path:
-    """End-to-end synthetic run: generate, walk, cooc, stats and theory, chained in memory."""
+    """End-to-end synthetic run: generate, walk, cooc, stats and theory, chained in memory.
+
+    No later stage reads ``substrate.edges`` back, so with ``threads`` > 1 it
+    is written on a thread of its own while the other stages run on this
+    one.  The manifest is written only once that write has succeeded.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    graph = _generate(cfg, out)
-    pairs, heaps, freqs = _walk(cfg, out, graph, cfg.emit_traces)
-    g = _cooc(out, pairs)
-    del pairs  # only the projection needs them
-    _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw, threads)
-    _theory(cfg, out, graph, heaps)
+    graph = build_graph(cfg.graph, cfg.graph_seed)
+    substrate = out / "substrate.edges"
+    with ThreadPoolExecutor(1) as writer:   # starts no thread until a submit
+        if threads > 1:
+            written = writer.submit(graph.write_edge_list, substrate)
+        else:
+            graph.write_edge_list(substrate)
+        pairs, heaps, freqs = _walk(cfg, out, graph, cfg.emit_traces)
+        g = _cooc(out, pairs)
+        del pairs  # only the projection needs them
+        _stats(cfg, out, g, heaps, freqs, cfg.walk.n_rw, threads)
+        _theory(cfg, out, graph, heaps)
+        if threads > 1:
+            written.result()    # the write's error, if any, is raised here
     _write_manifest(out, cfg.resolved())
     return out
 

@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from . import substrate
 from .errors import ContractError, ParameterError
 from .formats import read_int_rows, write_int_rows
 from .rng import stream_uniforms, walk_seeds
@@ -183,13 +184,20 @@ class WalkEnsemble:
         if bad.size:
             raise fail(bad[0], f"walk starts at node {nodes[bad[0]]}, not at the origin {origin}")
         if not isinstance(graph, int):
-            steps = np.ones(nodes.size, dtype=bool)
-            steps[offsets[1:] - 1] = False      # no step from the last node of a walk
-            steps = np.flatnonzero(steps)
-            bad = steps[~graph.has_edges(nodes[steps], nodes[steps + 1])]
-            if bad.size:
-                raise fail(bad[0], f"step {nodes[bad[0]]} -> {nodes[bad[0] + 1]} "
-                                   "is not a substrate edge")
+            # the steps from positions [lo, hi), a block at a time, so that the
+            # probes' memory scales with one block, not with the file
+            for lo in range(0, nodes.size, substrate._KEY_BLOCK):
+                hi = min(lo + substrate._KEY_BLOCK, nodes.size)
+                steps = np.ones(hi - lo, dtype=bool)
+                # no step from the last node of a walk, at each offset in (lo, hi] less one
+                ends = offsets[np.searchsorted(offsets, lo, "right"):
+                               np.searchsorted(offsets, hi, "right")]
+                steps[ends - 1 - lo] = False
+                steps = np.flatnonzero(steps) + lo
+                bad = steps[~graph.has_edges(nodes[steps], nodes[steps + 1])]
+                if bad.size:
+                    raise fail(bad[0], f"step {nodes[bad[0]]} -> {nodes[bad[0] + 1]} "
+                                       "is not a substrate edge")
         return cls(origin=int(origin), node_count=limit, offsets=offsets,
                    nodes=nodes.astype(np.int32))
 

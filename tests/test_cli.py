@@ -753,6 +753,34 @@ def test_seed_override_changes_results(tmp_path):
     assert (a / "cooc.edges").read_bytes() != (b / "cooc.edges").read_bytes()
 
 
+def test_an_unchanged_manifest_is_not_rewritten(tmp_path):
+    cfg = write_config(tmp_path)
+    out = staged_through_cooc(tmp_path, cfg)
+    stats = ["stats", "--config", str(cfg), "--out", str(out)]
+    assert main(stats) == 0
+    manifest = out / "manifest.json"
+    os.utime(manifest, ns=(10 ** 9, 10 ** 9))   # any rewrite would move it
+    inode = manifest.stat().st_ino
+    assert main(stats) == 0
+    assert (manifest.stat().st_ino, manifest.stat().st_mtime_ns) == (inode, 10 ** 9)
+    assert main(stats + ["--seed", "99"]) == 0
+    assert manifest.stat().st_mtime_ns != 10 ** 9
+    assert json.loads(manifest.read_text())["config"]["seed"] == 99
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_substrate_write_exits_2_without_a_manifest(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    (out / "substrate.edges").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tagwalk: error: ") and str(out / "substrate.edges") in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def assert_staged_matches_run(tmp_path, cfg):
     mono, staged = tmp_path / "mono", tmp_path / "staged"
     assert main(["run", "--config", str(cfg), "--out", str(mono)]) == 0

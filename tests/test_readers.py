@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_pairs
 from naive_reference import build_from_traces, cooc_edges
-from tagwalk import formats
+from tagwalk import formats, substrate
 from tagwalk.cli import main
 from tagwalk.cooc import CoocGraph
 from tagwalk.errors import ContractError
@@ -129,6 +129,21 @@ def test_simulated_traces_pass_the_substrate_checks(workdir, seed, origin):
     back = WalkEnsemble.read_traces(path, g, origin)
     assert np.array_equal(back.offsets, ens.offsets)
     assert np.array_equal(back.nodes, ens.nodes)
+
+
+@pytest.mark.parametrize("block", [1, 3, substrate._KEY_BLOCK])
+def test_first_step_off_the_substrate_is_reported_at_any_block(workdir, monkeypatch, block):
+    # on the path 0-1-...-9 a step moves by one; the walks of lines 1 and 2
+    # meet at 3 -> 0, which is no step, and line 2 holds the first bad one
+    g = graph_from_pairs(10, [(i, i + 1) for i in range(9)])
+    monkeypatch.setattr(substrate, "_KEY_BLOCK", block)
+    path = workdir / "off.txt"
+    path.write_text("0 1 2 3\n0 1 2 3\n0 1 0 1\n")
+    assert WalkEnsemble.read_traces(path, g, 0).walk_count == 3
+    path.write_text("0 1 2 3\n0 1 3 5\n0 1 0 1\n0 2\n")
+    with pytest.raises(ContractError) as info:
+        WalkEnsemble.read_traces(path, g, 0)
+    assert str(info.value) == f"{path}:2: step 1 -> 3 is not a substrate edge"
 
 
 @given(walk_lists, blocks)
